@@ -255,7 +255,7 @@ class ResilienceConfig:
 
 
 #: Timing-core implementations selectable via ``SystemConfig.engine``.
-#: ``"fast"`` is the flattened-queue/batched-warp core; ``"reference"``
+#: ``"fast"`` is the flattened-queue core (``gpu.fastcore``); ``"reference"``
 #: is the original straight-line implementation retained as the oracle
 #: for the differential harness (``repro.perfcore``).  Both must produce
 #: bit-identical results; the harness enforces it.
@@ -276,13 +276,6 @@ class SystemConfig:
     #: :meth:`cache_key` so reference and fast runs of the same scenario
     #: never dedupe to one cached result.
     engine: str = "fast"
-    #: Batched warp stepping (``engine="fast"`` only): the SM replays
-    #: runs of its own issue events inline in one event pop instead of a
-    #: schedule/pop round trip per warp step.  Bit-exact with the
-    #: unbatched fast core — the ``repro.perfcore`` harness diffs both
-    #: settings against the reference engine.  Ignored (and harmless)
-    #: under ``engine="reference"``.
-    batch_warps: bool = True
 
     def validate(self) -> "SystemConfig":
         self.gpu.validate()
@@ -292,10 +285,6 @@ class SystemConfig:
         if self.engine not in ENGINE_KINDS:
             raise ConfigError(
                 f"engine must be one of {ENGINE_KINDS}, got {self.engine!r}"
-            )
-        if not isinstance(self.batch_warps, bool):
-            raise ConfigError(
-                f"batch_warps must be a bool, got {self.batch_warps!r}"
             )
         return self
 
@@ -340,7 +329,6 @@ class SystemConfig:
             seed=data.get("seed", 0),
             resilience=resilience,
             engine=data.get("engine", "fast"),
-            batch_warps=data.get("batch_warps", True),
         ).validate()
 
     def cache_key(self) -> str:

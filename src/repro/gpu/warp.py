@@ -150,7 +150,6 @@ class Warp:
         "send_value",
         "retry_op",
         "block_key",
-        "sched_idx",
     )
 
     def __init__(self, slot: int, ctx: WarpCtx, gen: KernelGen, block_key: int) -> None:
@@ -159,10 +158,6 @@ class Warp:
         self.gen = gen
         self.state = WarpState.READY
         self.ready_time = 0.0
-        #: Index into the scheduler's struct-of-arrays warp state
-        #: (:class:`~repro.gpu.batchstep.BatchSM` mirrors); maintained by
-        #: the SM's warp-list rebuild, -1 while unassigned.
-        self.sched_idx = -1
         #: Value to send into the generator on next resume.
         self.send_value: Any = None
         #: An op that must be re-processed instead of resuming the

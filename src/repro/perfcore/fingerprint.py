@@ -24,22 +24,13 @@ from typing import Any, Dict, List, Mapping
 from repro.common.config import ModelName, PMPlacement, small_system
 
 #: Engines the harness pairs up, in report order.  ``reference`` is the
-#: oracle; every later name is diffed against it.  ``batch`` is not a
-#: ``SystemConfig.engine`` value — it is the fast engine with batched
-#: warp stepping on (see :func:`engine_config`).
-ENGINES = ("reference", "fast", "batch")
+#: oracle; every later name is diffed against it.
+ENGINES = ("reference", "fast")
 
 
 def engine_config(config: Any, engine: str) -> Any:
-    """Resolve a harness engine name onto *config*.
-
-    The harness axis is finer than ``SystemConfig.engine``: ``batch``
-    selects the fast engine with ``batch_warps`` on, while ``fast``
-    pins batching *off* so the two fast rows exercise distinct cores.
-    """
-    if engine == "batch":
-        return replace(config, engine="fast", batch_warps=True)
-    return replace(config, engine=engine, batch_warps=False)
+    """*config* pinned to the ``SystemConfig.engine`` named *engine*."""
+    return replace(config, engine=engine)
 
 
 def canonical_json(payload: Any) -> str:

@@ -3,13 +3,13 @@
 Every cell is a plain-JSON payload (so it crosses process boundaries
 and lands in reports verbatim) that :func:`run_cell` executes twice —
 once per engine — and reduces to a pair of fingerprints plus a match
-verdict.  The grid covers the three axes the tentpole promises:
+verdict.  The grid covers five cell kinds:
 
 * **sim** — 3 persistency models x {gpkvs, reduction, scan}, the same
   shrunk cases the golden-trace tests pin;
-* **litmus** — the full conformance corpus under every model, swept
-  through the smoke variant set (the bounded perturbations that make
-  ordering bugs visible);
+* **litmus** — the full conformance corpus under every model, plus a
+  fuzzed program stream under SBRP, swept through the smoke variant set
+  (the bounded perturbations that make ordering bugs visible);
 * **fault** — fault-plan cells (power cut under every model, plus a
   torn-persist cell) whose crash/recover/classify sweep exercises the
   crash-image path end to end;
@@ -18,13 +18,12 @@ verdict.  The grid covers the three axes the tentpole promises:
 * **soak** — the chaos-soak chain (resilient serve stream through a
   chronic fault timeline with crash→recover legs) under SBRP.
 
-Every cell runs under the full engine axis — reference, fast, and the
-batched fast core — and each non-reference engine is diffed against
-the reference fingerprint.
+Every cell runs under both engines and the fast fingerprint is diffed
+against the reference one.
 
-``--smoke`` keeps the litmus corpus (single model), one fault cell,
-one sim cell and one serve cell — the CI ``perfcore-smoke`` job's
-grid.
+``--smoke`` keeps the litmus corpus (single model, no fuzzed stream),
+one fault cell, one sim cell and one serve cell — the CI
+``perfcore-smoke`` job's grid.
 """
 
 from __future__ import annotations
@@ -49,6 +48,11 @@ SIM_PARAMS: Dict[str, Dict[str, Any]] = {
 
 #: Crash points sampled per litmus variant (matches the bench case).
 LITMUS_CRASH_POINTS = 12
+
+#: Fuzzed litmus stream of the full grid, as (seed, count).  Directed
+#: corpus programs alone miss engine divergences that random
+#: programs hit at once.
+LITMUS_FUZZ_STREAM = (7, 32)
 
 #: Fault cells run a smaller app: every crash point costs a recovery.
 FAULT_PARAMS: Dict[str, Any] = dict(n_pairs=128, capacity=256, rounds=1)
@@ -101,8 +105,7 @@ def _sim_cells(models) -> List[DiffCell]:
     ]
 
 
-def _litmus_cells(models) -> List[DiffCell]:
-    from repro.check.corpus import corpus_programs
+def _litmus_cells(models, programs) -> List[DiffCell]:
     from repro.check.enumerator import SMOKE_VARIANTS
 
     variants = [variant.to_json() for variant in SMOKE_VARIANTS]
@@ -118,7 +121,7 @@ def _litmus_cells(models) -> List[DiffCell]:
             },
         )
         for model in models
-        for program in corpus_programs()
+        for program in programs
     ]
 
 
@@ -195,16 +198,21 @@ def _soak_cells(models) -> List[DiffCell]:
 
 def build_grid(smoke: bool = False) -> List[DiffCell]:
     """The matched grid, in stable sweep order."""
+    from repro.check.corpus import corpus_programs
+    from repro.check.fuzzer import generate_stream
+
+    corpus = corpus_programs()
     if smoke:
         return (
             _sim_cells([ModelName.SBRP])[:1]
-            + _litmus_cells([ModelName.SBRP])
+            + _litmus_cells([ModelName.SBRP], corpus)
             + _fault_cells([ModelName.SBRP], torn=False)
             + _serve_cells([ModelName.SBRP])
         )
     return (
         _sim_cells(GRID_MODELS)
-        + _litmus_cells(GRID_MODELS)
+        + _litmus_cells(GRID_MODELS, corpus)
+        + _litmus_cells([ModelName.SBRP], generate_stream(*LITMUS_FUZZ_STREAM))
         + _fault_cells(GRID_MODELS, torn=True)
         + _serve_cells(GRID_MODELS)
         + _soak_cells([ModelName.SBRP])
@@ -215,8 +223,8 @@ def run_cell(cell_json: Mapping[str, Any]) -> Dict[str, Any]:
     """Run one cell under every engine of the axis; top-level so worker
     processes can execute it.  The report is a pure function of the
     payload: the reference fingerprint is the oracle, and every other
-    engine (the fast core, the batched fast core) is diffed against it
-    with mismatch paths prefixed by the diverging engine's name."""
+    engine is diffed against it with mismatch paths prefixed by the
+    diverging engine's name."""
     kind = cell_json["kind"]
     payload = cell_json["payload"]
     prints = {

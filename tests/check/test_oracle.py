@@ -3,6 +3,7 @@
 import pytest
 
 from repro.check.corpus import corpus_programs
+from repro.check.fuzzer import generate_program
 from repro.check.enumerator import SMOKE_VARIANTS, VARIANTS, Variant, variants_by_name
 from repro.check.oracle import allowed_unconstrained, check_program, failing_variants
 from repro.common.config import ModelName, Scope
@@ -36,10 +37,22 @@ class TestAllowedUnconstrained:
         assert (("pA", 999),) not in allowed
 
 
+STOCK_MODELS = [ModelName.SBRP, ModelName.GPM, ModelName.EPOCH]
+
+
 class TestStockConformance:
-    @pytest.mark.parametrize("model", [ModelName.SBRP, ModelName.GPM])
+    @pytest.mark.parametrize("model", STOCK_MODELS)
     def test_corpus_program_has_no_violations(self, model):
         report = check_program(mp_program(), model, SMOKE_VARIANTS)
+        assert report["violations"] == 0
+        assert failing_variants(report) == []
+
+    # Fuzzed programs with colliding warp ready times, a timing-core
+    # path the directed corpus does not reach.
+    @pytest.mark.parametrize("model", STOCK_MODELS)
+    @pytest.mark.parametrize("index", [2, 29])
+    def test_fuzzed_program_has_no_violations(self, index, model):
+        report = check_program(generate_program(7, index), model, SMOKE_VARIANTS)
         assert report["violations"] == 0
         assert failing_variants(report) == []
 
