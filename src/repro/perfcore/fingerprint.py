@@ -58,10 +58,11 @@ def sim_fingerprint(
 ) -> Dict[str, Any]:
     """Run *app* under *model* on *engine*; fingerprint everything.
 
-    The run mirrors a ``bench.perf`` sim case (``small_system``, FAR
-    placement) but with live metrics on and a post-run ``sync()`` +
-    crash so the durable image and the metrics snapshot participate in
-    the equivalence check, not just timing.
+    The run is one cold ``setup`` + ``run`` of the app on a fresh
+    ``small_system`` machine (FAR placement) with live metrics on,
+    followed by ``sync()`` and a crash, so the durable image and the
+    metrics snapshot participate in the equivalence check, not just
+    timing.
     """
     from repro.apps import build_app
     from repro.system import GPUSystem

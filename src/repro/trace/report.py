@@ -32,8 +32,24 @@ from repro.trace.tracer import Tracer
 
 
 def load_trace(path: str | Path) -> dict:
-    """Load an exported Chrome trace JSON file."""
-    return json.loads(Path(path).read_text())
+    """Load a Chrome trace JSON file as an object trace.
+
+    The Chrome trace format also allows a bare event array; it is
+    wrapped as ``{"traceEvents": [...]}``.  Raises :class:`ValueError`
+    for any other shape.
+    """
+    trace = json.loads(Path(path).read_text())
+    if isinstance(trace, list):
+        trace = {"traceEvents": trace}
+    if not isinstance(trace, dict):
+        kind = type(trace).__name__
+        raise ValueError(f"top level is a JSON {kind}, not an object or array")
+    events = trace.get("traceEvents", [])
+    if not isinstance(events, list) or not all(isinstance(e, dict) for e in events):
+        raise ValueError("traceEvents must be an array of event objects")
+    if not isinstance(trace.get("otherData") or {}, dict):
+        raise ValueError("otherData must be an object")
+    return trace
 
 
 def _aggregates(trace: Mapping) -> dict:
@@ -238,50 +254,6 @@ def profile_tracer(
     return render_report(chrome_trace(tracer, config, cycles))
 
 
-def render_host_hotspots(profile, top: int = 20) -> str:
-    """ASCII table of the hottest host-side functions of a cProfile run.
-
-    Complements the simulation-side profile above: the stall tables say
-    where *simulated* time goes, this says where *wall-clock* time goes.
-    Formatting is done by hand (not ``pstats.print_stats``) so the
-    section composes with the rest of the report and stays stable
-    across Python versions.
-    """
-    import pstats
-
-    stats = pstats.Stats(profile)
-    entries = []
-    for (path, line, func), (cc, nc, tottime, cumtime, _callers) in (
-        stats.stats.items()  # type: ignore[attr-defined]
-    ):
-        if path == "~":  # builtins: show just the descriptor
-            where = func
-        else:
-            name = Path(path).name
-            where = f"{name}:{line}:{func}"
-        entries.append((tottime, cumtime, nc, where))
-    entries.sort(key=lambda e: (-e[0], e[3]))
-    total = sum(e[0] for e in entries)
-    rows = [
-        [
-            where,
-            f"{nc}",
-            f"{tottime:.3f}",
-            f"{cumtime:.3f}",
-            f"{100.0 * tottime / total:.1f}" if total else "0.0",
-        ]
-        for tottime, cumtime, nc, where in entries[:top]
-    ]
-    lines = [
-        f"== host hotspots (cProfile, {total:.2f}s total) ==",
-        "",
-        _format_table(
-            ["function", "calls", "tottime", "cumtime", "self%"], rows
-        ),
-    ]
-    return "\n".join(lines)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.trace.report",
@@ -296,6 +268,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"cannot read {args.trace}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         parser.error(f"{args.trace} is not valid JSON: {exc}")
+    except ValueError as exc:
+        parser.error(f"{args.trace} is not a Chrome trace: {exc}")
     print(render_report(trace))
     return 0
 

@@ -103,6 +103,36 @@ def test_report_cli(trace_path, capsys):
     assert "per-warp stall attribution" in out
 
 
+_WARP_EVENTS = [
+    {"ph": "M", "name": "thread_name", "pid": 0, "tid": 1, "args": {"name": "sm0.w0"}},
+    {"ph": "X", "name": "warp", "pid": 0, "tid": 1, "ts": 0.0, "dur": 10.0},
+    {"ph": "X", "name": "compute", "pid": 0, "tid": 1, "ts": 0.0, "dur": 10.0},
+]
+
+
+def test_report_cli_accepts_bare_event_array(tmp_path, capsys):
+    path = tmp_path / "events.json"
+    path.write_text(json.dumps(_WARP_EVENTS))
+    assert report_main([str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "per-warp stall attribution" in out
+    assert "sm0.w0" in out
+
+
+@pytest.mark.parametrize(
+    "document",
+    [5, {"traceEvents": 5}, [5], {"otherData": [1]}],
+    ids=["number", "non-array-events", "non-object-event", "non-object-other"],
+)
+def test_report_cli_rejects_other_json_shapes(tmp_path, capsys, document):
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(SystemExit) as exc:
+        report_main([str(path)])
+    assert exc.value.code == 2
+    assert "is not a Chrome trace" in capsys.readouterr().err
+
+
 def test_counter_csv_structure(trace_dir):
     lines = (trace_dir / f"{_STEM}.counters.csv").read_text().splitlines()
     header = lines[0].split(",")
