@@ -1,8 +1,9 @@
 """Seeded litmus-program fuzzer over the full SBRP vocabulary.
 
 Programs are small by construction — the axiomatic side enumerates
-every downward-closed subset of the pmo DAG, which is exponential in
-the persist count — and *operationally safe* by construction:
+every order ideal of the pmo DAG, and the number of ideals can grow
+exponentially with the persist count (an unordered antichain of n
+persists has 2^n) — and *operationally safe* by construction:
 
 * an acquire only ever targets a flag released by a **lower-numbered**
   thread, so the wait graph is acyclic and every spin terminates
@@ -31,7 +32,7 @@ from repro.formal.events import LitmusProgram
 DATA_PM = ("pA", "pB", "pC", "pD")
 DATA_VOL = ("va", "vb")
 
-#: Hard caps keeping the axiomatic enumeration litmus-sized.
+#: Hard caps keeping the number of pmo order ideals litmus-sized.
 MAX_PERSISTS = 6
 MAX_RELEASES = 2
 MAX_ACQUIRES = 2

@@ -7,10 +7,11 @@ derivation rules (intra-thread via ``oFence``; inter-thread via scoped
 specification executable:
 
 * :mod:`~repro.formal.events` — event vocabulary and litmus programs,
-* :mod:`~repro.formal.relations` — builds po / vmo / pmo as explicit
-  relations (networkx digraphs) for a given execution witness,
+* :mod:`~repro.formal.relations` — builds po / vmo / pmo as transitively
+  closed relations (one ancestor bitmask per event) for a given
+  execution witness,
 * :mod:`~repro.formal.crash_states` — enumerates every crash image the
-  model permits (downward-closed cuts of the pmo DAG),
+  model permits (order ideals of the pmo DAG),
 * :mod:`~repro.formal.litmus` — a litmus-test harness with a library of
   tests covering the paper's examples (message passing, scope
   mismatches, transitivity, dFence), and

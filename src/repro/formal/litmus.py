@@ -54,8 +54,7 @@ class LitmusTest:
     #: Images that must be reachable (exact location->value matches,
     #: compared on the mentioned locations only).
     required: Sequence[CrashImageT] = ()
-    #: dFence eids treated as completed (by index into events, resolved
-    #: lazily via the marker location trick below).
+    #: Eids of the dFence events treated as completed before the crash.
     completed_dfences: Sequence[int] = ()
 
 

@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) on core structures and invariants."""
 
-import networkx as nx
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,8 +12,9 @@ from repro.formal import (
     allowed_crash_images,
     build_pmo,
 )
-from repro.formal.crash_states import downward_closed_subsets
+from repro.formal.crash_states import order_ideals
 from repro.formal.events import all_reads_from
+from repro.formal.relations import transitive_closure
 from repro.memory.devices import BandwidthChannel, NVMController
 from repro.persistency.sbrp.pbuffer import EntryKind, PersistBuffer
 
@@ -109,30 +109,72 @@ def test_pbuffer_entries_keep_fifo_order(data):
 # ----------------------------------------------------------------------
 # Formal model
 # ----------------------------------------------------------------------
+def _members(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @st.composite
-def small_dags(draw):
-    n = draw(st.integers(1, 6))
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
+def small_dags(draw, max_nodes=6):
+    """A random DAG over 0..n-1 (edges only from lower to higher ids),
+    closed, plus the mask of all its nodes."""
+    n = draw(st.integers(1, max_nodes))
+    preds = {j: 0 for j in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
             if draw(st.booleans()):
-                g.add_edge(i, j)
-    return g
+                preds[j] |= 1 << i
+    return transitive_closure(range(n), preds, {}, "cycle"), (1 << n) - 1
 
 
 @given(small_dags())
-def test_downward_closed_subsets_are_closed(dag):
-    for subset in downward_closed_subsets(dag):
+def test_downward_closed_subsets_are_closed(case):
+    dag, nodes = case
+    for subset in map(_members, order_ideals(dag, nodes)):
         for node in subset:
-            assert nx.ancestors(dag, node) <= subset
+            assert dag.ancestors(node) <= subset
 
 
 @given(small_dags())
-def test_downward_closed_contains_empty_and_full(dag):
-    subsets = downward_closed_subsets(dag)
-    assert frozenset() in subsets
-    assert frozenset(dag.nodes) in subsets
+def test_downward_closed_contains_empty_and_full(case):
+    dag, nodes = case
+    subsets = order_ideals(dag, nodes)
+    assert 0 in subsets
+    assert nodes in subsets
+
+
+def _brute_ideals(dag, within):
+    """Test oracle: filter every subset of *within* for closure under
+    the ancestors that lie inside *within*."""
+    return {
+        subset
+        for subset in range(within + 1)
+        if subset & ~within == 0
+        and all(dag.anc[n] & within & ~subset == 0 for n in _members(subset))
+    }
+
+
+@given(small_dags(max_nodes=8))
+def test_order_ideals_are_complete_and_distinct(case):
+    """The enumerator yields exactly the downward-closed subsets, each
+    once: compared against a brute-force filter of all 2^n subsets."""
+    dag, nodes = case
+    ideals = order_ideals(dag, nodes)
+    assert len(ideals) == len(set(ideals))
+    assert set(ideals) == _brute_ideals(dag, nodes)
+
+
+@given(small_dags(max_nodes=8), st.data())
+def test_order_ideals_respect_within_and_base(case, data):
+    """Restricted to a node subset and seeded with an ideal, the
+    enumerator yields exactly the ideals of the restriction that
+    contain the seed."""
+    dag, nodes = case
+    within = data.draw(st.integers(0, nodes))
+    brute = _brute_ideals(dag, within)
+    base = data.draw(st.sampled_from(sorted(brute)))
+    ideals = order_ideals(dag, within, base)
+    assert len(ideals) == len(set(ideals))
+    assert set(ideals) == {ideal for ideal in brute if ideal & base == base}
 
 
 @st.composite
@@ -174,7 +216,7 @@ def test_crash_images_are_pmo_consistent(program):
             pmo = build_pmo(witness)
         except LitmusError:
             continue  # infeasible witness
-        events = pmo.graph["events"]
+        events = pmo.events
         writers = Counter(
             (events[eid].loc, events[eid].value) for eid in pmo.nodes
         )
@@ -190,7 +232,7 @@ def test_crash_images_are_pmo_consistent(program):
                     # ancestor obligation cannot be pinned on this
                     # event.
                     continue
-                for pred in nx.ancestors(pmo, eid):
+                for pred in pmo.ancestors(eid):
                     ploc = events[pred].loc
                     # The predecessor's location must hold *some*
                     # durable (non-initial) value.
