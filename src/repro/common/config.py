@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Optional
 
 from repro.common.errors import ConfigError
-from repro.common.retry import SCHEDULE_EXPONENTIAL, RetryPolicy
 from repro.common.units import ns_to_cycles
 
 
@@ -202,58 +201,6 @@ class SBRPConfig:
             raise ConfigError("window must be at least 1")
 
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Runtime resilience knobs (chaos subsystem, DESIGN §13).
-
-    Disabled by default: a stock simulation behaves exactly as before
-    this config existed.  When enabled, transient NVM errors retry on a
-    bounded exponential-backoff schedule instead of the device-level
-    linear one, and occupancy watermarks drive the serve scheduler's
-    degraded-mode state machine (path shedding → throttling → typed
-    :class:`~repro.common.errors.DegradedModeError` rejections).
-    """
-
-    enabled: bool = False
-    #: Transient-error retry budget (beyond the device default of 5).
-    max_retries: int = 8
-    backoff_base_cycles: float = 200.0
-    backoff_mult: float = 2.0
-    backoff_cap_cycles: float = 3200.0
-    #: Occupancy fraction (WPQ or persist buffer) entering degraded mode.
-    #: Acceptance backpressure keeps WPQ occupancy at or below 1.0, so
-    #: watermarks are fractions of capacity.
-    high_watermark: float = 0.6
-    #: Occupancy fraction at which degraded mode exits (hysteresis).
-    low_watermark: float = 0.2
-    #: Occupancy fraction above which new batches are rejected outright.
-    reject_watermark: float = 0.97
-    #: Client backoff charged per rejection before re-probing occupancy.
-    reject_backoff_cycles: float = 2000.0
-    #: Rejections tolerated per batch before DegradedModeError escapes.
-    max_rejects: int = 8
-
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            base_cycles=self.backoff_base_cycles,
-            mult=self.backoff_mult,
-            cap_cycles=self.backoff_cap_cycles,
-            schedule=SCHEDULE_EXPONENTIAL,
-        )
-
-    def validate(self) -> None:
-        if self.max_retries < 0 or self.max_rejects < 0:
-            raise ConfigError("resilience budgets must be non-negative")
-        if self.high_watermark <= self.low_watermark:
-            raise ConfigError("high_watermark must exceed low_watermark")
-        if self.reject_watermark < self.high_watermark:
-            raise ConfigError("reject_watermark must be >= high_watermark")
-        if self.reject_backoff_cycles <= 0:
-            raise ConfigError("reject_backoff_cycles must be positive")
-        self.retry_policy()  # validates the backoff fields
-
-
 #: Timing-core implementations selectable via ``SystemConfig.engine``.
 #: ``"fast"`` is the flattened-queue core (``gpu.fastcore``); ``"reference"``
 #: is the original straight-line implementation retained as the oracle
@@ -271,7 +218,6 @@ class SystemConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     sbrp: SBRPConfig = field(default_factory=SBRPConfig)
     seed: int = 0
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Timing-core selection; see :data:`ENGINE_KINDS`.  Participates in
     #: :meth:`cache_key` so reference and fast runs of the same scenario
     #: never dedupe to one cached result.
@@ -281,7 +227,6 @@ class SystemConfig:
         self.gpu.validate()
         self.memory.validate()
         self.sbrp.validate()
-        self.resilience.validate()
         if self.engine not in ENGINE_KINDS:
             raise ConfigError(
                 f"engine must be one of {ENGINE_KINDS}, got {self.engine!r}"
@@ -315,19 +260,20 @@ class SystemConfig:
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "SystemConfig":
-        """Rebuild a validated config from :meth:`to_dict` output."""
+        """Rebuild a validated config from :meth:`to_dict` output.
+
+        Only known keys are read, so payloads that still carry a retired
+        top-level field (the old degraded-mode settings) keep loading."""
         memory = dict(data["memory"])
         memory["placement"] = PMPlacement(memory["placement"])
         sbrp = dict(data["sbrp"])
         sbrp["drain_policy"] = DrainPolicy(sbrp["drain_policy"])
-        resilience = ResilienceConfig(**data.get("resilience", {}))
         return SystemConfig(
             model=ModelName(data["model"]),
             gpu=GPUConfig(**data["gpu"]),
             memory=MemoryConfig(**memory),
             sbrp=SBRPConfig(**sbrp),
             seed=data.get("seed", 0),
-            resilience=resilience,
             engine=data.get("engine", "fast"),
         ).validate()
 

@@ -64,16 +64,6 @@ class OracleViolation(RecoveryError):
     """
 
 
-class DegradedModeError(ReproError):
-    """The resilience layer's admission control rejected work.
-
-    Raised at the serve batch scheduler when occupancy pressure stays
-    above the reject watermark for longer than the bounded client
-    backoff tolerates.  A typed rejection — never a silent drop — so
-    callers can distinguish shed load from lost data.
-    """
-
-
 class LitmusError(ReproError):
     """A litmus test is malformed or its outcome check failed."""
 

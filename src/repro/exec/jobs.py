@@ -43,9 +43,9 @@ MODE_CHECK = "check"
 #: transaction layer and report throughput, latency percentiles, and
 #: worst-case recovery time (see :mod:`repro.serve.runner`).
 MODE_SERVE = "serve"
-#: Chaos soak: drive a serving stream through a chronic fault timeline
+#: Soak chain: drive a serving stream through a chronic fault timeline
 #: with crash→recover→crash chains, the recovery oracle at every
-#: reboot, and a zero-data-loss audit (see :mod:`repro.chaos.runner`).
+#: reboot, and a zero-data-loss audit (see :mod:`repro.faults.soak`).
 MODE_SOAK = "soak"
 
 _MODES = (
@@ -254,7 +254,7 @@ class ScenarioJob:
                 self.app, self.config, dict(self.app_params)
             )
         if self.mode == MODE_SOAK:
-            from repro.chaos.runner import run_soak_scenario
+            from repro.faults.soak import run_soak_scenario
 
             assert self.soak is not None  # enforced by __post_init__
             return run_soak_scenario(

@@ -6,8 +6,9 @@ them — or fails *diagnosably*:
 
 * :mod:`~repro.faults.plans` — declarative, JSON-round-trippable
   :class:`FaultPlan` descriptions (torn persists, reordered / dropped
-  drains, delayed / lost acks, transient NVM write failures), each
-  declaring what a correct implementation must do under it;
+  drains, delayed / lost acks, transient NVM write failures, chronic
+  fault timelines), each declaring what a correct implementation must
+  do under it;
 * :mod:`~repro.faults.injector` — :class:`FaultInjector`, the
   deterministic plan interpreter the memory subsystem and persistency
   models consult;
@@ -17,9 +18,12 @@ them — or fails *diagnosably*:
   axiomatic model's reachable states);
 * :mod:`~repro.faults.runner` — one scenario end to end: injected run,
   crash at every persist boundary, classify, minimize a reproducer;
+* :mod:`~repro.faults.soak` — a serving stream's crash→recover→crash
+  chain under a fault timeline, with the oracle at every reboot and a
+  zero-loss audit;
 * :mod:`~repro.faults.campaign` — ``python -m repro.faults.campaign``,
-  the sweep driver (apps x models x placements x plans) with a
-  deterministic JSON report.
+  the sweep driver (apps x models x placements x plans, plus soak
+  chains) with a deterministic JSON report.
 """
 
 from repro.faults.injector import FaultInjector, build_injector

@@ -7,6 +7,10 @@ submitted through the shared :class:`~repro.exec.executor.Executor`, so
 campaign cells parallelize, dedupe, and (with ``--cache-dir``) persist
 exactly like the paper's figure sweeps.
 
+The ``soak`` section runs crash→recover→crash chains of a serving
+stream under chronic fault timelines (:mod:`repro.faults.soak`); each
+chain is matched against its timeline's ``expect`` like any other plan.
+
 The report is deterministic JSON: rows appear in submission order, no
 wall-clock or hostnames are recorded, and every injected decision is a
 pure function of the plan — ``--workers 1`` and ``--workers 4`` produce
@@ -18,8 +22,8 @@ Quick start::
     python -m repro.faults.campaign --list-plans     # what can go wrong
     python -m repro.faults.campaign --repro repro.json   # replay one cell
 
-Exit status is 0 iff no scenario or litmus cell violated its declared
-expectation (``summary.unexpected`` is empty).
+Exit status is 0 iff no scenario, soak or litmus cell violated its
+declared expectation (``summary.unexpected`` is empty).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.common.config import ModelName, PMPlacement, small_system
 from repro.exec import Executor, ScenarioJob
 from repro.exec.executor import add_pool_args, pool_kwargs
-from repro.exec.jobs import MODE_FAULTS
+from repro.exec.jobs import MODE_FAULTS, MODE_SOAK
 from repro.faults.oracles import (
     CONSISTENT,
     JOB_FAILED,
@@ -52,9 +56,11 @@ from repro.faults.plans import (
     FaultPlan,
     NVMTransientPlan,
     PowerCutPlan,
+    TimelinePlan,
     TornPersistPlan,
 )
 from repro.faults.runner import DEFAULT_MAX_CRASH_POINTS, OUTCOME_INCONSISTENT
+from repro.faults.soak import SOAK_PARAMS, brownout_burst, storm_squeeze
 
 #: Shrunk app parameters (the tests' crash-sweep sizes): the campaign
 #: measures *correctness*, not performance, so small batches that still
@@ -143,6 +149,40 @@ class Cell:
             app_params=dict(self.app_params),
             mode=MODE_FAULTS,
             fault=fault,
+        )
+
+
+@dataclass(frozen=True)
+class SoakCell:
+    """One soak chain: the serving stream under a fault timeline, with a
+    crash inside every ``crash_every``-th batch."""
+
+    model: ModelName
+    timeline: TimelinePlan
+    crash_every: int = 2
+    seeded_bug: str = ""
+
+    @property
+    def name(self) -> str:
+        seeded = f"!{self.seeded_bug}" if self.seeded_bug else ""
+        return (
+            f"serve_kvs{seeded}@{self.model.value}~crash{self.crash_every}"
+            f"#{self.timeline.label}"
+        )
+
+    def job(self) -> ScenarioJob:
+        params = dict(SOAK_PARAMS)
+        if self.seeded_bug:
+            params["seeded_bug"] = self.seeded_bug
+        return ScenarioJob(
+            app="serve_kvs",
+            config=small_system(self.model),
+            app_params=params,
+            mode=MODE_SOAK,
+            soak={
+                "timeline": self.timeline.to_json(),
+                "crash_every_batches": self.crash_every,
+            },
         )
 
 
@@ -275,6 +315,26 @@ def smoke_cells(models: Tuple[ModelName, ...]) -> List[Cell]:
     return cells
 
 
+def soak_cells(models: Tuple[ModelName, ...], full: bool) -> List[SoakCell]:
+    """Soak chains.  The smoke pair is the SBRP chain under the
+    brownout+burst schedule, which must survive its crashes with zero
+    committed loss, and the same chain with the ``early_commit`` bug,
+    which the oracle must flag at a reboot.  The full set adds the
+    storm+squeeze schedule under every model and a chain that crashes
+    inside every batch."""
+    model = ModelName.SBRP if ModelName.SBRP in models else models[0]
+    cells = [
+        SoakCell(model, brownout_burst()),
+        SoakCell(
+            model, brownout_burst(EXPECT_INCONSISTENT), seeded_bug="early_commit"
+        ),
+    ]
+    if full:
+        cells += [SoakCell(m, storm_squeeze()) for m in models]
+        cells.append(SoakCell(model, brownout_burst(), crash_every=1))
+    return cells
+
+
 def full_cells(
     apps: List[str],
     models: Tuple[ModelName, ...],
@@ -396,6 +456,29 @@ def scenario_row(cell: Cell, result: Optional[Any]) -> Dict[str, Any]:
     return row
 
 
+def soak_row(cell: SoakCell, result: Optional[Any]) -> Dict[str, Any]:
+    row: Dict[str, Any] = {
+        "name": cell.name,
+        "model": cell.model.value,
+        "plan": cell.timeline.label,
+        "expect": cell.timeline.expect,
+    }
+    if result is None:
+        row.update(outcome=JOB_FAILED, matched=False, failure=None, reboots=[])
+        return row
+    detail = result.detail
+    row.update(
+        outcome=detail["outcome"],
+        matched=detail["matched"],
+        failure=detail["failure"],
+        reboots=detail["reboots"],
+        lost_committed=detail["lost_committed"],
+        injected=detail["injected"],
+        stats=dict(result.stats),
+    )
+    return row
+
+
 def litmus_row(case: Dict[str, Any]) -> Dict[str, Any]:
     outcome = run_litmus_oracle(
         case["test"], case["model"], plan=case["plan"]
@@ -420,9 +503,11 @@ def build_report(
     cells: List[Cell],
     results: List[Optional[Any]],
     litmus: List[Dict[str, Any]],
+    soak: List[Dict[str, Any]],
 ) -> Dict[str, Any]:
     rows = [scenario_row(cell, result) for cell, result in zip(cells, results)]
     unexpected = [row["name"] for row in rows if not row["matched"]]
+    unexpected += [row["name"] for row in soak if not row["matched"]]
     unexpected += [row["name"] for row in litmus if not row["matched"]]
     summary = {
         "scenarios": len(rows),
@@ -445,11 +530,14 @@ def build_report(
         "scope_bugs_detected": sum(
             len(row["scope_bugs"]) for row in litmus
         ),
+        "soak_chains": len(soak),
+        "soak_reboots": sum(len(row["reboots"]) for row in soak),
         "unexpected": unexpected,
     }
     return {
         "campaign": {"preset": preset, "cells": len(cells)},
         "scenarios": rows,
+        "soak": soak,
         "litmus": litmus,
         "summary": summary,
     }
@@ -504,7 +592,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--smoke",
         action="store_true",
         help="bounded CI preset: gpkvs x 3 models, power cuts + safe "
-        "tears + seeded-bug teeth checks + the litmus trio",
+        "tears + seeded-bug teeth checks + the SBRP soak pair + the "
+        "litmus trio",
     )
     parser.add_argument(
         "--apps", nargs="*", default=None, choices=sorted(APP_PARAMS)
@@ -568,14 +657,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cells = smoke_cells(models)
         if args.max_crash_points is not None:
             cells = [
-                Cell(
-                    app=c.app,
-                    app_params=c.app_params,
-                    model=c.model,
-                    placement=c.placement,
-                    plan=c.plan,
-                    max_crash_points=args.max_crash_points,
-                )
+                replace(c, max_crash_points=args.max_crash_points)
                 for c in cells
             ]
     else:
@@ -597,12 +679,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         progress=None if args.quiet else _progress,
         **pool_kwargs(args),
     )
-    results = executor.submit([cell.job() for cell in cells], allow_failures=True)
+    soaks = soak_cells(models, full=not args.smoke)
+    results = executor.submit(
+        [cell.job() for cell in cells] + [cell.job() for cell in soaks],
+        allow_failures=True,
+    )
     for failure in executor.failures:
         print(f"--- {failure.job.label} ---\n{failure}", file=sys.stderr)
 
+    soak = [
+        soak_row(cell, result)
+        for cell, result in zip(soaks, results[len(cells) :])
+    ]
     litmus = [litmus_row(case) for case in litmus_cases(models, args.smoke)]
-    report = build_report(preset, cells, results, litmus)
+    report = build_report(preset, cells, results[: len(cells)], litmus, soak)
     text = render_report(report)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -614,6 +704,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     summary = report["summary"]
     print(
         f"{preset}: {summary['scenarios']} scenarios + "
+        f"{summary['soak_chains']} soak chains + "
         f"{summary['litmus_cases']} litmus cases; "
         f"{summary['clean_consistent']} clean-consistent, "
         f"{summary['seeded_flagged']} seeded bugs flagged, "

@@ -16,6 +16,14 @@ four points:
 * :meth:`torn_records` — crash-time rewriting of accepted records into
   partial (torn) line writes.
 
+A :class:`~repro.faults.plans.TimelinePlan` is read at the *global*
+chain time ``time_offset + now``: bursts fail persists in
+:meth:`persist_delay`, ack storms defer acks in :meth:`transform_ack`,
+and the NVM controllers consult :meth:`nvm_scale_at` /
+:meth:`wpq_limit_at` for brownouts and WPQ squeezes (the memory
+subsystem wires them up as the controllers' ``throttle``, because
+bandwidth and capacity are controller state, not per-persist events).
+
 All decisions are pure functions of the plan, its seed, and simulation-
 deterministic counters — the same run always injects the same faults,
 which is what makes campaign reports byte-identical across workers.
@@ -23,17 +31,25 @@ which is what makes campaign reports byte-identical across workers.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.common.errors import FaultInjectionError, TornPersistError
 from repro.faults.plans import (
+    WINDOW_ACK_STORM,
+    WINDOW_BROWNOUT,
+    WINDOW_BURST,
+    WINDOW_WPQ_SQUEEZE,
     AckDelayPlan,
     AckLossPlan,
     DrainDropPlan,
     DrainReorderPlan,
     FaultPlan,
+    FaultWindow,
     NVMTransientPlan,
+    TimelinePlan,
     TornPersistPlan,
+    linear_backoff,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -56,8 +72,10 @@ def _mix(seed: int, n: int) -> int:
 class FaultInjector:
     """Interprets one :class:`FaultPlan` against one simulated system."""
 
-    def __init__(self, plan: FaultPlan) -> None:
+    def __init__(self, plan: FaultPlan, time_offset: float = 0.0) -> None:
         self.plan = plan
+        #: Global chain time of this machine's boot (timeline plans).
+        self.time_offset = float(time_offset)
         self.active = True
         #: Injection tallies (keys are stable; reports embed them).
         self.counts: Dict[str, int] = {}
@@ -67,16 +85,40 @@ class FaultInjector:
     def _bump(self, key: str, by: int = 1) -> None:
         self.counts[key] = self.counts.get(key, 0) + by
 
+    def _active(self, kind: str, now: float) -> List[FaultWindow]:
+        """Timeline windows of *kind* open at machine-local *now*."""
+        if not isinstance(self.plan, TimelinePlan):
+            return []
+        time = self.time_offset + now
+        return [w for w in self.plan.windows if w.kind == kind and w.contains(time)]
+
+    # ------------------------------------------------------------------
+    # NVM controller throttle (timeline plans)
+    # ------------------------------------------------------------------
+    def nvm_scale_at(self, now: float) -> float:
+        """Drain-bandwidth multiplier at machine-local *now*."""
+        scale = 1.0
+        for window in self._active(WINDOW_BROWNOUT, now):
+            scale *= window.intensity
+        return scale
+
+    def wpq_limit_at(self, now: float) -> int:
+        """Active WPQ entry clamp (0 = unclamped)."""
+        limits = [int(w.intensity) for w in self._active(WINDOW_WPQ_SQUEEZE, now)]
+        return min(limits) if limits else 0
+
     # ------------------------------------------------------------------
     # NVM write path
     # ------------------------------------------------------------------
     def persist_delay(self, seq: int, now: float = 0.0) -> float:
         """Extra cycles before the NVM controller sees persist *seq*.
 
-        *now* is the issue time; point plans ignore it, but chronic
-        timeline injectors use it to decide which fault windows apply.
+        *now* is the issue time; point plans ignore it, timeline plans
+        use it to decide which burst windows apply.
         """
         plan = self.plan
+        if isinstance(plan, TimelinePlan):
+            return self._burst_delay(plan, seq, now)
         if not isinstance(plan, NVMTransientPlan):
             return 0.0
         if seq % plan.fail_every != 0:
@@ -89,6 +131,26 @@ class FaultInjector:
             )
         self._bump("nvm_transient_failures", plan.fails)
         return plan.retry_delay
+
+    def _burst_delay(self, plan: TimelinePlan, seq: int, now: float) -> float:
+        fails = max(
+            (
+                int(w.intensity)
+                for w in self._active(WINDOW_BURST, now)
+                if seq % w.every == 0
+            ),
+            default=0,
+        )
+        if not fails:
+            return 0.0
+        if fails > plan.device_max_retries:
+            self._bump("nvm_retry_exhausted")
+            raise FaultInjectionError(
+                f"chronic NVM burst: persist #{seq} failed {fails} times, "
+                f"exceeding the device retry budget of {plan.device_max_retries}"
+            )
+        self._bump("nvm_transient_failures", fails)
+        return linear_backoff(plan.device_backoff_cycles, fails)
 
     def transform_accept(self, seq: int, accept: float) -> float:
         """The record's actual durability time (may differ from what the
@@ -110,6 +172,15 @@ class FaultInjector:
             if past > 0 and past % plan.lose_every == 0:
                 self._bump("lost_acks")
                 return float("inf")
+        if isinstance(plan, TimelinePlan) and math.isfinite(ack):
+            deferred = ack
+            for window in self._active(WINDOW_ACK_STORM, ack):
+                deferred = max(
+                    deferred, window.end + window.intensity - self.time_offset
+                )
+            if deferred != ack:
+                self._bump("stormed_acks")
+            return deferred
         return ack
 
     # ------------------------------------------------------------------
@@ -175,22 +246,6 @@ class FaultInjector:
         return replace(record, words={a: record.words[a] for a in kept})
 
 
-def build_injector(
-    plan: Optional[FaultPlan],
-    resilience: "Optional[object]" = None,
-    time_offset: float = 0.0,
-) -> Optional[FaultInjector]:
-    """A fresh injector for *plan*, or None for fault-free runs.
-
-    Timeline plans (the chaos subsystem's chronic fault schedules) get a
-    :class:`~repro.chaos.injector.ChronicInjector`, optionally wired to a
-    :class:`~repro.common.config.ResilienceConfig` retry policy and a
-    global *time_offset* (machine-local time → soak-chain time).
-    """
-    if plan is None:
-        return None
-    if plan.kind == "timeline":
-        from repro.chaos.injector import ChronicInjector
-
-        return ChronicInjector(plan, resilience=resilience, time_offset=time_offset)
-    return FaultInjector(plan)
+def build_injector(plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
+    """A fresh injector for *plan*, or None for fault-free runs."""
+    return None if plan is None else FaultInjector(plan)

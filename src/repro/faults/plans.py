@@ -23,15 +23,19 @@ under it (``expect``):
 * ``any`` — adversarial plans that break the hardware contract
   (reordered or dropped drains, wide tears): any classification is
   acceptable, the campaign only records what happened.
+
+Point plans fault individual persists.  A :class:`TimelinePlan` instead
+schedules *chronic* fault windows over simulated time; soak chains
+(:mod:`~repro.faults.soak`) run one schedule across a whole
+crash→recover→crash chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Any, ClassVar, Dict, Mapping, Type
+from typing import Any, ClassVar, Dict, Mapping, Tuple, Type
 
 from repro.common.errors import ConfigError
-from repro.common.retry import SCHEDULE_LINEAR, RetryPolicy
 
 EXPECT_CONSISTENT = "consistent"
 EXPECT_INCONSISTENT = "inconsistent"
@@ -49,6 +53,12 @@ EXPECTATIONS = (
 
 #: kind -> plan class; populated by :func:`register_plan`.
 PLAN_KINDS: Dict[str, Type["FaultPlan"]] = {}
+
+
+def linear_backoff(base_cycles: float, fails: int) -> float:
+    """Added latency when *fails* consecutive failures all retry, retry
+    *k* waiting ``base_cycles * k``: the series ``base * n(n+1)/2``."""
+    return base_cycles * fails * (fails + 1) / 2 if fails > 0 else 0.0
 
 
 def register_plan(cls: Type["FaultPlan"]) -> Type["FaultPlan"]:
@@ -92,12 +102,6 @@ class FaultPlan:
         payload = dict(data)
         kind = payload.pop("kind", None)
         cls = PLAN_KINDS.get(kind)
-        if cls is None and kind == "timeline":
-            # The chronic-fault timeline plan lives in the chaos package;
-            # importing it registers the kind (lazy to avoid a cycle).
-            from repro.chaos import timeline as _timeline  # noqa: F401
-
-            cls = PLAN_KINDS.get(kind)
         if cls is None:
             raise ConfigError(
                 f"unknown fault-plan kind {kind!r}; have {sorted(PLAN_KINDS)}"
@@ -278,15 +282,115 @@ class NVMTransientPlan(FaultPlan):
         return self.kind
 
     @property
-    def retry_policy(self) -> RetryPolicy:
-        """The device-level linear backoff schedule as a policy object."""
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            base_cycles=self.backoff_cycles,
-            schedule=SCHEDULE_LINEAR,
-        )
-
-    @property
     def retry_delay(self) -> float:
         """Added acceptance latency when the retries succeed."""
-        return self.retry_policy.total_delay(self.fails)
+        return linear_backoff(self.backoff_cycles, self.fails)
+
+
+# ----------------------------------------------------------------------
+# chronic fault timelines
+# ----------------------------------------------------------------------
+WINDOW_BROWNOUT = "brownout"
+WINDOW_BURST = "burst"
+WINDOW_ACK_STORM = "ack_storm"
+WINDOW_WPQ_SQUEEZE = "wpq_squeeze"
+
+WINDOW_KINDS = (
+    WINDOW_BROWNOUT,
+    WINDOW_BURST,
+    WINDOW_ACK_STORM,
+    WINDOW_WPQ_SQUEEZE,
+)
+
+
+@dataclass(frozen=True)
+class FaultWindow:
+    """One chronic fault process, active over ``[start, end)`` cycles.
+
+    ``intensity`` is kind-specific:
+
+    * ``brownout`` — NVM drain bandwidth is multiplied by it (in
+      ``(0, 1]``); overlapping brownouts compound;
+    * ``burst`` — every ``every``-th persist issued inside the window
+      fails this many times in a row, each retry backing off linearly
+      (escalating to ``FaultInjectionError`` past the retry budget);
+    * ``ack_storm`` — acknowledgements that would land inside the window
+      are deferred until this many cycles after it closes (a finite,
+      survivable cousin of :class:`AckLossPlan`);
+    * ``wpq_squeeze`` — WPQ capacity is clamped to this many entries.
+    """
+
+    kind: str
+    start: float
+    end: float
+    intensity: float = 1.0
+    #: ``burst`` only: every Nth persist inside the window is hit.
+    every: int = 1
+
+    def __post_init__(self) -> None:
+        if self.kind not in WINDOW_KINDS:
+            raise ConfigError(
+                f"unknown fault-window kind {self.kind!r}; have {WINDOW_KINDS}"
+            )
+        if self.start < 0 or self.end <= self.start:
+            raise ConfigError(
+                f"fault window needs 0 <= start < end, got [{self.start}, {self.end})"
+            )
+        if self.every < 1:
+            raise ConfigError("fault window every must be >= 1")
+        if self.kind == WINDOW_BROWNOUT and not 0 < self.intensity <= 1:
+            raise ConfigError("brownout intensity is a bandwidth scale in (0, 1]")
+        if self.kind == WINDOW_BURST and self.intensity < 1:
+            raise ConfigError("burst intensity is a failure count >= 1")
+        if self.kind == WINDOW_ACK_STORM and self.intensity < 0:
+            raise ConfigError("ack_storm intensity (post-window cycles) must be >= 0")
+        if self.kind == WINDOW_WPQ_SQUEEZE and self.intensity < 1:
+            raise ConfigError("wpq_squeeze intensity is an entry clamp >= 1")
+
+    def contains(self, time: float) -> bool:
+        return self.start <= time < self.end
+
+
+@register_plan
+@dataclass(frozen=True)
+class TimelinePlan(FaultPlan):
+    """A schedule of chronic fault windows over global chain time.
+
+    Window times are soak-chain cycles: each rebooted machine's injector
+    carries a ``time_offset``, so one schedule spans a whole
+    crash→recover→crash chain deterministically."""
+
+    kind: ClassVar[str] = "timeline"
+
+    windows: Tuple[FaultWindow, ...] = ()
+    #: Burst retry budget and its linear backoff step.
+    device_max_retries: int = 5
+    device_backoff_cycles: float = 400.0
+
+    def __post_init__(self) -> None:
+        # from_json rebuilds via cls(**payload): coerce plain dicts
+        # (asdict output) back into FaultWindows.
+        coerced = tuple(
+            w if isinstance(w, FaultWindow) else FaultWindow(**w)
+            for w in self.windows
+        )
+        object.__setattr__(self, "windows", coerced)
+        super().__post_init__()
+
+    def validate(self) -> None:
+        if self.device_max_retries < 0:
+            raise ConfigError("timeline device_max_retries must be >= 0")
+        if self.device_backoff_cycles <= 0:
+            raise ConfigError("timeline device_backoff_cycles must be positive")
+
+    def to_json(self) -> Dict[str, Any]:
+        # asdict keeps the windows tuple; emit a list so the payload is
+        # stable through a real JSON round-trip (tuples load as lists).
+        payload = super().to_json()
+        payload["windows"] = list(payload["windows"])
+        return payload
+
+    @property
+    def label(self) -> str:
+        kinds = sorted({w.kind for w in self.windows})
+        return f"{self.kind}:{'+'.join(kinds) if kinds else 'empty'}"

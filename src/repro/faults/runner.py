@@ -69,7 +69,7 @@ def _subsample(times: List[float], limit: Optional[int]) -> List[float]:
     return [times[i] for i in sorted(picked)]
 
 
-def _matches(expect: str, outcome: str) -> bool:
+def matches(expect: str, outcome: str) -> bool:
     """Does the scenario *outcome* satisfy the plan's expectation?"""
     if expect == EXPECT_ANY:
         return True
@@ -170,7 +170,7 @@ def run_fault_scenario(
         "point_counts": dict(sorted(point_counts.items())),
         "injected": dict(sorted(injector.counts.items())),
         "outcome": outcome,
-        "matched": _matches(plan.expect, outcome),
+        "matched": matches(plan.expect, outcome),
         "reproducer": reproducer,
     }
     stats = {

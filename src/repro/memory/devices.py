@@ -111,8 +111,8 @@ class NVMController:
         self.latency = latency
         self.wpq_entries = wpq_entries
         self.stats = stats if stats is not None else StatsRegistry()
-        # Optional chronic-fault process (repro.chaos): scales drain
-        # bandwidth and clamps WPQ capacity inside scheduled windows.
+        # Optional fault-timeline injector: scales drain bandwidth and
+        # clamps WPQ capacity inside scheduled windows.
         self.throttle = None
         # Drain-end times of writes currently considered in the WPQ; a new
         # write is accepted once a slot is free.
@@ -162,17 +162,6 @@ class NVMController:
             self.tracer.span(self.name, "write", accept, drain_end)
             self.tracer.counter(self.name, "wpq", now, float(len(self._wpq)))
         return accept
-
-    def occupancy(self, now: float) -> float:
-        """Fraction of WPQ capacity still draining at *now*.
-
-        Non-mutating (safe to probe future instants for admission
-        backoff).  Acceptance backpressure keeps this at or below 1.0
-        in steady state — sustained values near 1.0 are the congestion
-        signal the resilience watermarks key off.
-        """
-        pending = sum(1 for end in self._wpq if end > now)
-        return pending / self.wpq_entries
 
     def reset(self) -> None:
         self.read_channel.reset()

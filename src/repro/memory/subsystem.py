@@ -150,12 +150,15 @@ class MemorySubsystem:
         )
         self.persist_log = PersistLog()
         self._persist_seq = 0
-        # Chronic fault processes (repro.chaos) throttle the controllers
-        # directly: brownout windows scale drain bandwidth, squeeze
-        # windows clamp WPQ capacity.  Duck-typed to avoid the cycle.
-        if faults is not None and getattr(faults, "is_chronic", False):
-            for controller in self.nvm:
-                controller.throttle = faults
+        # Timeline plans throttle the controllers directly: brownout
+        # windows scale drain bandwidth, squeeze windows clamp WPQ
+        # capacity.  (Imported here: repro.faults imports the system.)
+        if faults is not None:
+            from repro.faults.plans import TimelinePlan
+
+            if isinstance(faults.plan, TimelinePlan):
+                for controller in self.nvm:
+                    controller.throttle = faults
 
     # ------------------------------------------------------------------
     # routing helpers
@@ -260,10 +263,6 @@ class MemorySubsystem:
             if math.isfinite(ack):
                 self.metrics.observe("persist.ack_latency", ack - accept)
         return WriteAck(accept_time=accept, ack_time=ack)
-
-    def wpq_occupancy(self, now: float) -> float:
-        """Worst-case WPQ occupancy fraction across NVM controllers."""
-        return max(controller.occupancy(now) for controller in self.nvm)
 
     # ------------------------------------------------------------------
     # crash support

@@ -233,17 +233,13 @@ def soak_fingerprint(
     soak: Mapping[str, Any],
     engine: str,
 ) -> Dict[str, Any]:
-    """One chaos-soak scenario: a resilient serve stream through a
-    chronic fault timeline with crash→recover legs — the heaviest
-    composite path the simulator has, covering the chronic injector,
-    crash imaging and oracle recovery on top of the serve kernels."""
-    from repro.chaos.runner import run_soak_scenario
-    from repro.common.config import ResilienceConfig
+    """One soak chain: a serve stream through a chronic fault timeline
+    with crash→recover legs — the heaviest composite path the simulator
+    has, covering timeline injection, crash imaging and oracle recovery
+    on top of the serve kernels."""
+    from repro.faults.soak import run_soak_scenario
 
-    config = replace(
-        engine_config(small_system(ModelName(model)), engine),
-        resilience=ResilienceConfig(enabled=True),
-    )
+    config = engine_config(small_system(ModelName(model)), engine)
     try:
         result = run_soak_scenario(
             "serve_kvs", config, dict(params), dict(soak)

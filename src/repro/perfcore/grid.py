@@ -15,8 +15,8 @@ verdict.  The grid covers five cell kinds:
   crash-image path end to end;
 * **serve** — one serving-subsystem scenario per model (stream
   planning, durable transactions, worst-case recovery measurement);
-* **soak** — the chaos-soak chain (resilient serve stream through a
-  chronic fault timeline with crash→recover legs) under SBRP.
+* **soak** — a soak chain (serve stream through a chronic fault
+  timeline with crash→recover legs) under SBRP.
 
 Every cell runs under both engines and the fast fingerprint is diffed
 against the reference one.
@@ -64,8 +64,8 @@ SERVE_PARAMS: Dict[str, Any] = dict(
     n_requests=48, n_keys=48, capacity=128, batch_requests=24
 )
 
-#: Soak cell: a shrunk resilient serve stream through the pinned
-#: brownout+burst chronic-fault schedule with one crash→recover leg.
+#: Soak cell: a shrunk serve stream through the campaign's
+#: brownout+burst schedule, crashing inside every second batch.
 SOAK_PARAMS: Dict[str, Any] = dict(
     n_requests=48,
     n_keys=48,
@@ -175,7 +175,7 @@ def _serve_cells(models) -> List[DiffCell]:
 
 
 def _soak_cells(models) -> List[DiffCell]:
-    from repro.chaos.soak import brownout_burst
+    from repro.faults.soak import brownout_burst
 
     soak = {
         "timeline": brownout_burst().to_json(),

@@ -136,8 +136,8 @@ class ServeKVS(App):
         #: (including the fresh ones the crash harness builds for
         #: recovery) sees the identical stream.
         self.plan: Plan = plan_workload(self.params.workload())
-        #: Per batch: the launch list (suffix, lane arrays).
-        self._stages = [self._batch_stages(b) for b in self.plan.batches]
+        #: Per batch: the lane arrays of its one launch.
+        self._lanes = [self._lane_arrays(b) for b in self.plan.batches]
 
     # ------------------------------------------------------------------
     # memory layout
@@ -188,8 +188,8 @@ class ServeKVS(App):
     # ------------------------------------------------------------------
     # per-batch host-side request arrays
     # ------------------------------------------------------------------
-    def _batch_stages(self, batch: Batch, policy: "str | None" = None):
-        """A batch's launches: one kernel covering all its lanes.
+    def _lane_arrays(self, batch: Batch) -> Dict[str, np.ndarray]:
+        """A batch's lane arrays: one kernel launch covers all its lanes.
 
         The batch's size sort (:func:`~repro.serve.workload
         ._order_in_batch`) packs reads, buffered writes and
@@ -198,18 +198,9 @@ class ServeKVS(App):
         persist path — a write-through warp's dfence drains its own
         SM's records, not another path's buffered bulk (the persist
         buffer and its FIFO are per-SM).
-
-        *policy* overrides the configured persist-path policy for this
-        batch only (degraded-mode path shedding).
         """
-        return [("", self._lane_arrays(list(batch.requests), batch, policy))]
-
-    def _lane_arrays(
-        self, requests, batch: Batch, policy: "str | None" = None
-    ) -> Dict[str, np.ndarray]:
         p = self.params
-        path_policy = policy if policy is not None else p.policy
-        n = len(requests)
+        n = len(batch.requests)
         arr = {
             "n": n,
             "key": np.zeros(n, dtype=np.int64),
@@ -231,7 +222,7 @@ class ServeKVS(App):
                 first_ver[req.key] = min(
                     first_ver.get(req.key, req.version), req.version
                 )
-        for i, req in enumerate(requests):
+        for i, req in enumerate(batch.requests):
             arr["key"][i] = req.key
             arr["ver"][i] = req.version
             arr["plen"][i] = req.payload
@@ -240,7 +231,7 @@ class ServeKVS(App):
             arr["write"][i] = req.is_applying_write
             if req.is_applying_write:
                 arr["direct"][i] = (
-                    select_path(path_policy, req.payload, p.threshold_words)
+                    select_path(p.policy, req.payload, p.threshold_words)
                     == PATH_DIRECT
                 )
                 # Version-aware logical undo: the layer tracks committed
@@ -254,9 +245,8 @@ class ServeKVS(App):
 
     def path_counts(self) -> Dict[str, int]:
         """How many write transactions each persist path serves."""
-        arrays = [arr for stages in self._stages for _, arr in stages]
-        direct = sum(int(a["direct"].sum()) for a in arrays)
-        writes = sum(int(a["write"].sum()) for a in arrays)
+        direct = sum(int(a["direct"].sum()) for a in self._lanes)
+        writes = sum(int(a["write"].sum()) for a in self._lanes)
         return {"pb": writes - direct, "direct": direct}
 
     # ------------------------------------------------------------------
@@ -451,68 +441,19 @@ class ServeKVS(App):
         per_block = system.config.gpu.threads_per_block
         return max(1, -(-threads // per_block))
 
-    def _split_lanes(
-        self, arr: Dict[str, np.ndarray], split: int
-    ) -> List[Dict[str, np.ndarray]]:
-        """Slice one stage's lane arrays into up to *split* chunks."""
-        n = arr["n"]
-        parts = max(1, min(int(split), n))
-        if parts == 1:
-            return [arr]
-        bounds = np.linspace(0, n, parts + 1, dtype=int)
-        chunks: List[Dict[str, np.ndarray]] = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi == lo:
-                continue
-            chunk: Dict[str, Any] = {"n": int(hi - lo)}
-            for name, value in arr.items():
-                if name != "n":
-                    chunk[name] = value[lo:hi]
-            chunks.append(chunk)
-        return chunks
-
-    def serve_batch(
-        self,
-        system: GPUSystem,
-        index: int,
-        policy: "str | None" = None,
-        split: int = 1,
-    ) -> List[Any]:
-        """Launch batch *index*'s kernels; return their results.
-
-        The resilience layer's two degraded-mode levers hang here:
-        *policy* sheds this batch's writes to one persist path, and
-        *split* throttles the batch into smaller launches, each drained
-        so later chunks can reuse the per-lane log slots (the same
-        drain-boundary argument that makes cross-batch slot reuse
-        safe).  Defaults reproduce the planned single-launch group
-        commit exactly.
-        """
-        if policy is not None and policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; have {POLICIES}")
-        batch = self.plan.batches[index]
-        stages = (
-            self._stages[index]
-            if policy is None
-            else self._batch_stages(batch, policy)
-        )
-        results = []
-        for pos, (suffix, arr) in enumerate(stages):
-            chunks = self._split_lanes(arr, split)
-            for c, chunk in enumerate(chunks):
-                tag = f"{suffix}.c{c}" if len(chunks) > 1 else suffix
-                results.append(
-                    system.launch(
-                        self._serve_kernel,
-                        self._grid(system, chunk["n"]),
-                        kwargs={"arr": chunk},
-                        name=f"serve.batch{batch.index}{tag}",
-                        # Group commit: the batch's last stage drains;
-                        # throttled chunks each drain (slot reuse).
-                        drain=len(chunks) > 1 or pos == len(stages) - 1,
-                    )
-                )
-        return results
+    def serve_batch(self, system: GPUSystem, index: int) -> List[Any]:
+        """Launch batch *index* as one drained group commit; return the
+        launch results."""
+        arr = self._lanes[index]
+        return [
+            system.launch(
+                self._serve_kernel,
+                self._grid(system, arr["n"]),
+                kwargs={"arr": arr},
+                name=f"serve.batch{self.plan.batches[index].index}",
+                drain=True,
+            )
+        ]
 
     def run(self, system: GPUSystem) -> RunOutcome:
         results = []

@@ -53,6 +53,12 @@ class TestConfigSerialization:
         rebuilt = SystemConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert rebuilt == config
 
+    def test_retired_top_level_keys_are_ignored(self, config):
+        # Cache entries and reports written before a field was retired
+        # still carry it.
+        legacy = {**config.to_dict(), "retired": {"enabled": True}}
+        assert SystemConfig.from_dict(legacy) == config
+
 
 def _altered(value):
     """A different value of the same general shape as *value*."""

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.faults.campaign import main
+from repro.common.config import ModelName
+from repro.exec import Executor
+from repro.faults.campaign import main, soak_cells, soak_row
 
 
 def run_campaign(tmp_path, name, argv):
@@ -162,3 +164,86 @@ class TestCongestedTeeth:
         )
         result = Executor(workers=1).submit([latent.job()])[0]
         assert result.stats["faults.inconsistent_points"] == 0
+
+    def test_crash_point_cap_keeps_the_congestion(self, tmp_path):
+        # Overriding the smoke cap must only change the cap: the
+        # congested cell keeps its WPQ/NVM overrides and stays flagged.
+        code, _, report = run_campaign(
+            tmp_path,
+            "capped.json",
+            ["--smoke", "--models", "sbrp", "--max-crash-points", "12"],
+        )
+        assert code == 0
+        row = next(
+            r for r in report["scenarios"] if "~congested" in r["name"]
+        )
+        assert row["outcome"] == "inconsistent"
+
+
+class TestSoakChains:
+    """Crash→recover→crash chains under the brownout+burst timeline."""
+
+    def rows(self, report):
+        chain, teeth = report["soak"]
+        assert "!early_commit" in teeth["name"]
+        return chain, teeth
+
+    def test_chain_survives_its_crashes_without_loss(self, smoke_report):
+        _, _, report = smoke_report
+        chain, _ = self.rows(report)
+        assert chain["matched"] and chain["outcome"] == "consistent"
+        assert chain["failure"] is None
+
+    def test_chain_oracle_consistent_at_every_reboot(self, smoke_report):
+        _, _, report = smoke_report
+        chain, _ = self.rows(report)
+        assert len(chain["reboots"]) >= 2
+        assert all(r["oracle"] == "consistent" for r in chain["reboots"])
+
+    def test_chain_loses_no_committed_transaction(self, smoke_report):
+        _, _, report = smoke_report
+        chain, _ = self.rows(report)
+        assert chain["lost_committed"] == []
+        assert chain["stats"]["soak.lost_committed"] == 0.0
+
+    def test_chain_reports_availability_and_latency(self, smoke_report):
+        _, _, report = smoke_report
+        chain, _ = self.rows(report)
+        stats = chain["stats"]
+        assert stats["soak.crashes"] == len(chain["reboots"])
+        assert 0.0 < stats["soak.availability"] < 1.0
+        assert stats["soak.latency_p99"] >= stats["soak.latency_p50"] > 0.0
+        assert stats["soak.goodput_rps"] > 0.0
+
+    def test_chain_burst_failures_were_retried(self, smoke_report):
+        # The burst fired, and no failed persist ran out of retries.
+        _, _, report = smoke_report
+        chain, _ = self.rows(report)
+        assert chain["injected"]["nvm_transient_failures"] > 0
+        assert chain["injected"].get("nvm_retry_exhausted", 0) == 0
+
+    def test_seeded_bug_is_flagged_at_a_reboot(self, smoke_report):
+        _, _, report = smoke_report
+        _, teeth = self.rows(report)
+        assert teeth["expect"] == "inconsistent"
+        assert teeth["matched"] and teeth["outcome"] == "inconsistent"
+        assert teeth["failure"]["stage"] == "oracle"
+        assert teeth["reboots"][-1]["oracle"] == "app_violation"
+
+    def test_summary_counts_the_chains(self, smoke_report):
+        _, _, report = smoke_report
+        assert report["summary"]["soak_chains"] == 2
+        assert report["summary"]["soak_reboots"] >= 3
+
+    def test_soak_rows_byte_identical_across_workers(self):
+        cells = soak_cells((ModelName.SBRP,), full=False)
+        texts = []
+        for workers in (1, 2):
+            results = Executor(workers=workers).submit(
+                [cell.job() for cell in cells]
+            )
+            rows = [soak_row(c, r) for c, r in zip(cells, results)]
+            texts.append(json.dumps(rows, sort_keys=True))
+        assert texts[0] == texts[1]
+        chain, teeth = json.loads(texts[0])
+        assert chain["matched"] and teeth["matched"]

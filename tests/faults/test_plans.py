@@ -19,13 +19,12 @@ from repro.faults import (
     PowerCutPlan,
     TornPersistPlan,
 )
+from repro.faults.plans import linear_backoff
 
 
 class TestRegistry:
     def test_every_plan_kind_is_registered(self):
-        # The chaos timeline plan registers lazily on first import, so
-        # its presence depends on which tests ran earlier in the session.
-        assert set(PLAN_KINDS) - {"timeline"} == {
+        assert set(PLAN_KINDS) == {
             "power_cut",
             "torn_persist",
             "drain_reorder",
@@ -33,6 +32,7 @@ class TestRegistry:
             "ack_delay",
             "ack_loss",
             "nvm_transient",
+            "timeline",
         }
 
     @pytest.mark.parametrize("kind", sorted(PLAN_KINDS))
@@ -102,6 +102,27 @@ class TestValidation:
     def test_retry_delay_is_linear_backoff_sum(self):
         plan = NVMTransientPlan(fails=3, backoff_cycles=100.0)
         assert plan.retry_delay == 100.0 + 200.0 + 300.0
+
+
+class TestLinearBackoff:
+    def test_zero_fails_cost_nothing(self):
+        assert linear_backoff(400.0, 0) == 0.0
+        assert NVMTransientPlan(fails=0).retry_delay == 0.0
+
+    def test_retry_k_waits_base_times_k(self):
+        # Each further failure adds one more retry of base * k cycles.
+        steps = [
+            linear_backoff(400.0, k) - linear_backoff(400.0, k - 1)
+            for k in (1, 2, 3)
+        ]
+        assert steps == [400.0, 800.0, 1200.0]
+
+    def test_matches_the_closed_form(self):
+        # Retry k waits base * k, so n retries cost base * n(n+1)/2.
+        for fails in range(1, 8):
+            expected = sum(400.0 * k for k in range(1, fails + 1))
+            assert linear_backoff(400.0, fails) == expected
+            assert NVMTransientPlan(fails=fails).retry_delay == expected
 
 
 class TestJobWiring:

@@ -1,14 +1,11 @@
 """Recovery under load: fractional crash points through the serving
-stream, plus crash safety of the resilience layer's degraded launch
-shapes (path-policy override and throttled split launches)."""
+stream."""
 
 import pytest
 
 from repro.apps import build_app
 from repro.common.config import ModelName, small_system
 from repro.crash import CrashHarness
-from repro.serve.txn import POLICY_FORCED_DIRECT, POLICY_FORCED_PB
-from repro.system import GPUSystem
 
 #: Small batches so crashes land between several group commits.
 SMALL = dict(n_requests=96, n_keys=96, capacity=256, batch_requests=24)
@@ -41,57 +38,3 @@ class TestFractionalCrashPoints:
         report = harness().crash_at_fraction(0.5, complete=True)
         assert report.consistent, report.error
         assert report.completed, report.error
-
-
-class TestDegradedLaunchShapes:
-    """serve_batch's policy/split levers keep the crash guarantees."""
-
-    def _run_batches(self, policy=None, split=1):
-        system = GPUSystem(small_system(ModelName.SBRP))
-        app = build_app("serve_kvs", **SMALL)
-        app.setup(system)
-        for index in range(len(app.plan.batches)):
-            app.serve_batch(system, index, policy=policy, split=split)
-        return system, app
-
-    @pytest.mark.parametrize(
-        "policy,split",
-        [
-            (None, 2),
-            (POLICY_FORCED_PB, 1),
-            (POLICY_FORCED_DIRECT, 2),
-            (POLICY_FORCED_PB, 3),
-        ],
-    )
-    def test_clean_run_verifies(self, policy, split):
-        system, app = self._run_batches(policy=policy, split=split)
-        system.sync()
-        app.check(system, complete=True)
-
-    @pytest.mark.parametrize("policy", [POLICY_FORCED_PB, POLICY_FORCED_DIRECT])
-    def test_mid_run_crash_recovers_consistent(self, policy):
-        system, app = self._run_batches(policy=policy, split=2)
-        image = system.crash(at=0.5 * system.now)
-        rebooted = GPUSystem(small_system(ModelName.SBRP), pm_image=image)
-        fresh = build_app("serve_kvs", **SMALL)
-        fresh.reopen(rebooted)
-        fresh.recover(rebooted)
-        rebooted.sync()
-        fresh.check(rebooted, complete=False)
-
-    def test_default_shape_matches_run(self):
-        # serve_batch at defaults is the planned group commit: same end
-        # time as app.run on an identical machine.
-        via_batches, _ = self._run_batches()
-        system = GPUSystem(small_system(ModelName.SBRP))
-        app = build_app("serve_kvs", **SMALL)
-        app.setup(system)
-        app.run(system)
-        assert via_batches.now == system.now
-
-    def test_bad_policy_rejected(self):
-        system = GPUSystem(small_system(ModelName.SBRP))
-        app = build_app("serve_kvs", **SMALL)
-        app.setup(system)
-        with pytest.raises(ValueError):
-            app.serve_batch(system, 0, policy="bogus")
