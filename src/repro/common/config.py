@@ -201,14 +201,6 @@ class SBRPConfig:
             raise ConfigError("window must be at least 1")
 
 
-#: Timing-core implementations selectable via ``SystemConfig.engine``.
-#: ``"fast"`` is the flattened-queue core (``gpu.fastcore``); ``"reference"``
-#: is the original straight-line implementation retained as the oracle
-#: for the differential harness (``repro.perfcore``).  Both must produce
-#: bit-identical results; the harness enforces it.
-ENGINE_KINDS = ("reference", "fast")
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Complete configuration of one simulated scenario."""
@@ -218,19 +210,11 @@ class SystemConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     sbrp: SBRPConfig = field(default_factory=SBRPConfig)
     seed: int = 0
-    #: Timing-core selection; see :data:`ENGINE_KINDS`.  Participates in
-    #: :meth:`cache_key` so reference and fast runs of the same scenario
-    #: never dedupe to one cached result.
-    engine: str = "fast"
 
     def validate(self) -> "SystemConfig":
         self.gpu.validate()
         self.memory.validate()
         self.sbrp.validate()
-        if self.engine not in ENGINE_KINDS:
-            raise ConfigError(
-                f"engine must be one of {ENGINE_KINDS}, got {self.engine!r}"
-            )
         return self
 
     @property
@@ -263,7 +247,8 @@ class SystemConfig:
         """Rebuild a validated config from :meth:`to_dict` output.
 
         Only known keys are read, so payloads that still carry a retired
-        top-level field (the old degraded-mode settings) keep loading."""
+        top-level field (the old degraded-mode settings, the timing-core
+        ``engine`` switch) keep loading."""
         memory = dict(data["memory"])
         memory["placement"] = PMPlacement(memory["placement"])
         sbrp = dict(data["sbrp"])
@@ -274,7 +259,6 @@ class SystemConfig:
             memory=MemoryConfig(**memory),
             sbrp=SBRPConfig(**sbrp),
             seed=data.get("seed", 0),
-            engine=data.get("engine", "fast"),
         ).validate()
 
     def cache_key(self) -> str:

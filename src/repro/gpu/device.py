@@ -21,7 +21,8 @@ from repro.common.errors import SimulationError
 from repro.common.stats import StatsRegistry
 from repro.memory.backing import BackingStore
 from repro.memory.subsystem import MemorySubsystem
-from repro.gpu.engine import Engine, FastEngine
+from repro.gpu.engine import Engine
+from repro.gpu.sm import SM
 from repro.gpu.warp import Warp, WarpCtx, WarpState
 from repro.metrics.registry import NULL_METRICS, MetricsRegistry
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -73,10 +74,7 @@ class GPU:
         self.backing = backing if backing is not None else BackingStore()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        fast = config.engine == "fast"
-        self._fast_engine = fast
-        engine_cls = FastEngine if fast else Engine
-        self.engine = engine_cls(
+        self.engine = Engine(
             max_cycles=max_cycles,
             stats=self.stats,
             watchdog_events=watchdog_events,
@@ -93,12 +91,7 @@ class GPU:
             self.model = model_factory(config, self.stats)
         else:
             self.model = build_model(config, self.stats)
-        if fast:
-            from repro.gpu.fastcore import FastSM as sm_cls  # cycle guard
-        else:
-            from repro.gpu.sm import SM as sm_cls  # local import: cycle guard
-
-        self.sms = [sm_cls(i, self) for i in range(config.gpu.num_sms)]
+        self.sms = [SM(i, self) for i in range(config.gpu.num_sms)]
         self._block_keys = itertools.count()
         self._pending_blocks: Deque[int] = deque()
         self._live_blocks: Dict[int, _Block] = {}
@@ -138,12 +131,9 @@ class GPU:
         self._pending_blocks = deque(range(grid_blocks))
         for sm in self.sms:
             self._fill_sm(sm, start)
-        if self._fast_engine:
-            # Stop-flag protocol: on_warp_done raises the flag when the
-            # launch context clears, sparing a closure call per event.
-            self.engine.run()
-        else:
-            self.engine.run(until=lambda: self._launch_ctx is None)
+        # on_warp_done raises the engine's stop flag when the launch
+        # context clears, sparing a predicate call per event.
+        self.engine.run()
         if self._launch_ctx is not None:
             blocked = [
                 (sm.sm_id, repr(w))

@@ -5,19 +5,29 @@ ready warps), owns a private non-coherent L1, and consults the system's
 persistency model on every PM store, fence, scoped acquire/release, and
 dirty-PM eviction — the integration points of the paper's Section 6
 hardware.
+
+The per-instruction path is written for host speed without changing
+the event graph: lane loops iterate plain ``list``s
+(``ndarray.tolist()``) rather than numpy scalars, op dispatch is a
+type-keyed dict, the scheduler's slot-ordered warp list is cached
+between occupancy changes, the pick/execute/re-kick chain runs in one
+fused ``_on_issue`` frame, and hot stats names are precomputed.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
+from itertools import repeat
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from repro.common.errors import SimulationError
-from repro.memory.address_space import is_pm_addr
-from repro.memory.backing import WORD_SIZE
-from repro.memory.cache import CacheLine, L1Cache
+from repro.memory.address_space import PM_BASE
+from repro.memory.backing import WORD_SIZE, check_word_aligned
+from repro.memory.cache import L1Cache
 from repro.gpu.ops import (
+    _FULL_MASKS,
     AtomicAdd,
     BlockBarrier,
     Compute,
@@ -49,13 +59,20 @@ _OP_CATEGORY = {
     BlockBarrier: "barrier",
 }
 
+_READ_HIT = ("l1.read_hit_vol", "l1.read_hit_pm")
+_READ_MISS = ("l1.read_miss_vol", "l1.read_miss_pm")
+_READY = WarpState.READY
+
+#: C-level OR-fold over a lane-address vector.  The OR of all addresses
+#: has a low bit set iff *some* address is word-misaligned (WORD_SIZE is
+#: a power of two), so one reduction replaces a per-lane `% WORD_SIZE`
+#: scan in the aligned-load fast path.
+_or_reduce = np.bitwise_or.reduce
+_ALIGN_MASK = WORD_SIZE - 1
+
 
 class SM:
     """One streaming multiprocessor."""
-
-    #: L1 implementation to instantiate; the fast core swaps in
-    #: :class:`~repro.gpu.fastcore.FastL1Cache` via this hook.
-    l1_class = L1Cache
 
     def __init__(self, sm_id: int, gpu: "GPU") -> None:
         self.sm_id = sm_id
@@ -69,7 +86,7 @@ class SM:
         self.tracer = gpu.tracer
         self.metrics = gpu.metrics
         cfg = gpu.config.gpu
-        self.l1 = self.l1_class(
+        self.l1 = L1Cache(
             f"sm{sm_id}.l1", cfg.l1_size, cfg.line_size, cfg.l1_assoc, gpu.stats
         )
         self.line_size = cfg.line_size
@@ -80,6 +97,23 @@ class SM:
         self._next_issue_free = 0.0
         self._issue_pending = False
         self._barriers: Dict[int, List[Warp]] = {}
+        self._hit_latency = cfg.l1_hit_latency
+        self._l2_latency = cfg.l2_latency
+        self._issue_quantum = 1.0 / cfg.issue_width
+        #: Failed-spin completion delta: the flag load's L1 hit latency,
+        #: the spin backoff and ``_complete``'s 1-cycle floor, whichever
+        #: is largest.
+        self._spin_delta = max(cfg.l1_hit_latency, cfg.spin_backoff_cycles, 1)
+        self._stats_add = self.stats.add
+        # Counter dict bound directly: the registry's add() is a pure
+        # ``defaultdict[name] += amount``, so hot paths skip the call.
+        self._counters = self.stats._counters
+        self._slots_cache: Optional[List[int]] = None
+        #: Warp objects in slot order, rebuilt with the slot cache: the
+        #: RR scan and the kick min-scan index it without dict probes.
+        self._warps_cache: List[Warp] = []
+        #: Bound once: the issue event pushed on every kick.
+        self._issue_cb = self._on_issue
         self.model.init_sm(self)
 
     # ------------------------------------------------------------------
@@ -92,6 +126,7 @@ class SM:
     def add_warp(self, warp: Warp, now: float) -> None:
         if warp.slot in self.warps:
             raise SimulationError(f"warp slot {warp.slot} already occupied")
+        self._slots_cache = None
         warp.ready_time = now
         self.warps[warp.slot] = warp
         if self.tracer.enabled:
@@ -100,6 +135,7 @@ class SM:
 
     def remove_block(self, block_key: int) -> None:
         """Free the warp slots of a finished block."""
+        self._slots_cache = None
         for slot in [s for s, w in self.warps.items() if w.block_key == block_key]:
             del self.warps[slot]
 
@@ -113,40 +149,113 @@ class SM:
         """Ensure an issue event will fire when a warp can issue."""
         if self._issue_pending:
             return
-        ready_times = [
-            w.ready_time for w in self.warps.values() if w.state is WarpState.READY
-        ]
-        if not ready_times:
+        ready = _READY
+        best = None
+        for w in self.warps.values():
+            if w.state is ready:
+                rt = w.ready_time
+                if best is None or rt < best:
+                    best = rt
+        if best is None:
             return
-        when = max(now, min(ready_times), self._next_issue_free)
+        when = best if best > now else now
+        if self._next_issue_free > when:
+            when = self._next_issue_free
         self._issue_pending = True
-        self.engine.schedule(when, self._on_issue)
+        # Inlined Engine.schedule.
+        engine = self.engine
+        engine._seq += 1
+        if when <= engine.now:
+            engine._fifo.append((engine.now, engine._seq, self._issue_cb))
+        else:
+            heappush(engine._queue, (when, engine._seq, self._issue_cb))
+
+    def _warp_list(self) -> List[Warp]:
+        if self._slots_cache is None:
+            warps = self.warps
+            self._slots_cache = slots = sorted(warps)
+            self._warps_cache = [warps[slot] for slot in slots]
+        return self._warps_cache
 
     def _on_issue(self, now: float) -> None:
+        """One issue slot: pick a warp round-robin, resume or retry its
+        op, dispatch it, and re-kick — fused into one frame."""
         self._issue_pending = False
         if now < self._next_issue_free:
             self.kick(now)
             return
-        warp = self._pick_warp(now)
+        if self._slots_cache is None:
+            self._warp_list()
+        wl = self._warps_cache
+        ready = _READY
+        warp = None
+        n = len(wl)
+        if n:
+            rr = self._rr
+            for i in range(n):
+                w = wl[(rr + i) % n]
+                if w.state is ready and w.ready_time <= now:
+                    self._rr = (rr + i + 1) % n
+                    warp = w
+                    break
         if warp is None:
             self.kick(now)
             return
-        self._next_issue_free = now + 1.0 / self.config.gpu.issue_width
-        self._execute(warp, now)
-        self.kick(now)
-
-    def _pick_warp(self, now: float) -> Optional[Warp]:
-        slots = sorted(self.warps)
-        if not slots:
-            return None
-        n = len(slots)
-        for i in range(n):
-            slot = slots[(self._rr + i) % n]
-            warp = self.warps[slot]
-            if warp.state is WarpState.READY and warp.ready_time <= now:
-                self._rr = (self._rr + i + 1) % n
-                return warp
-        return None
+        self._next_issue_free = now + self._issue_quantum
+        op = warp.retry_op
+        if op is None:
+            try:
+                op = warp.gen.send(warp.send_value)
+            except StopIteration:
+                self._warp_done(warp, now)
+                self.kick(now)
+                return
+            warp.send_value = None
+        self._counters["sm.instructions"] += 1.0
+        if self.tracer.enabled:
+            self.tracer.warp_phase(
+                self.warp_track(warp), _OP_CATEGORY.get(type(op), "sched"), now
+            )
+        cls = op.__class__
+        if cls is Compute:
+            # The most common op, fully inlined: identical to
+            # ``_complete(warp, now, now + op.cycles)``.
+            warp.retry_op = None
+            warp.state = ready
+            at = now + op.cycles
+            n1 = now + 1
+            warp.ready_time = at if at > n1 else n1
+            if self.tracer.enabled:
+                self.tracer.warp_phase(
+                    self.warp_track(warp), "sched", warp.ready_time
+                )
+        else:
+            handler = _DISPATCH.get(cls)
+            if handler is None:
+                raise SimulationError(f"unknown op {op!r}")
+            handler(self, warp, op, now)
+        # Trailing kick(), inlined over the cached warp list: runs once
+        # per issued instruction.
+        if self._issue_pending:
+            return
+        best = None
+        for w in wl:
+            if w.state is ready:
+                rt = w.ready_time
+                if best is None or rt < best:
+                    best = rt
+        if best is None:
+            return
+        when = best if best > now else now
+        if self._next_issue_free > when:
+            when = self._next_issue_free
+        self._issue_pending = True
+        engine = self.engine
+        engine._seq += 1
+        if when <= engine.now:
+            engine._fifo.append((engine.now, engine._seq, self._issue_cb))
+        else:
+            heappush(engine._queue, (when, engine._seq, self._issue_cb))
 
     def wake_warp(self, warp: Warp, at: float, send: object = None) -> None:
         """Unblock *warp* at time *at*, re-processing its pending op
@@ -168,31 +277,8 @@ class SM:
         self.wake_warp(warp, at, send)
 
     # ------------------------------------------------------------------
-    # execution
+    # execution helpers
     # ------------------------------------------------------------------
-    def _execute(self, warp: Warp, now: float) -> None:
-        if warp.retry_op is not None:
-            op = warp.retry_op
-        else:
-            op = self._advance(warp)
-            if op is None:
-                self._warp_done(warp, now)
-                return
-        self.stats.add("sm.instructions")
-        if self.tracer.enabled:
-            self.tracer.warp_phase(
-                self.warp_track(warp), _OP_CATEGORY.get(type(op), "sched"), now
-            )
-        self._process(warp, op, now)
-
-    def _advance(self, warp: Warp) -> Optional[Op]:
-        try:
-            op = warp.gen.send(warp.send_value)
-        except StopIteration:
-            return None
-        warp.send_value = None
-        return op
-
     def _warp_done(self, warp: Warp, now: float) -> None:
         warp.state = WarpState.DONE
         if self.tracer.enabled:
@@ -202,14 +288,17 @@ class SM:
             self.metrics.observe("sm.active_warps", float(self.active_warps()))
         self.gpu.on_warp_done(self, warp, now)
 
-    def _complete(self, warp: Warp, now: float, at: float, send: object = None) -> None:
+    def _complete(
+        self, warp: Warp, now: float, at: float, send: object = None
+    ) -> None:
+        # ready_time = max(at, now + 1), unrolled.
         warp.retry_op = None
         warp.state = WarpState.READY
-        warp.ready_time = max(at, now + 1)
+        n1 = now + 1
+        warp.ready_time = at if at > n1 else n1
         if send is not None:
             warp.send_value = send
         if self.tracer.enabled:
-            # The op occupied [issue, ready); what follows is scheduling.
             self.tracer.warp_phase(self.warp_track(warp), "sched", warp.ready_time)
 
     def _block(self, warp: Warp, op: Op) -> None:
@@ -221,102 +310,186 @@ class SM:
     # ------------------------------------------------------------------
     # op dispatch
     # ------------------------------------------------------------------
-    def _process(self, warp: Warp, op: Op, now: float) -> None:
-        if isinstance(op, Compute):
-            self._complete(warp, now, now + op.cycles)
-        elif isinstance(op, Ld):
-            self._process_load(warp, op, now)
-        elif isinstance(op, St):
-            self._process_store(warp, op, now)
-        elif isinstance(op, AtomicAdd):
-            self._process_atomic(warp, op, now)
-        elif isinstance(op, OFence):
-            self._model_call(warp, op, self.model.ofence(self, warp, now), now)
-        elif isinstance(op, DFence):
-            self._model_call(warp, op, self.model.dfence(self, warp, now), now)
-        elif isinstance(op, PAcq):
-            self._process_pacq(warp, op, now)
-        elif isinstance(op, PRel):
-            outcome = self.model.prel(self, warp, op.addr, op.value, op.scope, now)
-            self._model_call(warp, op, outcome, now)
-        elif isinstance(op, ThreadFence):
-            outcome = self.model.threadfence(self, warp, op.scope, now)
-            self._model_call(warp, op, outcome, now)
-        elif isinstance(op, BlockBarrier):
-            self._process_barrier(warp, now)
-        else:
-            raise SimulationError(f"unknown op {op!r}")
-
     def _model_call(self, warp: Warp, op: Op, outcome, now: float) -> None:
         if outcome.done:
             self._complete(warp, now, outcome.at)
         else:
             self._block(warp, op)
 
+    def _proc_ofence(self, warp: Warp, op: OFence, now: float) -> None:
+        self._model_call(warp, op, self.model.ofence(self, warp, now), now)
+
+    def _proc_dfence(self, warp: Warp, op: DFence, now: float) -> None:
+        self._model_call(warp, op, self.model.dfence(self, warp, now), now)
+
+    def _proc_prel(self, warp: Warp, op: PRel, now: float) -> None:
+        outcome = self.model.prel(self, warp, op.addr, op.value, op.scope, now)
+        self._model_call(warp, op, outcome, now)
+
+    def _proc_threadfence(self, warp: Warp, op: ThreadFence, now: float) -> None:
+        outcome = self.model.threadfence(self, warp, op.scope, now)
+        self._model_call(warp, op, outcome, now)
+
+    def _proc_barrier(self, warp: Warp, op: BlockBarrier, now: float) -> None:
+        self._process_barrier(warp, now)
+
+    # ------------------------------------------------------------------
+    # acquires
+    # ------------------------------------------------------------------
+    def _process_pacq(self, warp: Warp, op: PAcq, now: float) -> None:
+        addr = op.addr
+        if addr & _ALIGN_MASK:
+            self.backing.read(addr)  # raises: misaligned flag address
+        value = self.backing.visible.get(addr, 0)
+        if value == 0:
+            # Failed spin attempt.  Every model prices this at the flag
+            # load's L1 hit latency with no side effects (epoch/GPM and
+            # SBRP both return early before touching model state), so
+            # the model call is skipped outright and the backoff and
+            # completion arithmetic collapses to one add.
+            self._counters["sm.pacq_spins"] += 1.0
+            warp.retry_op = None
+            warp.state = _READY
+            warp.ready_time = now + self._spin_delta
+            warp.send_value = 0
+            if self.tracer.enabled:
+                self.tracer.warp_phase(
+                    self.warp_track(warp), "sched", warp.ready_time
+                )
+            return
+        outcome = self.model.pacq(self, warp, addr, op.scope, value, now)
+        if not outcome.done:
+            self._block(warp, op)
+            return
+        self._complete(warp, now, outcome.at, value)
+
     # ------------------------------------------------------------------
     # loads
     # ------------------------------------------------------------------
     def _process_load(self, warp: Warp, op: Ld, now: float) -> None:
-        addrs = op.addrs[op.mask]
-        if addrs.size == 0:
-            self._complete(warp, now, now + 1, np.zeros_like(op.addrs))
-            return
-        latest = float(now)
-        lines_seen = set()
-        for addr in addrs:
-            line_addr = int(addr) - (int(addr) % self.line_size)
-            if line_addr in lines_seen:
+        addrs = op.addrs.tolist()
+        line_size = self.line_size
+        mask_arr = op.mask
+        if mask_arr is _FULL_MASKS.get(len(addrs)):
+            # Ops built with the default mask carry the interned
+            # full-mask array: skip the tolist + membership scans.
+            mask = None
+            active_addrs = addrs
+        else:
+            mask = mask_arr.tolist()
+            if False not in mask:
+                active_addrs = addrs
+            elif True in mask:
+                active_addrs = [a for a, m in zip(addrs, mask) if m]
+            else:
+                self._complete(warp, now, now + 1, np.zeros_like(op.addrs))
+                return
+        # dict.fromkeys preserves first-encounter order: lines are
+        # accessed in lane order, first touch first.  Single-line loads
+        # (coalesced: min and max fall in the same line) skip the
+        # per-lane line-address comprehension.
+        mn = min(active_addrs)
+        mx = max(active_addrs)
+        first_line = mn - mn % line_size
+        if mx - mx % line_size == first_line:
+            line_addrs = (first_line,)
+        else:
+            line_addrs = dict.fromkeys(
+                [a - a % line_size for a in active_addrs]
+            )
+        latest = now
+        l1 = self.l1
+        line_map = l1._map
+        counters = self._counters
+        model = self.model
+        for line_addr in line_addrs:
+            # Inlined _access_line_for_read: hit probe, miss fill, or
+            # block on a dirty-PM eviction (op retries from scratch).
+            line = line_map.get(line_addr)
+            if line is not None and line.valid:
+                line.last_use = now
+                counters[_READ_HIT[line_addr >= PM_BASE]] += 1.0
+                done_at = now + self._hit_latency
+            else:
+                is_pm = line_addr >= PM_BASE
+                counters[_READ_MISS[is_pm]] += 1.0
+                victim = l1.victim_for(line_addr)
+                if victim.valid and victim.dirty and victim.is_pm:
+                    outcome = model.evict_dirty_pm(self, warp, victim, now)
+                    if not outcome.done:
+                        self._block(warp, op)
+                        return
+                done_at = self.subsystem.fetch_line(now, line_addr, is_pm)
+                words = self._snapshot_line(line_addr) if is_pm else None
+                l1.fill(victim, line_addr, is_pm, words, now)
+            if done_at > latest:
+                latest = done_at
+        vget = self.backing.visible.get
+        if active_addrs is addrs and not int(_or_reduce(op.addrs)) & _ALIGN_MASK:
+            # Full mask, all aligned: comprehension-only value phase.
+            # (A misaligned lane must raise, so that case takes the
+            # general per-lane path below.)
+            if len(line_addrs) == 1:
+                la = first_line
+                if la < PM_BASE:
+                    values = list(map(vget, addrs, repeat(0)))
+                    self._complete(
+                        warp, now, latest, np.array(values, dtype=np.int64)
+                    )
+                    return
+                line = line_map.get(la)
+                if line is not None and line.valid:
+                    words = line.words
+                    if len(words) == line_size // WORD_SIZE:
+                        # Fully populated snapshot: plain C-speed gets.
+                        values = list(map(words.__getitem__, addrs))
+                    elif not words:
+                        # Fully absent (fresh PM region): all fallback.
+                        values = list(map(vget, addrs, repeat(0)))
+                    else:
+                        values = [
+                            words[a] if a in words else vget(a, 0)
+                            for a in addrs
+                        ]
+                    self._complete(
+                        warp, now, latest, np.array(values, dtype=np.int64)
+                    )
+                    return
+            elif max(line_addrs) < PM_BASE:
+                values = list(map(vget, addrs, repeat(0)))
+                self._complete(warp, now, latest, np.array(values, dtype=np.int64))
+                return
+        values = [0] * len(addrs)
+        if mask is None:
+            mask = mask_arr.tolist()
+        for i, active in enumerate(mask):
+            if not active:
                 continue
-            lines_seen.add(line_addr)
-            done_at = self._access_line_for_read(warp, op, line_addr, now)
-            if done_at is None:
-                return  # blocked on an eviction; op will retry
-            latest = max(latest, done_at)
-        values = np.zeros(op.addrs.shape, dtype=np.int64)
-        for i in range(op.addrs.shape[0]):
-            if not op.mask[i]:
-                continue
-            values[i] = self._read_word(int(op.addrs[i]), now)
-        self._complete(warp, now, latest, values)
-
-    def _access_line_for_read(
-        self, warp: Warp, op: Ld, line_addr: int, now: float
-    ) -> Optional[float]:
-        """Timing of making *line_addr* readable; None when blocked."""
-        is_pm = is_pm_addr(line_addr)
-        kind = "pm" if is_pm else "vol"
-        line = self.l1.lookup(line_addr, now)
-        if line is not None:
-            self.stats.add(f"l1.read_hit_{kind}")
-            return now + self.config.gpu.l1_hit_latency
-        self.stats.add(f"l1.read_miss_{kind}")
-        victim = self.l1.victim_for(line_addr)
-        if victim.valid and victim.dirty and victim.is_pm:
-            outcome = self.model.evict_dirty_pm(self, warp, victim, now)
-            if not outcome.done:
-                self._block(warp, op)
-                return None
-        ready = self.subsystem.fetch_line(now, line_addr, is_pm)
-        words = self._snapshot_line(line_addr) if is_pm else None
-        self.l1.fill(victim, line_addr, is_pm, words, now)
-        return ready
+            addr = addrs[i]
+            if addr >= PM_BASE:
+                line_addr = addr - addr % line_size
+                line = line_map.get(line_addr)
+                if line is not None and line.valid:
+                    words = line.words
+                    if addr in words:
+                        values[i] = words[addr]
+                        continue
+            if addr % WORD_SIZE:
+                check_word_aligned(addr)
+            values[i] = vget(addr, 0)
+        self._complete(warp, now, latest, np.array(values, dtype=np.int64))
 
     def _snapshot_line(self, line_addr: int) -> Dict[int, int]:
         """Copy the visible image's words for one PM line (a fetched line
         carries data that may later go stale if another SM updates it)."""
-        words: Dict[int, int] = {}
-        for offset in range(0, self.line_size, WORD_SIZE):
-            addr = line_addr + offset
-            if addr in self.backing.visible:
-                words[addr] = self.backing.visible[addr]
-        return words
-
-    def _read_word(self, addr: int, now: float) -> int:
-        if is_pm_addr(addr):
-            line = self.l1.lookup(addr - addr % self.line_size, now)
-            if line is not None and addr in line.words:
-                return line.words[addr]
-        return self.backing.read(addr)
+        rng = range(line_addr, line_addr + self.line_size, WORD_SIZE)
+        # map() runs the .get probes at C speed; absent words come back
+        # None and are dropped.
+        return {
+            addr: value
+            for addr, value in zip(rng, map(self.backing.visible.get, rng))
+            if value is not None
+        }
 
     # ------------------------------------------------------------------
     # stores
@@ -324,16 +497,20 @@ class SM:
     def _process_store(self, warp: Warp, op: St, now: float) -> None:
         if op.pm_lines is None:
             self._split_store(op)
-        # Volatile half: write-through, fire-and-forget.
-        if op.vol_words:
-            for addr, value in op.vol_words.items():
-                self.backing.write(addr, value)
-                self.stats.add("store.vol_words")
+        vol_words = op.vol_words
+        if vol_words:
+            visible = self.backing.visible
+            for addr in vol_words:
+                if addr % WORD_SIZE:
+                    check_word_aligned(addr)
+            visible.update(vol_words)
+            self._stats_add("store.vol_words", len(vol_words))
+            write_volatile = self.subsystem.write_volatile
+            line_size = self.line_size
             for line_addr in op.vol_lines:
-                self.subsystem.write_volatile(now, line_addr, self.line_size)
+                write_volatile(now, line_addr, line_size)
             op.vol_words = {}
-        # PM half: one model call per line, resumable on stalls.
-        latest = float(now)
+        latest = now
         pm_lines: Dict[int, Dict[int, int]] = op.pm_lines
         while pm_lines:
             line_addr = next(iter(pm_lines))
@@ -343,26 +520,71 @@ class SM:
                 self._block(warp, op)
                 return
             del pm_lines[line_addr]
-            self.stats.add("store.pm_lines")
-            latest = max(latest, outcome.at)
+            self._stats_add("store.pm_lines")
+            if outcome.at > latest:
+                latest = outcome.at
         self._complete(warp, now, latest)
 
     def _split_store(self, op: St) -> None:
-        """Partition a store's lanes into volatile words and PM lines."""
-        pm_lines: Dict[int, Dict[int, int]] = {}
+        line_size = self.line_size
+        addrs = op.addrs.tolist()
+        values = op.values.tolist()
+        mask_arr = op.mask
+        if mask_arr is _FULL_MASKS.get(len(addrs)):
+            mask = ()
+            full = True
+        else:
+            mask = mask_arr.tolist()
+            full = False not in mask
+        if full:
+            # All lanes active: uniform-space fast paths.  Dicts and
+            # sets are built in lane order, as the per-lane loop
+            # below builds them.
+            mn = min(addrs)
+            mx = max(addrs)
+            if mn >= PM_BASE:
+                first_line = mn - mn % line_size
+                if mx - mx % line_size == first_line:
+                    # Coalesced single-line store: one C-speed zip.
+                    op.pm_lines = {first_line: dict(zip(addrs, values))}
+                    op.vol_words = {}
+                    op.vol_lines = set()
+                    return
+                pm_lines: Dict[int, Dict[int, int]] = {}
+                for addr, value in zip(addrs, values):
+                    line_addr = addr - addr % line_size
+                    line = pm_lines.get(line_addr)
+                    if line is None:
+                        pm_lines[line_addr] = {addr: value}
+                    else:
+                        line[addr] = value
+                op.pm_lines = pm_lines
+                op.vol_words = {}
+                op.vol_lines = set()
+                return
+            if mx < PM_BASE:
+                op.pm_lines = {}
+                op.vol_words = dict(zip(addrs, values))
+                op.vol_lines = {a - a % line_size for a in addrs}
+                return
+        pm_lines = {}
         vol_words: Dict[int, int] = {}
         vol_lines = set()
-        for i in range(op.addrs.shape[0]):
-            if not op.mask[i]:
+        if full:  # mixed-space full store: every lane is active
+            mask = repeat(True)
+        for addr, value, active in zip(addrs, values, mask):
+            if not active:
                 continue
-            addr = int(op.addrs[i])
-            value = int(op.values[i])
-            if is_pm_addr(addr):
-                line_addr = addr - addr % self.line_size
-                pm_lines.setdefault(line_addr, {})[addr] = value
+            if addr >= PM_BASE:
+                line_addr = addr - addr % line_size
+                line = pm_lines.get(line_addr)
+                if line is None:
+                    pm_lines[line_addr] = {addr: value}
+                else:
+                    line[addr] = value
             else:
                 vol_words[addr] = value
-                vol_lines.add(addr - addr % self.line_size)
+                vol_lines.add(addr - addr % line_size)
         op.pm_lines = pm_lines
         op.vol_words = vol_words
         op.vol_lines = vol_lines
@@ -371,41 +593,34 @@ class SM:
     # atomics
     # ------------------------------------------------------------------
     def _process_atomic(self, warp: Warp, op: AtomicAdd, now: float) -> None:
-        olds = np.zeros(op.addrs.shape, dtype=np.int64)
+        addrs = op.addrs.tolist()
+        values = op.values.tolist()
+        olds = [0] * len(addrs)
         unique = set()
-        for i in range(op.addrs.shape[0]):
-            if not op.mask[i]:
+        visible = self.backing.visible
+        mask_arr = op.mask
+        if mask_arr is _FULL_MASKS.get(len(addrs)):
+            mask = (True,) * len(addrs)
+        else:
+            mask = mask_arr.tolist()
+        for i, active in enumerate(mask):
+            if not active:
                 continue
-            addr = int(op.addrs[i])
-            if is_pm_addr(addr):
+            addr = addrs[i]
+            if addr >= PM_BASE:
                 raise SimulationError(
                     "atomics to PM are not supported; keep synchronization "
                     "variables in volatile memory"
                 )
-            old = self.backing.read(addr)
-            self.backing.write(addr, old + int(op.values[i]))
+            if addr % WORD_SIZE:
+                check_word_aligned(addr)
+            old = visible.get(addr, 0)
+            visible[addr] = old + values[i]
             olds[i] = old
             unique.add(addr)
-        done = now + self.config.gpu.l2_latency + 2 * max(1, len(unique))
-        self.stats.add("sm.atomics", len(unique))
-        self._complete(warp, now, done, olds)
-
-    # ------------------------------------------------------------------
-    # acquires
-    # ------------------------------------------------------------------
-    def _process_pacq(self, warp: Warp, op: PAcq, now: float) -> None:
-        value = self.backing.read(op.addr)
-        outcome = self.model.pacq(self, warp, op.addr, op.scope, value, now)
-        if not outcome.done:
-            self._block(warp, op)
-            return
-        at = outcome.at
-        if value == 0:
-            # Failed acquire attempt: back off before the kernel respins,
-            # so spin loops do not saturate the issue port.
-            at = max(at, now + self.config.gpu.spin_backoff_cycles)
-            self.stats.add("sm.pacq_spins")
-        self._complete(warp, now, at, int(value))
+        done = now + self._l2_latency + 2 * max(1, len(unique))
+        self._stats_add("sm.atomics", len(unique))
+        self._complete(warp, now, done, np.array(olds, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # block barrier
@@ -429,3 +644,16 @@ class SM:
             if self.tracer.enabled:
                 self.tracer.warp_phase(self.warp_track(w), "sched", now + 1)
         self.kick(now)
+
+
+_DISPATCH = {
+    Ld: SM._process_load,
+    St: SM._process_store,
+    AtomicAdd: SM._process_atomic,
+    OFence: SM._proc_ofence,
+    DFence: SM._proc_dfence,
+    PAcq: SM._process_pacq,
+    PRel: SM._proc_prel,
+    ThreadFence: SM._proc_threadfence,
+    BlockBarrier: SM._proc_barrier,
+}

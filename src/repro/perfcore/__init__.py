@@ -1,26 +1,24 @@
-"""Differential equivalence harness for the fast timing core.
+"""Pinned fingerprints of the timing core's observable behaviour.
 
-The simulator ships two timing-core implementations behind
-``SystemConfig.engine``: the original straight-line ``"reference"``
-engine and the optimised ``"fast"`` engine (flattened event queue,
-slotted hot paths, memoized address math).  Every downstream oracle —
-conformance, fault campaigns, serving, soak — assumes exact cycle
-reproducibility, so the fast path is only trusted because this package
-can prove, scenario by scenario, that both engines produce *identical*
-results: cycle counts, engine event counts, stats counters, metrics
-snapshots, crash images and litmus observations.
+Every downstream oracle — conformance, fault campaigns, serving, soak —
+assumes exact cycle reproducibility, so the grid of scenarios here is
+pinned run by run: cycle counts, engine event counts, stats counters,
+metrics snapshots, crash images and litmus observations.  A timing-core
+change is a no-behaviour-change refactor exactly when every pin still
+matches.
 
 Layout:
 
 ``fingerprint``
-    Canonical, JSON-stable fingerprints of one run under one engine.
+    Canonical, JSON-stable fingerprints of one run.
 ``grid``
-    The matched scenario grid (models x apps x litmus corpus x fault
-    plans) and the per-cell pair runner.
-``diff``
-    The CLI: ``python -m repro.perfcore.diff`` runs every grid cell
-    under both engines and exits non-zero on any divergence.  Reports
-    are byte-identical across ``--workers`` counts.
+    The scenario grid (models x apps x litmus corpus x fault plans x
+    serve/soak) and the per-cell runner.
+``goldens``
+    The CLI: ``python -m repro.perfcore.goldens`` runs every grid cell
+    once and diffs it against ``tests/perfcore/grid_pins.json``
+    (``--regenerate`` re-pins).  Reports are byte-identical across
+    ``--workers`` counts.
 """
 
 from repro.perfcore.fingerprint import (
@@ -28,10 +26,10 @@ from repro.perfcore.fingerprint import (
     litmus_fingerprint,
     sim_fingerprint,
 )
-from repro.perfcore.grid import DiffCell, build_grid, run_cell
+from repro.perfcore.grid import GridCell, build_grid, run_cell
 
 __all__ = [
-    "DiffCell",
+    "GridCell",
     "build_grid",
     "fault_fingerprint",
     "litmus_fingerprint",

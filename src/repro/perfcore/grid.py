@@ -1,12 +1,11 @@
-"""The matched scenario grid the differential harness sweeps.
+"""The scenario grid whose fingerprints are pinned.
 
 Every cell is a plain-JSON payload (so it crosses process boundaries
-and lands in reports verbatim) that :func:`run_cell` executes twice —
-once per engine — and reduces to a pair of fingerprints plus a match
-verdict.  The grid covers five cell kinds:
+and lands in reports verbatim) that :func:`run_cell` executes and
+reduces to a fingerprint.  The grid covers five cell kinds:
 
-* **sim** — 3 persistency models x {gpkvs, reduction, scan}, the same
-  shrunk cases the golden-trace tests pin;
+* **sim** — 3 persistency models x {gpkvs, reduction, scan} on shrunk
+  app sizes;
 * **litmus** — the full conformance corpus under every model, plus a
   fuzzed program stream under SBRP, swept through the smoke variant set
   (the bounded perturbations that make ordering bugs visible);
@@ -17,13 +16,6 @@ verdict.  The grid covers five cell kinds:
   planning, durable transactions, worst-case recovery measurement);
 * **soak** — a soak chain (serve stream through a chronic fault
   timeline with crash→recover legs) under SBRP.
-
-Every cell runs under both engines and the fast fingerprint is diffed
-against the reference one.
-
-``--smoke`` keeps the litmus corpus (single model, no fuzzed stream),
-one fault cell, one sim cell and one serve cell — the CI
-``perfcore-smoke`` job's grid.
 """
 
 from __future__ import annotations
@@ -33,13 +25,12 @@ from typing import Any, Dict, List, Mapping
 
 from repro.common.config import ModelName
 
-from repro.perfcore.fingerprint import ENGINES, diff_paths, fingerprint
+from repro.perfcore.fingerprint import fingerprint
 
-#: Models of the matched grid, in suite order.
+#: Models of the grid, in suite order.
 GRID_MODELS = (ModelName.GPM, ModelName.EPOCH, ModelName.SBRP)
 
-#: Shrunk app parameters: the same sizes the golden-trace tests pin, so
-#: a diff failure here and a golden failure point at the same run.
+#: Shrunk app parameters of the sim cells.
 SIM_PARAMS: Dict[str, Dict[str, Any]] = {
     "gpkvs": dict(n_pairs=256, capacity=512, rounds=2),
     "reduction": dict(blocks=6, per_thread=4),
@@ -50,7 +41,7 @@ SIM_PARAMS: Dict[str, Dict[str, Any]] = {
 LITMUS_CRASH_POINTS = 12
 
 #: Fuzzed litmus stream of the full grid, as (seed, count).  Directed
-#: corpus programs alone miss engine divergences that random
+#: corpus programs alone missed timing-core divergences that random
 #: programs hit at once.
 LITMUS_FUZZ_STREAM = (7, 32)
 
@@ -78,8 +69,8 @@ SOAK_CRASH_FRACTION = 0.6
 
 
 @dataclass(frozen=True)
-class DiffCell:
-    """One differential cell: a named payload of a known kind."""
+class GridCell:
+    """One grid cell: a named payload of a known kind."""
 
     name: str
     kind: str  # "sim" | "litmus" | "fault" | "serve" | "soak"
@@ -89,9 +80,9 @@ class DiffCell:
         return {"name": self.name, "kind": self.kind, "payload": self.payload}
 
 
-def _sim_cells(models) -> List[DiffCell]:
+def _sim_cells(models) -> List[GridCell]:
     return [
-        DiffCell(
+        GridCell(
             name=f"sim.{model.value}.{app}",
             kind="sim",
             payload={
@@ -105,12 +96,12 @@ def _sim_cells(models) -> List[DiffCell]:
     ]
 
 
-def _litmus_cells(models, programs) -> List[DiffCell]:
+def _litmus_cells(models, programs) -> List[GridCell]:
     from repro.check.enumerator import SMOKE_VARIANTS
 
     variants = [variant.to_json() for variant in SMOKE_VARIANTS]
     return [
-        DiffCell(
+        GridCell(
             name=f"litmus.{model.value}.{program.name}",
             kind="litmus",
             payload={
@@ -125,47 +116,32 @@ def _litmus_cells(models, programs) -> List[DiffCell]:
     ]
 
 
-def _fault_cells(models, torn: bool) -> List[DiffCell]:
+def _fault_cells(models) -> List[GridCell]:
+    """A power cut under every model, plus a torn persist under SBRP."""
     from repro.faults.plans import PowerCutPlan, TornPersistPlan
 
-    cells = [
-        DiffCell(
-            name=f"fault.{model.value}.gpkvs.powercut",
+    plans = [(model, "powercut", PowerCutPlan()) for model in models]
+    plans.append((ModelName.SBRP, "torn", TornPersistPlan()))
+    return [
+        GridCell(
+            name=f"fault.{model.value}.gpkvs.{label}",
             kind="fault",
             payload={
                 "model": model.value,
                 "app": "gpkvs",
                 "params": dict(FAULT_PARAMS),
                 "fault": dict(
-                    PowerCutPlan().to_json(),
-                    max_crash_points=FAULT_MAX_CRASH_POINTS,
+                    plan.to_json(), max_crash_points=FAULT_MAX_CRASH_POINTS
                 ),
             },
         )
-        for model in models
+        for model, label, plan in plans
     ]
-    if torn:
-        cells.append(
-            DiffCell(
-                name="fault.sbrp.gpkvs.torn",
-                kind="fault",
-                payload={
-                    "model": ModelName.SBRP.value,
-                    "app": "gpkvs",
-                    "params": dict(FAULT_PARAMS),
-                    "fault": dict(
-                        TornPersistPlan().to_json(),
-                        max_crash_points=FAULT_MAX_CRASH_POINTS,
-                    ),
-                },
-            )
-        )
-    return cells
 
 
-def _serve_cells(models) -> List[DiffCell]:
+def _serve_cells(models) -> List[GridCell]:
     return [
-        DiffCell(
+        GridCell(
             name=f"serve.{model.value}.kvs",
             kind="serve",
             payload={"model": model.value, "params": dict(SERVE_PARAMS)},
@@ -174,7 +150,7 @@ def _serve_cells(models) -> List[DiffCell]:
     ]
 
 
-def _soak_cells(models) -> List[DiffCell]:
+def _soak_cells(models) -> List[GridCell]:
     from repro.faults.soak import brownout_burst
 
     soak = {
@@ -183,7 +159,7 @@ def _soak_cells(models) -> List[DiffCell]:
         "crash_fraction": SOAK_CRASH_FRACTION,
     }
     return [
-        DiffCell(
+        GridCell(
             name=f"soak.{model.value}.kvs",
             kind="soak",
             payload={
@@ -196,52 +172,22 @@ def _soak_cells(models) -> List[DiffCell]:
     ]
 
 
-def build_grid(smoke: bool = False) -> List[DiffCell]:
-    """The matched grid, in stable sweep order."""
+def build_grid() -> List[GridCell]:
+    """The grid, in stable sweep order."""
     from repro.check.corpus import corpus_programs
     from repro.check.fuzzer import generate_stream
 
     corpus = corpus_programs()
-    if smoke:
-        return (
-            _sim_cells([ModelName.SBRP])[:1]
-            + _litmus_cells([ModelName.SBRP], corpus)
-            + _fault_cells([ModelName.SBRP], torn=False)
-            + _serve_cells([ModelName.SBRP])
-        )
     return (
         _sim_cells(GRID_MODELS)
         + _litmus_cells(GRID_MODELS, corpus)
         + _litmus_cells([ModelName.SBRP], generate_stream(*LITMUS_FUZZ_STREAM))
-        + _fault_cells(GRID_MODELS, torn=True)
+        + _fault_cells(GRID_MODELS)
         + _serve_cells(GRID_MODELS)
         + _soak_cells([ModelName.SBRP])
     )
 
 
 def run_cell(cell_json: Mapping[str, Any]) -> Dict[str, Any]:
-    """Run one cell under every engine of the axis; top-level so worker
-    processes can execute it.  The report is a pure function of the
-    payload: the reference fingerprint is the oracle, and every other
-    engine is diffed against it with mismatch paths prefixed by the
-    diverging engine's name."""
-    kind = cell_json["kind"]
-    payload = cell_json["payload"]
-    prints = {
-        engine: fingerprint(kind, payload, engine) for engine in ENGINES
-    }
-    reference = prints["reference"]
-    mismatches: List[str] = []
-    for engine in ENGINES[1:]:
-        mismatches.extend(
-            f"{engine}:{path}"
-            for path in diff_paths(reference, prints[engine])
-        )
-    report = {
-        "name": cell_json["name"],
-        "kind": kind,
-        "match": not mismatches,
-        "mismatches": mismatches,
-    }
-    report.update(prints)
-    return report
+    """Fingerprint one cell; top-level so worker processes can run it."""
+    return fingerprint(cell_json["kind"], cell_json["payload"])

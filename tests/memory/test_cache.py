@@ -1,5 +1,7 @@
 """L1 cache model: lookup, fill, LRU, PM invalidation flavours."""
 
+import pytest
+
 from repro.memory.cache import CacheLine, L1Cache, TagCache
 
 
@@ -75,6 +77,80 @@ class TestInvalidation:
         l1 = make_l1()
         dirty, _, _ = self.fill_mixed(l1)
         assert l1.dirty_pm_lines() == [dirty]
+
+
+class TestTagMap:
+    """The L1's tag map must never answer for a tag its line lost."""
+
+    def test_refill_after_drop_line_forgets_the_old_tag(self):
+        l1 = make_l1()
+        line = l1.victim_for(0)
+        l1.fill(line, 0, is_pm=True)
+        l1.drop_line(line)
+        assert l1.lookup(0) is None
+        step = 128 * l1.num_sets  # same set as line 0
+        assert l1.victim_for(step) is line  # the freed way is reused
+        l1.fill(line, step, is_pm=True)
+        assert l1.lookup(0) is None
+        assert l1.lookup(step) is line
+
+    def test_victim_refill_prunes_the_old_tag(self):
+        l1 = make_l1(size=256, line=128, assoc=2)  # one set, two ways
+        step = 128 * l1.num_sets
+        first = l1.victim_for(0)
+        l1.fill(first, 0, is_pm=False, now=1)
+        l1.fill(l1.victim_for(step), step, is_pm=False, now=2)
+        victim = l1.victim_for(2 * step)
+        assert victim is first  # LRU
+        l1.fill(victim, 2 * step, is_pm=False, now=3)
+        assert l1.lookup(0) is None
+        assert l1.lookup(2 * step) is victim
+        assert l1.lookup(step) is not None
+        assert l1.occupancy() == 2
+
+    def test_dirty_pm_lines_come_back_in_set_major_way_order(self):
+        l1 = make_l1()  # 4 sets x 2 ways
+        step = 128 * l1.num_sets
+        # Fill set 1 before set 0, so fill order is not way order, then
+        # dirty the lines in a third order.
+        addrs = [128, 128 + step, 0, step]
+        lines = {}
+        for addr in addrs:
+            lines[addr] = l1.victim_for(addr)
+            l1.fill(lines[addr], addr, is_pm=True)
+        for addr in (step, 128 + step, 0, 128):
+            lines[addr].write_words({addr: 1})
+        assert l1.dirty_pm_lines() == [
+            lines[0], lines[step], lines[128], lines[128 + step]
+        ]
+
+    @pytest.mark.parametrize(
+        "sweep, dropped",
+        [
+            ("invalidate_clean_pm", {"clean_pm"}),
+            ("invalidate_pm", {"clean_pm", "dirty_pm"}),
+            ("invalidate_all", {"clean_pm", "dirty_pm", "vol"}),
+        ],
+    )
+    def test_sweeps_drop_their_tags_and_keep_the_rest(self, sweep, dropped):
+        l1 = make_l1()
+        addrs = {"dirty_pm": 0, "clean_pm": 128, "vol": 256}
+        for kind, addr in addrs.items():
+            line = l1.victim_for(addr)
+            l1.fill(line, addr, is_pm=kind != "vol")
+            if kind == "dirty_pm":
+                line.write_words({addr: 1})
+        assert getattr(l1, sweep)() == len(dropped)
+        for kind, addr in addrs.items():
+            if kind in dropped:
+                assert l1.lookup(addr) is None, kind
+            else:
+                assert l1.lookup(addr).tag == addr, kind
+        # A dropped tag stays gone after its way is refilled.
+        for kind in dropped:
+            addr = addrs[kind] + 128 * l1.num_sets
+            l1.fill(l1.victim_for(addr), addr, is_pm=False)
+            assert l1.lookup(addrs[kind]) is None, kind
 
 
 class TestTagCache:
