@@ -90,10 +90,12 @@ def brownout_burst(expect: str = EXPECT_CONSISTENT) -> TimelinePlan:
 def storm_squeeze() -> TimelinePlan:
     """An ack storm (finite acks deferred to the window's end)
     overlapping a WPQ squeeze (capacity clamped to 4 entries) —
-    congestion without any persist ever failing outright."""
+    congestion without any persist ever failing outright.  The storm
+    opens just before the soak stream's first acks (t≈6274 under SBRP),
+    so it defers acks under every model."""
     return TimelinePlan(
         windows=(
-            FaultWindow("ack_storm", start=2000.0, end=6000.0, intensity=500.0),
+            FaultWindow("ack_storm", start=6000.0, end=10000.0, intensity=500.0),
             FaultWindow("wpq_squeeze", start=3000.0, end=16000.0, intensity=4.0),
         )
     )

@@ -68,6 +68,23 @@ class TestSoakOutcome:
         assert result.detail["matched"]
 
 
+class TestStormSqueeze:
+    @pytest.mark.parametrize("model", ["gpm", "epoch", "sbrp"])
+    def test_ack_storm_defers_acks(self, model):
+        # The storm window must cover the stream's persist traffic:
+        # otherwise the schedule is only a WPQ squeeze.
+        [cell] = [
+            cell
+            for cell in soak_cells((ModelName(model),), full=True)
+            if "ack_storm" in cell.timeline.label
+        ]
+        detail = cell.job().execute().detail
+        assert detail["injected"].get("stormed_acks", 0) > 0
+        assert detail["outcome"] == "consistent" and detail["matched"]
+        assert len(detail["reboots"]) == 2
+        assert detail["lost_committed"] == []
+
+
 class TestSoakJobs:
     def job(self):
         return soak_cells((ModelName.SBRP,), full=False)[0].job()
