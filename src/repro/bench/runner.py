@@ -32,8 +32,8 @@ class ScenarioResult:
     #: Mode-specific structured payload (the fault campaign stores its
     #: per-crash-point classification here).  Must be plain JSON.
     detail: Optional[Dict[str, Any]] = None
-    #: Unified metrics snapshot (``GPUSystem.metrics_snapshot()``) when
-    #: the scenario ran with live metrics enabled; None otherwise.
+    #: Metrics snapshot (``GPUSystem.metrics_snapshot()``) when the
+    #: scenario ran metered; None otherwise.
     metrics: Optional[Dict[str, Any]] = None
 
     def stat(self, name: str, default: float = 0.0) -> float:
@@ -129,9 +129,9 @@ def run_scenario(
     writes ``{stem}.trace.json`` (Chrome/Perfetto) and
     ``{stem}.counters.csv`` into that directory, with the stem from
     :func:`scenario_stem`; *trace_tag* adds a human-readable marker for
-    sweep points that share a config label.  ``metrics=True`` enables
-    the live :class:`~repro.metrics.registry.MetricsRegistry` and
-    attaches its unified snapshot to the result.
+    sweep points that share a config label.  ``metrics=True`` meters
+    the system's :class:`~repro.metrics.registry.MetricsRegistry`
+    (histograms on) and attaches its snapshot to the result.
     """
     traced = trace or trace_dir is not None
     system = GPUSystem(config, trace=traced, metrics=metrics)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Type
 
 from repro.common.config import Scope, SystemConfig
 from repro.common.errors import ConfigError
-from repro.common.stats import StatsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.persistency.base import Outcome
 from repro.persistency.sbrp.model import SBRPModel
 from repro.persistency.sbrp.pbuffer import EntryKind
@@ -174,7 +174,7 @@ def mutant_names() -> List[str]:
     return sorted(MUTANTS)
 
 
-def build_mutant(name: str) -> Callable[[SystemConfig, StatsRegistry], SBRPModel]:
+def build_mutant(name: str) -> Callable[[SystemConfig, MetricsRegistry], SBRPModel]:
     """A ``model_factory`` for :func:`repro.formal.bridge.simulate_program`."""
     try:
         cls = MUTANTS[name]

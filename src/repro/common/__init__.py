@@ -22,7 +22,6 @@ from repro.common.errors import (
     ReproError,
     SimulationError,
 )
-from repro.common.stats import StatsRegistry
 from repro.common.units import (
     CLOCK_MHZ,
     bytes_per_cycle,
@@ -44,7 +43,6 @@ __all__ = [
     "SBRPConfig",
     "Scope",
     "SimulationError",
-    "StatsRegistry",
     "SystemConfig",
     "WarpMask",
     "bytes_per_cycle",

@@ -41,7 +41,7 @@ from repro.exec.pool import (
     PoolEvent,
     WorkerPool,
 )
-from repro.metrics.registry import NULL_METRICS, MetricsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.trace.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -185,7 +185,7 @@ class Executor:
         self.retry_errors = retry_errors
         self.progress = progress
         self.tracer = tracer
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = ExecStats()
         self.failures: List[JobFailedError] = []
         self._memo: Dict[str, "ScenarioResult"] = {}
@@ -231,33 +231,28 @@ class Executor:
         jobs = list(jobs)
         self.stats.submitted += len(jobs)
         metrics = self.metrics
-        if metrics.enabled:
-            metrics.inc("exec.submitted", len(jobs))
+        metrics.add("exec.submitted", len(jobs))
         keys = [job.key for job in jobs]
 
         # Resolve memo and cache hits; collect unique misses in order.
         misses: List[int] = []  # index of first occurrence per unique key
         seen_this_call: Dict[str, int] = {}
-        metered = metrics.enabled
         for i, (job, key) in enumerate(zip(jobs, keys)):
             if key in self._memo or key in seen_this_call:
                 self.stats.memo_hits += 1
-                if metered:
-                    metrics.inc("exec.memo_hits")
+                metrics.add("exec.memo_hits")
                 continue
             if self.cache is not None and job.cacheable:
                 cached = self.cache.get(job)
                 if cached is not None:
                     self._memo[key] = cached
                     self.stats.cache_hits += 1
-                    if metered:
-                        metrics.inc("exec.cache_hits")
+                    metrics.add("exec.cache_hits")
                     continue
             seen_this_call[key] = i
             misses.append(i)
         self.stats.unique += len(misses)
-        if metered:
-            metrics.inc("exec.unique", len(misses))
+        metrics.add("exec.unique", len(misses))
 
         # Execute the misses.
         outcomes: Dict[int, JobOutcome] = {}
@@ -271,30 +266,26 @@ class Executor:
             job = jobs[i]
             if outcome.attempts > 1:
                 self.stats.retries += outcome.attempts - 1
-            if metered:
-                # Derived from the JobOutcome, which both backends
-                # produce identically for clean runs — snapshots stay
-                # byte-identical across worker counts.  Retries only
-                # happen on crash/timeout, so exec.retries stays absent
-                # from healthy snapshots too.
-                metrics.inc(f"exec.outcome.{outcome.status}")
-                if outcome.attempts > 1:
-                    metrics.inc("exec.retries", outcome.attempts - 1)
-                cls = error_class(outcome)
-                if cls is not None:
-                    metrics.inc(f"exec.error.{cls}")
+            # Derived from the JobOutcome, which both backends produce
+            # identically for clean runs — snapshots stay byte-identical
+            # across worker counts.  Retries only happen on crash/timeout,
+            # so exec.retries stays absent from healthy snapshots too.
+            metrics.add(f"exec.outcome.{outcome.status}")
+            if outcome.attempts > 1:
+                metrics.add("exec.retries", outcome.attempts - 1)
+            cls = error_class(outcome)
+            if cls is not None:
+                metrics.add(f"exec.error.{cls}")
             if outcome.ok:
                 result = ScenarioResult.from_json(outcome.value)
                 self._memo[keys[i]] = result
                 self.stats.executed += 1
-                if metered:
-                    metrics.inc("exec.executed")
+                metrics.add("exec.executed")
                 if self.cache is not None and job.cacheable:
                     self.cache.put(job, result)
             else:
                 self.stats.failed += 1
-                if metered:
-                    metrics.inc("exec.failed")
+                metrics.add("exec.failed")
                 failure = JobFailedError(job, outcome)
                 self.failures.append(failure)
                 if not allow_failures:

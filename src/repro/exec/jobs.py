@@ -107,9 +107,8 @@ class ScenarioJob:
     #: ``crash_every_batches`` / ``crash_fraction``); required for —
     #: and only valid in — :data:`MODE_SOAK`.
     soak: Optional[Mapping[str, Any]] = None
-    #: Run the scenario with the live metrics registry enabled and
-    #: attach the unified snapshot to the result.  Metrics runs are
-    #: cycle-identical to plain runs, but the flag still feeds the spec
+    #: Run the scenario on a metered registry and attach its snapshot
+    #: to the result.  Metered runs are cycle-identical to plain runs, but the flag still feeds the spec
     #: (only when set, preserving pre-existing hashes) because the
     #: result payload differs.
     metrics: bool = False

@@ -25,7 +25,7 @@ from multiprocessing import get_context
 from multiprocessing.connection import wait as conn_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.metrics.registry import NULL_METRICS, MetricsRegistry
+from repro.metrics.registry import MetricsRegistry
 
 #: Poll interval of the scheduler loop (seconds).
 _POLL_S = 0.02
@@ -118,7 +118,7 @@ class WorkerPool:
         self.backoff = backoff
         self.retry_errors = retry_errors
         self.progress = progress
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         # fork keeps arbitrary runner callables usable and is the fast
         # path on Linux; elsewhere fall back to spawn (runner must then
         # be an importable top-level function).
@@ -176,9 +176,8 @@ class WorkerPool:
                 # Pool-only metrics cover abnormal events exclusively:
                 # clean runs emit none, so serial and pooled snapshots
                 # stay byte-identical.
-                if self.metrics.enabled:
-                    self.metrics.inc("exec.pool.retry")
-                    self.metrics.inc(f"exec.pool.retry_status.{status}")
+                self.metrics.add("exec.pool.retry")
+                self.metrics.add(f"exec.pool.retry_status.{status}")
                 emit("retry", state.index, state.attempt, status)
                 return
             outcomes[state.index] = JobOutcome(

@@ -162,6 +162,8 @@ def run_soak_scenario(
         raise ValueError(f"unknown soak payload keys {sorted(payload)}")
 
     params = dict(app_params or {})
+    # One registry is every machine's stats: the chain's snapshot
+    # counts all of its machines.
     metrics = MetricsRegistry()
 
     app = build_app(app_name, **params)

@@ -18,13 +18,12 @@ from collections import deque
 
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
-from repro.common.stats import StatsRegistry
 from repro.memory.backing import BackingStore
 from repro.memory.subsystem import MemorySubsystem
 from repro.gpu.engine import Engine
 from repro.gpu.sm import SM
 from repro.gpu.warp import Warp, WarpCtx, WarpState
-from repro.metrics.registry import NULL_METRICS, MetricsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 KernelFn = Callable[..., Any]
@@ -58,32 +57,29 @@ class GPU:
         self,
         config: SystemConfig,
         backing: Optional[BackingStore] = None,
-        stats: Optional[StatsRegistry] = None,
+        stats: Optional[MetricsRegistry] = None,
         max_cycles: float = 2e9,
         tracer: Optional[Tracer] = None,
         faults: Optional[Any] = None,
         watchdog_events: Optional[int] = None,
         model_factory: Optional[Callable[..., Any]] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         from repro.persistency import build_model  # local import: cycle guard
 
         config.validate()
         self.config = config
-        self.stats = stats if stats is not None else StatsRegistry()
+        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
         self.backing = backing if backing is not None else BackingStore()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.engine = Engine(
             max_cycles=max_cycles,
             stats=self.stats,
             watchdog_events=watchdog_events,
-            metrics=self.metrics,
         )
         self.engine.watchdog_diagnostics = self._watchdog_diagnostics
         self.subsystem = MemorySubsystem(
             config.memory, config.gpu, self.backing, self.stats, self.tracer,
-            faults=faults, metrics=self.metrics,
+            faults=faults,
         )
         # model_factory overrides the registered model class — the
         # conformance checker's mutation-teeth hook (repro.check.mutants).

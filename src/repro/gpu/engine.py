@@ -23,12 +23,11 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.errors import LivelockError, SimulationError
-from repro.common.stats import StatsRegistry
-from repro.metrics.registry import NULL_METRICS, MetricsRegistry
+from repro.metrics.registry import MetricsRegistry
 
 EventFn = Callable[[float], None]
 
-#: Queue-depth sampling stride with metrics enabled: one histogram
+#: Queue-depth sampling stride on a metered registry: one histogram
 #: observation every this-many events keeps the cost invisible while the
 #: sample set stays a deterministic function of the event sequence.
 _QUEUE_SAMPLE_MASK = 4095
@@ -66,14 +65,12 @@ class Engine:
     def __init__(
         self,
         max_cycles: float = 2e9,
-        stats: Optional[StatsRegistry] = None,
+        stats: Optional[MetricsRegistry] = None,
         watchdog_events: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.now: float = 0.0
         self.max_cycles = max_cycles
-        self.stats = stats
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
         #: Events without progress before :class:`LivelockError`;
         #: ``0`` disables the watchdog.
         self.watchdog_events = (
@@ -126,8 +123,8 @@ class Engine:
         progress, both of which almost always indicate a livelocked spin
         loop in a kernel (or an injected fault that wedged the machine).
         """
-        metrics = self.metrics
-        metered = metrics.enabled
+        stats = self.stats
+        metered = stats.metered
         watchdog = self.watchdog_events
         queue = self._queue
         fifo = self._fifo
@@ -157,18 +154,14 @@ class Engine:
                     if idle_events > watchdog:
                         raise self._livelock()
                 if metered and not events_processed & _QUEUE_SAMPLE_MASK:
-                    metrics.observe(
+                    stats.observe(
                         "engine.queue_depth", float(len(queue) + len(fifo))
                     )
                 fn(self.now)
         finally:
             self.events_processed = events_processed
-        if self.stats is not None:
-            self.stats.set("engine.events_processed", float(events_processed))
-            self.stats.set("engine.now", self.now)
-        if metered:
-            metrics.gauge("engine.events_processed", float(events_processed))
-            metrics.gauge("engine.now", self.now)
+        stats.set("engine.events_processed", float(events_processed))
+        stats.set("engine.now", self.now)
         return self.now
 
     def pending(self) -> int:

@@ -84,7 +84,6 @@ class SM:
         self.model = gpu.model
         self.stats = gpu.stats
         self.tracer = gpu.tracer
-        self.metrics = gpu.metrics
         cfg = gpu.config.gpu
         self.l1 = L1Cache(
             f"sm{sm_id}.l1", cfg.l1_size, cfg.line_size, cfg.l1_assoc, gpu.stats
@@ -283,9 +282,8 @@ class SM:
         warp.state = WarpState.DONE
         if self.tracer.enabled:
             self.tracer.warp_end(self.warp_track(warp), now)
-        if self.metrics.enabled:
-            self.metrics.inc("sm.warps_retired")
-            self.metrics.observe("sm.active_warps", float(self.active_warps()))
+        if self.stats.metered:
+            self.stats.observe("sm.active_warps", float(self.active_warps()))
         self.gpu.on_warp_done(self, warp, now)
 
     def _complete(

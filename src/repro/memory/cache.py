@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.common.stats import StatsRegistry
+from repro.metrics.registry import MetricsRegistry
 
 
 @dataclass(slots=True)
@@ -83,7 +83,7 @@ class L1Cache:
         size: int,
         line_size: int,
         assoc: int,
-        stats: Optional[StatsRegistry] = None,
+        stats: Optional[MetricsRegistry] = None,
     ) -> None:
         self.name = name
         self.line_size = line_size
@@ -101,7 +101,7 @@ class L1Cache:
             id(line): i
             for i, line in enumerate(line for ways in self._sets for line in ways)
         }
-        self.stats = stats if stats is not None else StatsRegistry()
+        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
 
     # ------------------------------------------------------------------
     # addressing helpers
@@ -224,14 +224,14 @@ class TagCache:
         size: int,
         line_size: int,
         assoc: int = 8,
-        stats: Optional[StatsRegistry] = None,
+        stats: Optional[MetricsRegistry] = None,
     ) -> None:
         self.name = name
         self.line_size = line_size
         self.assoc = assoc
         self.num_sets = max(1, size // (line_size * assoc))
         self._sets: List[Dict[int, float]] = [{} for _ in range(self.num_sets)]
-        self.stats = stats if stats is not None else StatsRegistry()
+        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
 
     def access(self, line_addr: int, now: float, allocate: bool = True) -> bool:
         """Touch *line_addr*; return True on hit.  Misses allocate with

@@ -17,8 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional
 
-from repro.common.stats import StatsRegistry
-from repro.metrics.registry import NULL_METRICS, MetricsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 
@@ -48,7 +47,7 @@ class BandwidthChannel:
         name: str,
         latency: int,
         bytes_per_cycle: float,
-        stats: Optional[StatsRegistry] = None,
+        stats: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if bytes_per_cycle <= 0:
@@ -57,7 +56,7 @@ class BandwidthChannel:
         self.latency = latency
         self.bytes_per_cycle = bytes_per_cycle
         self.next_free = 0.0
-        self.stats = stats if stats is not None else StatsRegistry()
+        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Hot path: precomputed stat names (no per-transfer f-strings).
         self._stat_bytes = f"{name}.bytes"
@@ -97,20 +96,18 @@ class NVMController:
         write_bytes_per_cycle: float,
         latency: int,
         wpq_entries: int,
-        stats: Optional[StatsRegistry] = None,
+        stats: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.name = name
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
         self.read_channel = BandwidthChannel(
-            f"{name}.read", latency, read_bytes_per_cycle, stats, self.tracer
+            f"{name}.read", latency, read_bytes_per_cycle, self.stats, self.tracer
         )
         self.write_bytes_per_cycle = write_bytes_per_cycle
         self.latency = latency
         self.wpq_entries = wpq_entries
-        self.stats = stats if stats is not None else StatsRegistry()
         # Optional fault-timeline injector: scales drain bandwidth and
         # clamps WPQ capacity inside scheduled windows.
         self.throttle = None
@@ -145,9 +142,8 @@ class NVMController:
         if len(self._wpq) >= entries:
             accept = self._wpq[len(self._wpq) - entries]
             self.stats.add(self._stat_wpq_stall, accept - now)
-            if self.metrics.enabled:
-                self.metrics.inc("nvm.wpq_stalls")
-                self.metrics.observe("nvm.wpq_stall_cycles", accept - now)
+            if self.stats.metered:
+                self.stats.observe("nvm.wpq_stall_cycles", accept - now)
         else:
             accept = now
         drain = nbytes / bytes_per_cycle
@@ -156,8 +152,8 @@ class NVMController:
         self._wpq.append(drain_end)
         self.stats.add(self._stat_bytes_written, nbytes)
         self.stats.add(self._stat_writes)
-        if self.metrics.enabled:
-            self.metrics.observe("nvm.wpq_depth", float(len(self._wpq)))
+        if self.stats.metered:
+            self.stats.observe("nvm.wpq_depth", float(len(self._wpq)))
         if self.tracer.enabled:
             self.tracer.span(self.name, "write", accept, drain_end)
             self.tracer.counter(self.name, "wpq", now, float(len(self._wpq)))

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.common.config import GPUConfig, MemoryConfig, PMPlacement
-from repro.common.stats import StatsRegistry
 from repro.common.units import gbps_to_bytes_per_cycle
 from repro.memory.backing import BackingStore
 from repro.memory.cache import TagCache
 from repro.memory.devices import BandwidthChannel, NVMController, WriteAck
-from repro.metrics.registry import NULL_METRICS, MetricsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -91,10 +90,9 @@ class MemorySubsystem:
         memory: MemoryConfig,
         gpu: GPUConfig,
         backing: BackingStore,
-        stats: StatsRegistry,
+        stats: MetricsRegistry,
         tracer: Tracer = NULL_TRACER,
         faults: "Optional[FaultInjector]" = None,
-        metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
         self.config = memory
         self.gpu = gpu
@@ -102,7 +100,6 @@ class MemorySubsystem:
         self.stats = stats
         self.tracer = tracer
         self.faults = faults
-        self.metrics = metrics
         self.line_size = gpu.line_size
         self.l2 = TagCache("l2", gpu.l2_size, gpu.line_size, stats=stats)
 
@@ -128,7 +125,6 @@ class MemorySubsystem:
                 memory.wpq_entries,
                 stats,
                 tracer,
-                metrics,
             )
             for i in range(parts)
         ]
@@ -257,11 +253,10 @@ class MemorySubsystem:
         )
         self.stats.add("persist.lines")
         self.stats.add("persist.bytes", nbytes)
-        if self.metrics.enabled:
-            self.metrics.inc("persist.lines")
-            self.metrics.observe("persist.accept_latency", accept - now)
+        if self.stats.metered:
+            self.stats.observe("persist.accept_latency", accept - now)
             if math.isfinite(ack):
-                self.metrics.observe("persist.ack_latency", ack - accept)
+                self.stats.observe("persist.ack_latency", ack - accept)
         return WriteAck(accept_time=accept, ack_time=ack)
 
     # ------------------------------------------------------------------

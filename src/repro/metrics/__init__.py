@@ -1,19 +1,13 @@
-"""Near-zero-overhead host metrics: counters, gauges, histograms.
+"""The simulator's one instrumentation registry: always-on counters and
+metered histograms.
 
 See :mod:`repro.metrics.registry` for the observer-discipline contract
-(metrics-enabled runs are cycle-identical to disabled ones) and
-:mod:`repro.metrics.export` for the sorted-key JSON and Prometheus
-exporters.
+(metered runs are cycle-identical to unmetered ones and record the same
+counters).
 """
 
-from repro.metrics.export import (
-    build_snapshot,
-    prometheus_text,
-    snapshot_json,
-)
 from repro.metrics.registry import (
     DEFAULT_BOUNDS,
-    NULL_METRICS,
     MetricHistogram,
     MetricsRegistry,
 )
@@ -22,8 +16,4 @@ __all__ = [
     "DEFAULT_BOUNDS",
     "MetricHistogram",
     "MetricsRegistry",
-    "NULL_METRICS",
-    "build_snapshot",
-    "prometheus_text",
-    "snapshot_json",
 ]

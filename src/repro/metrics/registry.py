@@ -1,26 +1,24 @@
-"""The host-side metrics registry.
+"""The one registry every simulator component records into.
 
 One :class:`MetricsRegistry` instance is shared by every component of a
-:class:`~repro.system.GPUSystem` (and by the execution layer's
-:class:`~repro.exec.executor.Executor`).  Like the tracer it is a pure
-*observer*: no method touches the event queue, the stats registry, or
-any timing state, so a metrics-enabled run is cycle-identical to a
-metrics-disabled one (a test pins this).
+:class:`~repro.system.GPUSystem` as its ``stats`` (the execution layer's
+:class:`~repro.exec.executor.Executor` keeps its own).  It holds two
+instrument families under dotted names (``l1.read_miss_pm``,
+``persist.accept_latency`` ...):
 
-Disabled metrics are the default and cost one attribute load per call
-site (``if metrics.enabled:`` guards every emission); the module-level
-:data:`NULL_METRICS` is the shared disabled instance — the same
-zero-overhead discipline the tracer established.
+* **counters** always count.  They are a plain ``defaultdict(float)``
+  the hot paths increment inline through ``_counters``; the benchmark
+  harness extracts figures from them, tests assert on them, and they are
+  what ``ScenarioResult.stats`` holds;
+* **histograms** record only when the registry is ``metered``:
+  distributions over *deterministic* bucket bounds (PB occupancy, WPQ
+  depth, persist accept/ack latency), with p50/p95/p99 estimation by
+  linear interpolation inside the bucket.  Call sites guard emission
+  with one ``if stats.metered:`` check.
 
-Three instrument families:
-
-* **counters** — monotonically increasing event counts (persist flushes,
-  worker retries, cache hits);
-* **gauges** — last-observed values (engine event totals, final
-  simulated time);
-* **histograms** — distributions over *deterministic* bucket bounds
-  (PB occupancy, WPQ depth, persist accept/ack latency), with
-  p50/p95/p99 estimation by linear interpolation inside the bucket.
+Like the tracer the registry is a pure *observer*: no method touches the
+event queue or any timing state, so a metered run is cycle-identical to
+an unmetered one and records the same counters (a test pins both).
 
 Everything recorded must be a deterministic function of the simulated
 execution (or of the job set, for the exec layer): snapshots are
@@ -29,12 +27,14 @@ byte-identical across worker counts, which CI relies on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from collections import defaultdict
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Default histogram bucket upper bounds: powers of two spanning the
 #: quantities the simulator observes (occupancies of a few entries up to
 #: multi-million-cycle latencies), plus a catch-all +inf bucket.  Fixed
-#: bounds keep merged snapshots well-defined and byte-stable.
+#: bounds keep snapshots byte-stable.
 DEFAULT_BOUNDS: Tuple[float, ...] = tuple(
     float(2**exp) for exp in range(0, 25)
 ) + (float("inf"),)
@@ -43,10 +43,10 @@ DEFAULT_BOUNDS: Tuple[float, ...] = tuple(
 class MetricHistogram:
     """Fixed-bucket histogram with exact count/sum/min/max.
 
-    Bucket bounds are upper edges (Prometheus ``le`` convention).  The
-    exact extrema let :meth:`percentile` clamp its interpolation to the
-    observed range, so a single-valued histogram reports that value at
-    every percentile.
+    Bucket bounds are upper edges: a value lands in the first bucket
+    whose bound is ``>=`` it.  The exact extrema let :meth:`percentile`
+    clamp its interpolation to the observed range, so a single-valued
+    histogram reports that value at every percentile.
     """
 
     __slots__ = ("bounds", "counts", "count", "sum", "min", "max")
@@ -70,10 +70,7 @@ class MetricHistogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
+        self.counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:
@@ -105,7 +102,7 @@ class MetricHistogram:
         return self.max
 
     def summary(self) -> Dict[str, float]:
-        """Deterministic scalar digest (what the JSON snapshot exports)."""
+        """Deterministic scalar digest (what snapshots and traces export)."""
         if self.count == 0:
             return {"count": 0}
         return {
@@ -119,45 +116,32 @@ class MetricHistogram:
             "p99": self.percentile(0.99),
         }
 
-    def bucket_counts(self) -> List[Tuple[float, int]]:
-        """Cumulative (le, count) pairs — the Prometheus exposition."""
-        pairs: List[Tuple[float, int]] = []
-        cumulative = 0
-        for bound, bucket_count in zip(self.bounds, self.counts):
-            cumulative += bucket_count
-            pairs.append((bound, cumulative))
-        return pairs
-
 
 class MetricsRegistry:
-    """Counters, gauges, and histograms under dotted names."""
+    """Counters and histograms under dotted names."""
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_hists")
+    __slots__ = ("metered", "_counters", "_hists")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
+    def __init__(self, metered: bool = True) -> None:
+        self.metered = metered
+        self._counters: Dict[str, float] = defaultdict(float)
         self._hists: Dict[str, MetricHistogram] = {}
 
     # ------------------------------------------------------------------
     # instruments
     # ------------------------------------------------------------------
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Increment counter *name* (creating it at zero)."""
-        if not self.enabled:
-            return
-        self._counters[name] = self._counters.get(name, 0.0) + amount
+    def add(self, name: str, amount: float = 1.0) -> None:
+        """Increment counter *name* by *amount* (creating it at zero)."""
+        self._counters[name] += amount
 
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge *name* to its latest observation."""
-        if not self.enabled:
-            return
-        self._gauges[name] = value
+    def set(self, name: str, value: float) -> None:
+        """Overwrite counter *name*."""
+        self._counters[name] = value
 
     def observe(self, name: str, value: float) -> None:
-        """Record *value* into histogram *name* (default bounds)."""
-        if not self.enabled:
+        """Record *value* into histogram *name* (default bounds) when
+        the registry is metered."""
+        if not self.metered:
             return
         hist = self._hists.get(name)
         if hist is None:
@@ -169,9 +153,8 @@ class MetricsRegistry:
     ) -> MetricHistogram:
         """The named histogram, created with *bounds* on first use.
 
-        Unlike the emission methods this works on a disabled registry
-        too (it only builds the container), so call sites that cache the
-        instrument can still guard emission with ``enabled``.
+        Unlike :meth:`observe` this works on an unmetered registry too
+        (it only builds the container).
         """
         hist = self._hists.get(name)
         if hist is None:
@@ -181,35 +164,33 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def counter_value(self, name: str, default: float = 0.0) -> float:
+    def get(self, name: str, default: float = 0.0) -> float:
         return self._counters.get(name, default)
 
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        return self._gauges.get(name, default)
-
-    def counters(self) -> Dict[str, float]:
+    def snapshot(self) -> Dict[str, float]:
+        """A detached copy of the counters."""
         return dict(self._counters)
-
-    def gauges(self) -> Dict[str, float]:
-        return dict(self._gauges)
 
     def histograms(self) -> Dict[str, MetricHistogram]:
         return dict(self._hists)
 
-    def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._hists)
+    def build_snapshot(self) -> Dict[str, Any]:
+        """One plain-JSON dict of everything observed, sorted by name.
 
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._hists.clear()
+        Histograms export their scalar summary
+        (count/sum/min/max/mean/p50/p95/p99), not raw buckets: the digest
+        is what regression gates and the grid pins consume.
+        """
+        return {
+            "counters": dict(sorted(self._counters.items())),
+            "histograms": {
+                name: hist.summary() for name, hist in sorted(self._hists.items())
+            },
+        }
+
+    def __len__(self) -> int:
+        return len(self._counters) + len(self._hists)
 
     def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
+        state = "metered" if self.metered else "unmetered"
         return f"MetricsRegistry({state}, {len(self)} instruments)"
-
-
-#: Shared disabled registry: the default for every unmetered system.  It
-#: is never mutated (every emitting method bails on ``enabled``), so one
-#: instance safely serves all systems — mirroring ``NULL_TRACER``.
-NULL_METRICS = MetricsRegistry(enabled=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping
 
 from repro.common.config import Scope, SystemConfig
-from repro.common.stats import StatsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.memory.cache import CacheLine
 from repro.memory.devices import WriteAck
 
@@ -48,7 +48,7 @@ class Outcome:
 class PersistencyModel(abc.ABC):
     """Base class of GPM / Epoch / SBRP policy objects."""
 
-    def __init__(self, config: SystemConfig, stats: StatsRegistry) -> None:
+    def __init__(self, config: SystemConfig, stats: MetricsRegistry) -> None:
         self.config = config
         self.stats = stats
 
@@ -154,8 +154,6 @@ class PersistencyModel(abc.ABC):
                 ack_time=now + self.config.gpu.l2_latency,
             )
         ack = sm.subsystem.persist_line(now, sm.sm_id, line.tag, words)
-        if sm.metrics.enabled:
-            sm.metrics.inc("persist.flushes")
         if sm.tracer.enabled:
             # Lifecycle: drain issued now; durable at acceptance; the
             # SM learns (ACTR decrement) at the ack.

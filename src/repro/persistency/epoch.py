@@ -102,9 +102,8 @@ class EpochModel(PersistencyModel):
             dropped += sm.l1.invalidate_all()
         self.stats.add("epoch.lines_invalidated", dropped)
         self.stats.add("epoch.barriers")
-        if sm.metrics.enabled:
-            sm.metrics.inc("epoch.barriers")
-            sm.metrics.observe("epoch.barrier_wait", latest - now)
+        if self.stats.metered:
+            self.stats.observe("epoch.barrier_wait", latest - now)
         return latest
 
     def ofence(self, sm: "SM", warp: "Warp", now: float) -> Outcome:

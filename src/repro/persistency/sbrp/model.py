@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping
 from repro.common.bitmask import WarpMask
 from repro.common.config import DrainPolicy, Scope, SystemConfig
 from repro.common.errors import PersistencyError
-from repro.common.stats import StatsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.memory.address_space import is_pm_addr
 from repro.memory.cache import CacheLine
 from repro.persistency.base import Outcome, PersistencyModel
@@ -47,7 +47,7 @@ LAZY_PRESSURE = 0.75
 class SBRPModel(PersistencyModel):
     """Scoped Buffered Release Persistency."""
 
-    def __init__(self, config: SystemConfig, stats: StatsRegistry) -> None:
+    def __init__(self, config: SystemConfig, stats: MetricsRegistry) -> None:
         super().__init__(config, stats)
         self.states: Dict[int, SBRPState] = {}
         # Drain policy knobs are fixed for the model's lifetime (configs
@@ -129,8 +129,8 @@ class SBRPModel(PersistencyModel):
         line.is_pm = True
         line.write_words(words)
         self.stats.add("sbrp.persist_entries")
-        if sm.metrics.enabled:
-            sm.metrics.observe("sbrp.pb_occupancy", float(st.pb.live_count()))
+        if self.stats.metered:
+            self.stats.observe("sbrp.pb_occupancy", float(st.pb.live_count()))
         if sm.tracer.enabled:
             sm.tracer.persist_store(sm.sm_id, line_addr, now)
             self._trace_pb(sm, st, now)
@@ -491,8 +491,6 @@ class SBRPModel(PersistencyModel):
         st.sends_pending += 1
         self._schedule_ack(sm, st, ack.accept_time, ack.ack_time, entry.waiters)
         self.stats.add("sbrp.drained_persists")
-        if sm.metrics.enabled:
-            sm.metrics.inc("sbrp.drained_persists")
 
     def _schedule_ack(
         self,
@@ -515,9 +513,8 @@ class SBRPModel(PersistencyModel):
                 return
             sm.engine.note_progress()
             st.retire_ack(ack_time)
-            if sm.metrics.enabled:
-                sm.metrics.inc("sbrp.acks")
-                sm.metrics.observe("sbrp.actr", float(st.actr))
+            if self.stats.metered:
+                self.stats.observe("sbrp.actr", float(st.actr))
             if sm.tracer.enabled:
                 sm.tracer.counter(f"sm{sm.sm_id}", "actr", t, float(st.actr))
             for waiter in waiters:

@@ -22,11 +22,10 @@ import numpy as np
 
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
-from repro.common.stats import StatsRegistry
 from repro.memory.address_space import AddressSpace, Allocation
 from repro.memory.namespace import NamespaceEntry, NamespaceTable
 from repro.gpu.device import GPU, KernelResult
-from repro.metrics.registry import NULL_METRICS, MetricsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.trace.tracer import NULL_TRACER, TraceConfig, Tracer
 
 
@@ -54,11 +53,12 @@ class GPUSystem:
         metrics: "MetricsRegistry | bool | None" = None,
     ) -> None:
         self.config = config.validate()
-        self.stats = StatsRegistry()
+        #: The one registry every component records into; metered
+        #: (histograms on) when constructed with ``metrics=``.
+        self.stats = self._resolve_metrics(metrics)
         self.space = AddressSpace(alignment=config.gpu.line_size)
         self.namespace = NamespaceTable(self.space)
         self.tracer = self._resolve_tracer(trace)
-        self.metrics = self._resolve_metrics(metrics)
         #: Fault injector (``repro.faults``) threaded through to the
         #: memory subsystem and persistency models; None = clean run.
         self.faults = faults
@@ -70,7 +70,6 @@ class GPUSystem:
             faults=faults,
             watchdog_events=watchdog_events,
             model_factory=model_factory,
-            metrics=self.metrics,
         )
         self.kernel_results: List[KernelResult] = []
         if pm_image is not None:
@@ -94,9 +93,10 @@ class GPUSystem:
     def _resolve_metrics(
         metrics: "MetricsRegistry | bool | None",
     ) -> MetricsRegistry:
-        """Accept a MetricsRegistry or a bool; default: disabled."""
+        """Accept a MetricsRegistry or a bool; default: unmetered.  A
+        passed-in registry becomes the system's ``stats``."""
         if metrics is None or metrics is False:
-            return NULL_METRICS
+            return MetricsRegistry(metered=False)
         if metrics is True:
             return MetricsRegistry()
         if isinstance(metrics, MetricsRegistry):
@@ -233,11 +233,8 @@ class GPUSystem:
         return self.stats.get(name, default)
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """One snapshot over both registries: StatsRegistry counters
-        overlaid with live metrics (counters/gauges/histograms)."""
-        from repro.metrics.export import build_snapshot
-
-        return build_snapshot(self.metrics, self.stats)
+        """Counters and histogram summaries of the system's registry."""
+        return self.stats.build_snapshot()
 
     def write_trace(self, path: str) -> None:
         """Export the run's trace as Chrome/Perfetto ``trace.json``."""

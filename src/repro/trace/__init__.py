@@ -4,8 +4,9 @@ The subsystem has three layers:
 
 * :mod:`repro.trace.tracer` — the low-overhead :class:`Tracer` every
   component emits into (no-op when disabled, ring-buffer backed);
-* :mod:`repro.trace.events` — typed records: warp stall categories,
-  persist-lifecycle traces, latency histograms;
+* :mod:`repro.trace.events` — typed records: warp stall categories
+  and persist-lifecycle traces (phase latencies go into
+  :class:`~repro.metrics.registry.MetricHistogram`);
 * exporters — :mod:`repro.trace.perfetto` (Chrome/Perfetto
   ``trace.json``), :mod:`repro.trace.csvout` (counter time series) and
   :mod:`repro.trace.report` (ASCII profile, also a ``__main__``).
@@ -23,7 +24,6 @@ Enable tracing per system::
 
 from repro.trace.events import (
     FENCE_CATEGORIES,
-    Histogram,
     PersistTrace,
     STALL_CATEGORIES,
 )
@@ -45,7 +45,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "FENCE_CATEGORIES",
-    "Histogram",
     "NULL_TRACER",
     "PersistTrace",
     "STALL_CATEGORIES",

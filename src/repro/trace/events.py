@@ -1,4 +1,4 @@
-"""Typed trace records and the fixed-bucket latency histogram.
+"""Typed trace records.
 
 The hot path of the tracer appends plain tuples into bounded deques (a
 ring buffer: old events fall off the back of a long run instead of
@@ -16,57 +16,7 @@ online in plain dicts; only the per-event timeline is bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
-
-
-class Histogram:
-    """Power-of-two bucketed latency histogram with exact moments.
-
-    Buckets are keyed by their floor: a value ``v`` lands in bucket
-    ``2^floor(log2(v))`` (0 for sub-cycle values).  Count / total / max
-    are exact, so means never suffer bucketing error.
-    """
-
-    __slots__ = ("count", "total", "max", "buckets")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-        self.buckets: Dict[int, int] = {}
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value > self.max:
-            self.max = value
-        floor = 0 if value < 1 else 1 << (int(value).bit_length() - 1)
-        self.buckets[floor] = self.buckets.get(floor, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form (bucket keys stringified and sorted)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "max": self.max,
-            "mean": self.mean,
-            "buckets": {str(k): self.buckets[k] for k in sorted(self.buckets)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "Histogram":
-        hist = cls()
-        hist.count = int(data.get("count", 0))
-        hist.total = float(data.get("total", 0.0))
-        hist.max = float(data.get("max", 0.0))
-        hist.buckets = {
-            int(k): int(v) for k, v in dict(data.get("buckets", {})).items()
-        }
-        return hist
+from typing import Dict, List
 
 
 #: Persist-lifecycle phases, in order (names used by report + exporter).

@@ -200,7 +200,7 @@ def chrome_trace(
             "coalesced_stores": tracer.coalesced_stores,
             "delays": dict(sorted(tracer.delay_counts.items())),
             "phases": {
-                phase: hist.to_dict() for phase, hist in tracer.phase_hist.items()
+                phase: hist.summary() for phase, hist in tracer.phase_hist.items()
             },
         },
     }

@@ -26,7 +26,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
-from repro.trace.events import STALL_CATEGORIES, Histogram
+from repro.trace.events import STALL_CATEGORIES
 from repro.trace.perfetto import chrome_trace
 from repro.trace.tracer import Tracer
 
@@ -192,15 +192,15 @@ def _lifecycle_section(agg: dict) -> List[str]:
         "ack": "accept->ack   (return trip)",
     }
     for phase in ("buffer", "drain", "ack"):
+        # A histogram summary; traces written before the phases moved to
+        # MetricHistogram carry count/total/max/mean/buckets instead,
+        # which agree on the three keys read here.
         data = phases.get(phase)
-        if not data:
-            continue
-        hist = Histogram.from_dict(data)
-        if not hist.count:
+        if not data or not data.get("count"):
             continue
         lines.append(
-            f"  {labels[phase]}: n={hist.count} "
-            f"mean={hist.mean:.1f} max={hist.max:.0f} cycles"
+            f"  {labels[phase]}: n={int(data['count'])} "
+            f"mean={float(data['mean']):.1f} max={float(data['max']):.0f} cycles"
         )
     delays = lifecycle.get("delays", {})
     if delays:

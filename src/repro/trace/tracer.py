@@ -29,7 +29,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.trace.events import LIFECYCLE_PHASES, Histogram, PersistTrace
+from repro.metrics.registry import MetricHistogram
+from repro.trace.events import LIFECYCLE_PHASES, PersistTrace
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,8 @@ class Tracer:
         self.persist_count = 0
         self.coalesced_stores = 0
         self.delay_counts: Dict[str, int] = {}
-        self.phase_hist: Dict[str, Histogram] = {
-            phase: Histogram() for phase in LIFECYCLE_PHASES
+        self.phase_hist: Dict[str, MetricHistogram] = {
+            phase: MetricHistogram() for phase in LIFECYCLE_PHASES
         }
 
     # ------------------------------------------------------------------
@@ -239,7 +240,7 @@ class Tracer:
         record.t_accept = t_accept
         record.t_ack = t_ack
         for phase, latency in record.phase_latencies().items():
-            self.phase_hist[phase].add(latency)
+            self.phase_hist[phase].observe(latency)
         self.persists.append(record)
 
     # ------------------------------------------------------------------

@@ -68,6 +68,26 @@ class TestSoakOutcome:
         assert result.detail["matched"]
 
 
+class TestSoakSnapshot:
+    def test_snapshot_counters_are_chain_wide(self):
+        """Every machine of the chain records into the one registry, so
+        byte and line counters cover the same machines."""
+        from repro.perfcore.grid import build_grid
+
+        (cell,) = [c for c in build_grid() if c.kind == "soak"]
+        payload = cell.payload
+        result = run_soak_scenario(
+            "serve_kvs",
+            small_system(ModelName(payload["model"])),
+            dict(payload["params"]),
+            dict(payload["soak"]),
+        )
+        assert result.stats["soak.crashes"] >= 1
+        counters = result.metrics["counters"]
+        assert counters["persist.lines"] > 0
+        assert counters["persist.bytes"] == 128 * counters["persist.lines"]
+
+
 class TestStormSqueeze:
     @pytest.mark.parametrize("model", ["gpm", "epoch", "sbrp"])
     def test_ack_storm_defers_acks(self, model):

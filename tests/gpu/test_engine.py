@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.common.stats import StatsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.gpu.engine import Engine
 
 
@@ -80,7 +80,7 @@ def test_cycle_budget_message_reports_queue_depth():
 
 
 def test_run_records_engine_stats():
-    stats = StatsRegistry()
+    stats = MetricsRegistry()
     engine = Engine(stats=stats)
     engine.schedule(5, lambda t: None)
     engine.schedule(12, lambda t: None)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.config import GPUConfig, MemoryConfig
 from repro.common.errors import MemoryError_
-from repro.common.stats import StatsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.memory.address_space import PM_BASE, AddressSpace, is_pm_addr
 from repro.memory.backing import BackingStore
 from repro.memory.namespace import NamespaceTable, PMPool
@@ -127,7 +127,7 @@ class TestNamespace:
 class TestPersistLog:
     def make(self) -> MemorySubsystem:
         return MemorySubsystem(
-            MemoryConfig(), GPUConfig(), BackingStore(), StatsRegistry()
+            MemoryConfig(), GPUConfig(), BackingStore(), MetricsRegistry()
         )
 
     def test_crash_image_respects_acceptance_time(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.stats import StatsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.memory.devices import BandwidthChannel, NVMController
 
 
@@ -26,7 +26,7 @@ class TestBandwidthChannel:
         assert late == pytest.approx(1020)
 
     def test_stats_recorded(self):
-        stats = StatsRegistry()
+        stats = MetricsRegistry()
         chan = BandwidthChannel("pipe", 10, 10, stats)
         chan.transfer(0, 64)
         assert stats.get("pipe.bytes") == 64

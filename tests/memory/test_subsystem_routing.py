@@ -3,14 +3,14 @@
 import pytest
 
 from repro.common.config import GPUConfig, MemoryConfig, PMPlacement
-from repro.common.stats import StatsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.memory.address_space import PM_BASE
 from repro.memory.backing import BackingStore
 from repro.memory.subsystem import MemorySubsystem
 
 
 def make(placement=PMPlacement.FAR, **over):
-    stats = StatsRegistry()
+    stats = MetricsRegistry()
     sub = MemorySubsystem(
         MemoryConfig(placement=placement, **over),
         GPUConfig(),

@@ -56,7 +56,7 @@ class TestExecutorFailureMetrics:
         registry = MetricsRegistry()
         ex = Executor(workers=1, metrics=registry)
         ex.submit([_bad_job()], allow_failures=True)
-        counters = registry.counters()
+        counters = registry.snapshot()
         assert counters["exec.failed"] == 1
         assert counters["exec.outcome.error"] == 1
         assert counters["exec.error.TypeError"] == 1
@@ -70,7 +70,7 @@ class TestExecutorFailureMetrics:
         Executor(workers=2, metrics=pooled).submit(
             [_bad_job()], allow_failures=True
         )
-        assert serial.counters() == pooled.counters()
+        assert serial.snapshot() == pooled.snapshot()
 
 
 def _crash_once(payload):
@@ -90,7 +90,7 @@ class TestPoolRetryMetrics:
         outcomes = pool.run([{"marker": marker}], _crash_once)
         assert outcomes[0].ok
         assert outcomes[0].attempts == 2
-        counters = registry.counters()
+        counters = registry.snapshot()
         assert counters["exec.pool.retry"] == 1
         assert counters["exec.pool.retry_status.crashed"] == 1
 
@@ -99,7 +99,7 @@ class TestPoolRetryMetrics:
         pool = WorkerPool(workers=2, metrics=registry)
         outcomes = pool.run([1, 2], lambda x: x * 2)
         assert [o.value for o in outcomes] == [2, 4]
-        assert registry.counters() == {}
+        assert registry.snapshot() == {}
 
     def test_executor_counts_retries_from_attempts(self, monkeypatch):
         # Executor-level exec.retries derives from JobOutcome.attempts,
@@ -124,5 +124,5 @@ class TestPoolRetryMetrics:
 
         monkeypatch.setattr(ex, "_run_pool", fake_pool)
         ex.submit([job])
-        assert registry.counter_value("exec.retries") == 1
-        assert registry.counter_value("exec.outcome.ok") == 1
+        assert registry.get("exec.retries") == 1
+        assert registry.get("exec.outcome.ok") == 1

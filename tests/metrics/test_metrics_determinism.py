@@ -1,7 +1,8 @@
-"""The two observability invariants CI relies on.
+"""The observability invariants CI relies on.
 
-* metrics-on runs are **cycle-identical** to metrics-off runs — the
-  registry is a pure observer;
+* metered runs are **cycle-identical** to unmetered runs and record
+  **the same counters** — the registry is a pure observer whose only
+  metered extra is its histograms;
 * exec-layer snapshots are **byte-identical** across worker counts —
   only deterministic quantities are recorded.
 """
@@ -9,7 +10,9 @@
 from repro import GPUSystem, ModelName, PMPlacement, small_system
 from repro.apps import build_app
 from repro.exec import Executor, ScenarioJob
-from repro.metrics import MetricsRegistry, snapshot_json
+from repro.metrics import MetricsRegistry
+from repro.perfcore.grid import SERVE_PARAMS, SIM_PARAMS
+from repro.serve.runner import run_serve_scenario
 
 _PARAMS = {"blocks": 2, "per_thread": 1}
 
@@ -29,42 +32,85 @@ class TestCycleIdentity:
         metered = _run(model, metrics=True)
         assert metered.now == plain.now
         assert dict(metered.stats.snapshot()) == dict(plain.stats.snapshot())
-        assert len(plain.metrics) == 0
-        assert len(metered.metrics) > 0
+        assert plain.stats.histograms() == {}
+        assert metered.stats.histograms()
 
     def test_metered_run_repeats_identically(self):
         first = _run(ModelName.SBRP, metrics=True)
         second = _run(ModelName.SBRP, metrics=True)
-        assert snapshot_json(first.metrics, first.stats) == snapshot_json(
-            second.metrics, second.stats
-        )
+        assert first.metrics_snapshot() == second.metrics_snapshot()
+
+
+class TestOneCounterSet:
+    """Metering adds histograms only: the metered snapshot's counters
+    are exactly the unmetered run's stats, and timing does not move."""
+
+    def test_sim_counters_match_unmetered_stats(self, model):
+        def run(metrics):
+            system = GPUSystem(small_system(model), metrics=metrics)
+            app = build_app("gpkvs", **SIM_PARAMS["gpkvs"])
+            app.setup(system)
+            app.run(system)
+            system.sync()
+            return system
+
+        plain, metered = run(False), run(True)
+        assert metered.now == plain.now
+        assert metered.total_cycles() == plain.total_cycles()
+        assert metered.metrics_snapshot()["counters"] == plain.stats.snapshot()
+
+    def test_serve_counters_match_unmetered_stats(self, model, monkeypatch):
+        import repro.serve.runner as runner
+
+        systems = []
+        system_cls = runner.GPUSystem
+
+        def unmetered(config, metrics=None, **kwargs):
+            # The runner's registry keeps pricing latencies; the system
+            # gets a default (unmetered) one instead.
+            systems.append(system_cls(config, **kwargs))
+            return systems[-1]
+
+        def run():
+            return run_serve_scenario(
+                "serve_kvs", small_system(model), SERVE_PARAMS,
+                measure_recovery=False,
+            )
+
+        with_metrics = run()
+        monkeypatch.setattr(runner, "GPUSystem", unmetered)
+        without = run()
+        assert with_metrics.cycles == without.cycles
+        assert with_metrics.stats == without.stats
+        assert with_metrics.metrics["counters"] == systems[0].stats.snapshot()
+        assert not systems[0].stats.metered
 
 
 class TestSimulationMetricsContent:
     def test_core_instruments_populated(self):
         system = _run(ModelName.SBRP, metrics=True)
-        counters = system.metrics.counters()
-        assert counters["persist.lines"] == system.stat("persist.lines")
-        assert counters["sm.warps_retired"] > 0
+        counters = system.metrics_snapshot()["counters"]
+        assert counters["persist.lines"] > 0
         assert counters["sbrp.drained_persists"] > 0
-        assert system.metrics.gauge_value("engine.now") == system.now
-        hists = system.metrics.histograms()
+        assert counters["engine.now"] == system.now
+        hists = system.stats.histograms()
+        assert hists["sm.active_warps"].count > 0
         assert hists["sbrp.pb_occupancy"].count > 0
         assert hists["persist.accept_latency"].count > 0
 
     def test_epoch_barrier_histogram(self):
         system = _run(ModelName.EPOCH, metrics=True)
-        hist = system.metrics.histograms()["epoch.barrier_wait"]
+        hist = system.stats.histograms()["epoch.barrier_wait"]
         assert hist.count == system.stat("epoch.barriers")
         assert hist.count > 0
 
     def test_snapshot_facade_merges_stats(self):
         system = _run(ModelName.SBRP, metrics=True)
         snap = system.metrics_snapshot()
-        # One path serves both registries: simulator stats counters and
-        # live metric counters land in the same section.
+        # One registry: the snapshot's counters are the system's stats.
+        assert set(snap) == {"counters", "histograms"}
+        assert snap["counters"] == system.stats.snapshot()
         assert "l1.write_miss_pm" in snap["counters"]
-        assert "persist.flushes" in snap["counters"]
 
 
 def _jobs():
@@ -81,10 +127,10 @@ class TestWorkerCountByteIdentity:
         pooled = MetricsRegistry()
         Executor(workers=1, metrics=serial).submit(_jobs())
         Executor(workers=2, metrics=pooled).submit(_jobs())
-        assert snapshot_json(serial) == snapshot_json(pooled)
-        assert serial.counter_value("exec.submitted") == 3
-        assert serial.counter_value("exec.memo_hits") == 1
-        assert serial.counter_value("exec.executed") == 2
+        assert serial.build_snapshot() == pooled.build_snapshot()
+        assert serial.get("exec.submitted") == 3
+        assert serial.get("exec.memo_hits") == 1
+        assert serial.get("exec.executed") == 2
 
     def test_cache_hits_counted_identically(self, tmp_path):
         results = {}
@@ -96,5 +142,5 @@ class TestWorkerCountByteIdentity:
             )
             warm = Executor(workers=workers, cache=root, metrics=registry)
             warm.submit(_jobs())
-            results[workers] = snapshot_json(registry)
+            results[workers] = registry.build_snapshot()
         assert results[1] == results[2]

@@ -2,56 +2,97 @@
 
 import pytest
 
-from repro.metrics import (
-    DEFAULT_BOUNDS,
-    MetricHistogram,
-    MetricsRegistry,
-    NULL_METRICS,
-)
+from repro.metrics import DEFAULT_BOUNDS, MetricHistogram, MetricsRegistry
 
 
 class TestCounters:
     def test_inc_creates_and_accumulates(self):
         metrics = MetricsRegistry()
-        metrics.inc("a.b")
-        metrics.inc("a.b", 2.5)
-        assert metrics.counter_value("a.b") == 3.5
+        metrics.add("a.b")
+        metrics.add("a.b", 2.5)
+        assert metrics.get("a.b") == 3.5
 
     def test_missing_counter_default(self):
-        assert MetricsRegistry().counter_value("nope", 7.0) == 7.0
+        assert MetricsRegistry().get("nope", 7.0) == 7.0
 
     def test_counters_copy_is_detached(self):
         metrics = MetricsRegistry()
-        metrics.inc("x")
-        snap = metrics.counters()
+        metrics.add("x")
+        snap = metrics.snapshot()
         snap["x"] = 99.0
-        assert metrics.counter_value("x") == 1.0
+        assert metrics.get("x") == 1.0
+
+    def test_add_and_get(self):
+        stats = MetricsRegistry()
+        stats.add("a.b")
+        stats.add("a.b", 2)
+        assert stats.get("a.b") == 3
+        assert stats.get("missing", 9) == 9
+
+    def test_set_overwrites(self):
+        stats = MetricsRegistry()
+        stats.add("x", 5)
+        stats.set("x", 3)
+        assert stats.get("x") == 3
+
+    def test_snapshot_is_immutable_copy(self):
+        stats = MetricsRegistry()
+        stats.add("a")
+        snap = stats.snapshot()
+        stats.add("a")
+        assert snap["a"] == 1
 
 
-class TestGauges:
-    def test_gauge_keeps_latest(self):
-        metrics = MetricsRegistry()
-        metrics.gauge("g", 1.0)
-        metrics.gauge("g", -2.0)
-        assert metrics.gauge_value("g") == -2.0
+def test_empty_registry_is_falsy_but_must_not_be_replaced():
+    """Regression: components must use `is not None`, never `or`, when
+    accepting a shared registry - an empty one is falsy."""
+    from repro.memory.cache import L1Cache
+
+    shared = MetricsRegistry()
+    assert not shared
+    cache = L1Cache("l1", 1024, 128, 2, shared)
+    assert cache.stats is shared
 
 
 class TestDisabled:
     def test_disabled_registry_records_nothing(self):
-        metrics = MetricsRegistry(enabled=False)
-        metrics.inc("c")
-        metrics.gauge("g", 1.0)
+        # An unmetered registry records no histogram observation.
+        metrics = MetricsRegistry(metered=False)
         metrics.observe("h", 1.0)
+        assert metrics.histograms() == {}
         assert len(metrics) == 0
 
-    def test_null_metrics_is_shared_and_empty(self):
-        assert NULL_METRICS.enabled is False
-        assert len(NULL_METRICS) == 0
+    def test_unmetered_registry_still_counts(self):
+        metrics = MetricsRegistry(metered=False)
+        metrics.add("c")
+        metrics.set("s", 4.0)
+        assert metrics.snapshot() == {"c": 1.0, "s": 4.0}
 
     def test_histogram_container_works_disabled(self):
-        # Call sites may cache the instrument even when disabled.
-        hist = MetricsRegistry(enabled=False).histogram("h")
+        # Call sites may fetch the instrument on an unmetered registry.
+        hist = MetricsRegistry(metered=False).histogram("h")
         assert hist.count == 0
+
+    def test_default_registry_is_metered(self):
+        assert MetricsRegistry().metered is True
+
+
+class TestSnapshot:
+    def test_sections_and_sorting(self):
+        metrics = MetricsRegistry()
+        metrics.add("zeta.count", 2)
+        metrics.add("alpha.count")
+        metrics.observe("persist.lat", 4.0)
+        metrics.observe("persist.lat", 6.0)
+        snap = metrics.build_snapshot()
+        assert list(snap) == ["counters", "histograms"]
+        assert list(snap["counters"]) == ["alpha.count", "zeta.count"]
+        assert snap["histograms"]["persist.lat"]["count"] == 2
+        assert snap["histograms"]["persist.lat"]["sum"] == 10.0
+
+    def test_empty_registry_snapshot(self):
+        snap = MetricsRegistry().build_snapshot()
+        assert snap == {"counters": {}, "histograms": {}}
 
 
 class TestHistogram:
@@ -71,6 +112,12 @@ class TestHistogram:
         assert hist.min == 1.0
         assert hist.max == 10.0
         assert hist.mean == pytest.approx(14.0 / 3)
+
+    def test_values_land_in_first_bucket_at_or_above(self):
+        hist = MetricHistogram(bounds=(1.0, 4.0, float("inf")))
+        for value in (0.5, 1.0, 3.0, 4.0, 100.0):
+            hist.observe(value)
+        assert hist.counts == [2, 2, 1]
 
     def test_single_value_percentiles_are_that_value(self):
         hist = MetricHistogram()
@@ -100,24 +147,8 @@ class TestHistogram:
             "count", "sum", "min", "max", "mean", "p50", "p95", "p99",
         }
 
-    def test_bucket_counts_cumulative(self):
-        hist = MetricHistogram(bounds=(1.0, 4.0, float("inf")))
-        for value in (0.5, 3.0, 100.0):
-            hist.observe(value)
-        assert hist.bucket_counts() == [
-            (1.0, 1), (4.0, 2), (float("inf"), 3),
-        ]
-
     def test_observe_via_registry(self):
         metrics = MetricsRegistry()
         metrics.observe("lat", 7.0)
         metrics.observe("lat", 9.0)
         assert metrics.histograms()["lat"].count == 2
-
-    def test_reset_clears_everything(self):
-        metrics = MetricsRegistry()
-        metrics.inc("c")
-        metrics.gauge("g", 1.0)
-        metrics.observe("h", 1.0)
-        metrics.reset()
-        assert len(metrics) == 0

@@ -1,9 +1,11 @@
 """Tracer unit semantics: no-op when disabled, exact accounting."""
 
+import copy
+
 import pytest
 
-from repro.trace import NULL_TRACER, TraceConfig, Tracer
-from repro.trace.events import Histogram
+from repro.metrics.registry import MetricHistogram
+from repro.trace import NULL_TRACER, TraceConfig, Tracer, chrome_trace, render_report
 
 
 def test_disabled_tracer_records_nothing():
@@ -91,11 +93,40 @@ def test_span_totals_survive_ring_drop():
     assert count == 10 and busy == 40
 
 
-def test_histogram_buckets_and_roundtrip():
-    hist = Histogram()
-    for value in (1, 2, 3, 100):
-        hist.add(value)
-    assert hist.count == 4
-    assert hist.max == 100
-    assert hist.mean == pytest.approx(26.5)
-    assert Histogram.from_dict(hist.to_dict()).to_dict() == hist.to_dict()
+def _flushed_tracer():
+    """Three persists whose phase latencies are buffer 2/3/4, drain
+    3/100/3 and ack 4/7/1 cycles."""
+    tracer = Tracer(TraceConfig())
+    for i, (drain, accept, ack) in enumerate([(2, 5, 9), (3, 103, 110), (4, 7, 8)]):
+        tracer.persist_store(0, 128 * i, 0)
+        tracer.persist_flush(0, 128 * i, drain, accept, ack)
+    return tracer
+
+
+def test_phase_histograms_are_metric_histograms():
+    tracer = _flushed_tracer()
+    drain = tracer.phase_hist["drain"]
+    assert isinstance(drain, MetricHistogram)
+    assert drain.count == 3
+    assert drain.max == 100
+    assert drain.mean == pytest.approx(106 / 3)
+    phases = chrome_trace(tracer)["otherData"]["lifecycle"]["phases"]
+    assert phases["drain"] == drain.summary()
+
+
+def test_report_renders_old_and_new_phase_formats_alike():
+    """Traces written before the phases moved to MetricHistogram carry
+    count/total/max/mean/buckets; the report reads the same lines."""
+    new = chrome_trace(_flushed_tracer(), cycles=200.0)
+    old = copy.deepcopy(new)
+    old["otherData"]["lifecycle"]["phases"] = {
+        "buffer": {"count": 3, "total": 9.0, "max": 4.0, "mean": 3.0,
+                   "buckets": {"2": 2, "4": 1}},
+        "drain": {"count": 3, "total": 106.0, "max": 100.0, "mean": 106.0 / 3,
+                  "buckets": {"2": 2, "64": 1}},
+        "ack": {"count": 3, "total": 12.0, "max": 7.0, "mean": 4.0,
+                "buckets": {"1": 1, "4": 2}},
+    }
+    text = render_report(new)
+    assert "drain->accept (flush to durability): n=3 mean=35.3 max=100 cycles" in text
+    assert render_report(old) == text
