@@ -97,6 +97,10 @@ class DrainPolicy(enum.Enum):
     WINDOW = "window"
 
 
+#: Ways per set of the shared L2 (not a config field: Table 1 fixes it).
+L2_ASSOC = 8
+
+
 @dataclass(frozen=True)
 class GPUConfig:
     """Core and cache geometry of the simulated GPU."""
@@ -123,6 +127,9 @@ class GPUConfig:
         return self.l1_size // self.line_size
 
     def validate(self) -> None:
+        for name in ("line_size", "l1_size", "l1_assoc", "l2_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
         if self.threads_per_block % self.warp_size:
             raise ConfigError("threads_per_block must be a warp multiple")
         if self.warps_per_block > self.max_warps_per_sm:
@@ -132,6 +139,10 @@ class GPUConfig:
             )
         if self.l1_size % (self.line_size * self.l1_assoc):
             raise ConfigError("L1 size must divide into sets of full ways")
+        if self.l2_size % (self.line_size * L2_ASSOC):
+            raise ConfigError(
+                f"L2 size must divide into sets of {L2_ASSOC} full ways"
+            )
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ boundaries are durability points under all three models, matching GPM's
 from __future__ import annotations
 
 import itertools
+import types
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional
 
@@ -76,7 +78,11 @@ class GPU:
             stats=self.stats,
             watchdog_events=watchdog_events,
         )
-        self.engine.watchdog_diagnostics = self._watchdog_diagnostics
+        # Bound to a weak proxy: the engine is the GPU's, and a strong
+        # bound method would make every machine a reference cycle.
+        self.engine.watchdog_diagnostics = types.MethodType(
+            GPU._watchdog_diagnostics, weakref.proxy(self)
+        )
         self.subsystem = MemorySubsystem(
             config.memory, config.gpu, self.backing, self.stats, self.tracer,
             faults=faults,

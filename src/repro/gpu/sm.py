@@ -16,6 +16,7 @@ fused ``_on_issue`` frame, and hot stats names are precomputed.
 
 from __future__ import annotations
 
+import weakref
 from heapq import heappush
 from itertools import repeat
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -76,7 +77,9 @@ class SM:
 
     def __init__(self, sm_id: int, gpu: "GPU") -> None:
         self.sm_id = sm_id
-        self.gpu = gpu
+        #: Weak, so a dropped machine is no reference cycle (the GPU
+        #: owns its SMs) and is freed by reference counting.
+        self.gpu = weakref.proxy(gpu)
         self.config = gpu.config
         self.engine = gpu.engine
         self.subsystem = gpu.subsystem
@@ -111,8 +114,6 @@ class SM:
         #: Warp objects in slot order, rebuilt with the slot cache: the
         #: RR scan and the kick min-scan index it without dict probes.
         self._warps_cache: List[Warp] = []
-        #: Bound once: the issue event pushed on every kick.
-        self._issue_cb = self._on_issue
         self.model.init_sm(self)
 
     # ------------------------------------------------------------------
@@ -165,9 +166,9 @@ class SM:
         engine = self.engine
         engine._seq += 1
         if when <= engine.now:
-            engine._fifo.append((engine.now, engine._seq, self._issue_cb))
+            engine._fifo.append((engine.now, engine._seq, self._on_issue))
         else:
-            heappush(engine._queue, (when, engine._seq, self._issue_cb))
+            heappush(engine._queue, (when, engine._seq, self._on_issue))
 
     def _warp_list(self) -> List[Warp]:
         if self._slots_cache is None:
@@ -252,9 +253,9 @@ class SM:
         engine = self.engine
         engine._seq += 1
         if when <= engine.now:
-            engine._fifo.append((engine.now, engine._seq, self._issue_cb))
+            engine._fifo.append((engine.now, engine._seq, self._on_issue))
         else:
-            heappush(engine._queue, (when, engine._seq, self._issue_cb))
+            heappush(engine._queue, (when, engine._seq, self._on_issue))
 
     def wake_warp(self, warp: Warp, at: float, send: object = None) -> None:
         """Unblock *warp* at time *at*, re-processing its pending op

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.common.config import L2_ASSOC
 from repro.metrics.registry import MetricsRegistry
 
 
@@ -67,7 +68,9 @@ class L1Cache:
 
     Beside the set-associative ways sits a tag map (line address ->
     line) that turns every lookup into one dict probe.  LRU state stays
-    on the lines, so victim choice is the way scan's.
+    on the lines, so victim choice is the way scan's.  A set's ways are
+    allocated on its first fill, so building a cache costs nothing per
+    set; a fresh set's first invalid way is way 0, as in a full scan.
 
     Invariant: ``_map[T] is line`` implies ``line.tag == T`` — ``fill``
     is the only place a tag changes, and it removes the victim's old
@@ -91,16 +94,13 @@ class L1Cache:
         self.num_sets = size // (line_size * assoc)
         if self.num_sets < 1:
             raise ValueError(f"{name}: cache too small for its geometry")
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(assoc)] for _ in range(self.num_sets)
-        ]
+        #: Set index -> ways, allocated on the set's first fill.
+        self._sets: Dict[int, List[CacheLine]] = {}
         self._map: Dict[int, CacheLine] = {}
-        #: Set-major way position of each line: sweeps that collect from
-        #: the map sort by it to return lines in way-scan order.
-        self._pos: Dict[int, int] = {
-            id(line): i
-            for i, line in enumerate(line for ways in self._sets for line in ways)
-        }
+        #: Set-major way position (``index * assoc + way``) of each
+        #: allocated line: sweeps that collect from the map sort by it
+        #: to return lines in way-scan order.
+        self._pos: Dict[int, int] = {}
         self.stats = stats if stats is not None else MetricsRegistry(metered=False)
 
     # ------------------------------------------------------------------
@@ -127,7 +127,14 @@ class L1Cache:
         """Choose the fill target for *line_addr*: an invalid way if one
         exists, else the LRU way.  The caller decides what to do with a
         dirty victim before overwriting it."""
-        ways = self._sets[self._set_index(line_addr)]
+        index = self._set_index(line_addr)
+        ways = self._sets.get(index)
+        if ways is None:
+            self._sets[index] = ways = [CacheLine() for _ in range(self.assoc)]
+            base = index * self.assoc
+            for way, line in enumerate(ways):
+                self._pos[id(line)] = base + way
+            return ways[0]
         for line in ways:
             if not line.valid:
                 return line
@@ -223,21 +230,29 @@ class TagCache:
         name: str,
         size: int,
         line_size: int,
-        assoc: int = 8,
+        assoc: int = L2_ASSOC,
         stats: Optional[MetricsRegistry] = None,
     ) -> None:
         self.name = name
         self.line_size = line_size
         self.assoc = assoc
-        self.num_sets = max(1, size // (line_size * assoc))
-        self._sets: List[Dict[int, float]] = [{} for _ in range(self.num_sets)]
+        self.num_sets = size // (line_size * assoc)
+        if self.num_sets < 1:
+            raise ValueError(f"{name}: cache too small for its geometry")
+        #: Set index -> {line address: last use}, created on the set's
+        #: first allocating access.
+        self._sets: Dict[int, Dict[int, float]] = {}
         self.stats = stats if stats is not None else MetricsRegistry(metered=False)
 
     def access(self, line_addr: int, now: float, allocate: bool = True) -> bool:
         """Touch *line_addr*; return True on hit.  Misses allocate with
         LRU replacement when *allocate*."""
         index = (line_addr // self.line_size) % self.num_sets
-        tags = self._sets[index]
+        tags = self._sets.get(index)
+        if tags is None:
+            if allocate:
+                self._sets[index] = {line_addr: now}
+            return False
         if line_addr in tags:
             tags[line_addr] = now
             return True

@@ -24,6 +24,7 @@ Control flow summary:
 from __future__ import annotations
 
 import math
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Mapping
 
 from repro.common.bitmask import WarpMask
@@ -328,8 +329,11 @@ class SBRPModel(PersistencyModel):
         st.pump_scheduled = True
         cb = st.pump_cb
         if cb is None:
-            def cb(t, _sm=sm, _pump=self._pump):
-                _pump(_sm, t)
+            # The SM holds this model, which holds the callback: keep
+            # the SM weakly so the machine is no reference cycle.
+            def cb(t, _sm_ref=weakref.ref(sm)):
+                _sm = _sm_ref()
+                _sm.model._pump(_sm, t)
 
             st.pump_cb = cb
         sm.engine.schedule(sm.engine.now, cb)

@@ -1,7 +1,10 @@
 """Configuration defaults pin Table 1; validation catches bad setups."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import GPUSystem
 from repro.common.config import (
     DrainPolicy,
     GPUConfig,
@@ -58,6 +61,21 @@ class TestValidation:
     def test_eadr_requires_far(self):
         with pytest.raises(ConfigError):
             MemoryConfig(placement=PMPlacement.NEAR, eadr=True).validate()
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("line_size", 0, "line_size must be positive"),
+            ("l1_size", 0, "l1_size must be positive"),
+            ("l1_assoc", 0, "l1_assoc must be positive"),
+            ("l2_size", 0, "l2_size must be positive"),
+            ("l2_size", 512, "L2 size must divide into sets of 8 full ways"),
+        ],
+    )
+    def test_bad_cache_geometry_fails_construction(self, field, value, match):
+        gpu = replace(small_system().gpu, **{field: value})
+        with pytest.raises(ConfigError, match=match):
+            GPUSystem(SystemConfig(gpu=gpu))
 
     def test_pb_coverage_bounds(self):
         with pytest.raises(ConfigError):
