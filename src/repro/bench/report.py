@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.bench.runner import ScenarioResult
+from typing import Dict, List, Mapping, Sequence
 
 
 class FigureTable:
@@ -69,16 +66,3 @@ class FigureTable:
             if row[self.row_key] == key:
                 return float(row[series])
         raise KeyError(f"no row {key!r} in {self.name}")
-
-
-def profile_appendix(results: Sequence["ScenarioResult"]) -> str:
-    """Concatenate the profiles of traced scenario results into one
-    report appendix.  Results without a profile (untraced runs) are
-    skipped; an empty string means nothing was traced."""
-    sections = []
-    for result in results:
-        if result.profile is None:
-            continue
-        header = f"-- {result.app} @ {result.label} --"
-        sections.append(f"{header}\n{result.profile}")
-    return "\n\n".join(sections)

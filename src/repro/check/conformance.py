@@ -258,6 +258,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--list-mutants", action="store_true")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
+    if args.crash_points < 1:
+        parser.error(f"--crash-points must be >= 1, got {args.crash_points}")
 
     if args.list_mutants:
         for name, blurb in sorted(describe_mutants().items()):

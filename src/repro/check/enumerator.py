@@ -13,16 +13,26 @@ order across partitions is not global).
 Crash-at-every-persist is implicit: :func:`simulate_program` samples
 the durable image at every persist-log boundary, so every acceptance
 instant contributes one observed crash image.
+
+Variants that build the same machine share one run: the SBRP-only knobs
+(drain policy, window, scope demotion) are dropped under GPM and Epoch,
+and reversal leaves a block of one thread as it was, so :func:`observe`
+simulates each distinct (config, warp slots) pair once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.common.config import DrainPolicy, ModelName, SystemConfig
 from repro.common.errors import ConfigError
-from repro.formal.bridge import SimulationObservation, base_config, simulate_program
+from repro.formal.bridge import (
+    SimulationObservation,
+    base_config,
+    simulate_program,
+    warp_slots,
+)
 from repro.formal.events import LitmusProgram
 
 
@@ -41,12 +51,13 @@ class Variant:
     def configure(self, program: LitmusProgram, model: ModelName) -> SystemConfig:
         config = base_config(program, model)
         sbrp = config.sbrp
-        if self.drain_policy is not None:
-            sbrp = replace(sbrp, drain_policy=DrainPolicy(self.drain_policy))
-        if self.window is not None:
-            sbrp = replace(sbrp, window=self.window)
-        if self.demote_block_scope:
-            sbrp = replace(sbrp, demote_block_scope=True)
+        if model is ModelName.SBRP:  # only the SBRP model reads these
+            if self.drain_policy is not None:
+                sbrp = replace(sbrp, drain_policy=DrainPolicy(self.drain_policy))
+            if self.window is not None:
+                sbrp = replace(sbrp, window=self.window)
+            if self.demote_block_scope:
+                sbrp = replace(sbrp, demote_block_scope=True)
         memory = config.memory
         if self.wpq_entries is not None:
             memory = replace(memory, wpq_entries=self.wpq_entries)
@@ -106,16 +117,32 @@ def variants_by_name(names: Sequence[str]) -> List[Variant]:
 def observe(
     program: LitmusProgram,
     model: ModelName,
-    variant: Variant,
+    variants: Sequence[Variant],
     crash_points: int = 48,
     model_factory: Any = None,
-) -> SimulationObservation:
-    """One simulator run of *program* under *variant*."""
-    return simulate_program(
-        program,
-        model=model,
-        config=variant.configure(program, model),
-        crash_points=crash_points,
-        model_factory=model_factory,
-        thread_order=variant.thread_order(program),
-    )
+) -> List[Union[SimulationObservation, Exception]]:
+    """Simulator runs of *program*, one result per variant: the
+    observation, or the exception that ended the run.  Variants that
+    build the same machine (config and warp slots) share one run."""
+    runs: Dict[Tuple[SystemConfig, Any], Any] = {}
+    results = []
+    for variant in variants:
+        config = variant.configure(program, model)
+        order = variant.thread_order(program)
+        run = (config, warp_slots(program, order))
+        if run not in runs:
+            try:
+                runs[run] = simulate_program(
+                    program,
+                    model=model,
+                    config=config,
+                    crash_points=crash_points,
+                    model_factory=model_factory,
+                    thread_order=order,
+                )
+            except ConfigError:
+                raise  # a bad argument, not a wedge
+            except Exception as err:  # noqa: BLE001 - any wedge is a finding
+                runs[run] = err
+        results.append(runs[run])
+    return results

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.common.config import ModelName
-from repro.common.errors import LitmusError
+from repro.common.errors import ConfigError, LitmusError
 from repro.formal.crash_states import allowed_crash_images, allowed_final_images
 from repro.formal.events import LitmusProgram, all_reads_from
 from repro.formal.relations import ExecutionWitness
@@ -176,6 +176,10 @@ def check_program(
     a violation too — mutants are allowed to wedge the machine, and a
     wedge on an unmodified model is exactly what the harness is for.
     """
+    if mutant is not None and model is not ModelName.SBRP:
+        raise ConfigError(
+            f"mutant {mutant!r} mutates SBRP; it cannot run under {model.value}"
+        )
     model_factory = build_mutant(mutant) if mutant is not None else None
     allowed = allowed_unconstrained(program)
     # Every variant observes a witness of the same program, so the
@@ -184,28 +188,17 @@ def check_program(
     observed: Set[NormImage] = set()
     variant_reports: List[Dict[str, Any]] = []
     sim_cycles = 0.0
-    for variant in variants:
-        try:
-            obs = observe(
-                program,
-                model,
-                variant,
-                crash_points=crash_points,
-                model_factory=model_factory,
-            )
-        except Exception as err:  # noqa: BLE001 - any wedge is a finding
-            variant_reports.append(
-                {
-                    "variant": variant.name,
-                    "violations": [
-                        {
-                            "type": "simulation_error",
-                            "variant": variant.name,
-                            "error": f"{type(err).__name__}: {err}",
-                        }
-                    ],
-                }
-            )
+    observations = observe(
+        program, model, variants, crash_points=crash_points, model_factory=model_factory
+    )
+    for variant, obs in zip(variants, observations):
+        if isinstance(obs, Exception):
+            failure = {
+                "type": "simulation_error",
+                "variant": variant.name,
+                "error": f"{type(obs).__name__}: {obs}",
+            }
+            variant_reports.append({"variant": variant.name, "violations": [failure]})
             continue
         sim_cycles += obs.end
         observed.update(normalize(image) for image in obs.image_dicts())

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.common.config import ModelName, Scope, SystemConfig, small_system
+from repro.common.config import ModelName, SystemConfig, small_system
+from repro.common.errors import ConfigError
 from repro.formal.events import EventKind, LitmusProgram
 from repro.formal.litmus import LitmusTest, run_litmus
 from repro.system import GPUSystem
@@ -69,6 +70,23 @@ def base_config(
     )
 
 
+def warp_slots(
+    program: LitmusProgram, thread_order: Optional[Sequence[int]] = None
+) -> Tuple[Tuple[int, ...], ...]:
+    """Thread ids of each block (blocks in sorted order) in warp-slot
+    order.  *thread_order* lists thread ids in issue-slot order; threads
+    it omits follow it, by id."""
+    order = list(thread_order or ())
+
+    def rank(tid: int) -> int:
+        return order.index(tid) if tid in order else len(order) + tid
+
+    return tuple(
+        tuple(sorted((t.tid for t in program.threads if t.block == b), key=rank))
+        for b in sorted({t.block for t in program.threads})
+    )
+
+
 def simulate_program(
     program: LitmusProgram,
     model: ModelName = ModelName.SBRP,
@@ -88,7 +106,8 @@ def simulate_program(
     scheduling perturbation); it lists thread ids in issue-slot order.
     """
     program.validate()
-    blocks = sorted({t.block for t in program.threads})
+    if crash_points < 1:
+        raise ConfigError(f"crash_points must be >= 1, got {crash_points}")
     if config is None:
         config = base_config(program, model)
     system = GPUSystem(config, faults=faults, model_factory=model_factory)
@@ -110,24 +129,14 @@ def simulate_program(
     for rel in program.releases():
         release_of_value.setdefault((rel.loc, rel.value), rel.eid)
 
-    order = list(thread_order) if thread_order is not None else None
     observation = SimulationObservation()
-
-    def thread_rank(tid: int) -> int:
-        if order is None:
-            return tid
-        try:
-            return order.index(tid)
-        except ValueError:
-            return len(order) + tid
+    slots = [
+        [program.threads[tid] for tid in block]
+        for block in warp_slots(program, thread_order)
+    ]
 
     def kernel(w):
-        mine = [
-            t
-            for t in program.threads
-            if t.block == blocks[w.block_id % len(blocks)]
-        ]
-        mine.sort(key=lambda t: thread_rank(t.tid))
+        mine = slots[w.block_id % len(slots)]
         if w.warp_in_block >= len(mine):
             return
         thread = mine[w.warp_in_block]
@@ -154,39 +163,44 @@ def simulate_program(
                     (event.loc, got)
                 )
 
-    system.launch(kernel, grid_blocks=len(blocks))
+    system.launch(kernel, grid_blocks=len(slots))
     system.sync()
 
     end = system.gpu.engine.now
     observation.end = end
 
-    def named_image(t: float) -> Dict[str, int]:
-        image = system.gpu.subsystem.crash_image(t)
-        return {
-            loc: image.get(a, 0)
-            for loc, a in addr.items()
-            if loc.startswith("p")
-        }
-
-    # Every instant where the durable image can change, plus an even
-    # sampling (the boundaries alone would miss nothing, but the spaced
-    # points keep the historical behavior for coarse sweeps).
+    # Images can only change at acceptance boundaries.  The evenly
+    # spaced points matter only under torn-persist faults, where a line
+    # stops tearing once it leaves the WPQ window.
     times = set(system.gpu.subsystem.persist_log.boundary_times(end=end))
     times.update(end * i / crash_points for i in range(crash_points + 1))
-    seen: Set[Tuple[Tuple[str, int], ...]] = set()
-    for t in sorted(times):
-        named = named_image(t)
-        key = tuple(sorted(named.items()))
-        if key not in seen:
+    wanted = {t for t, _ in observation.dfence_images.values()} | {end}
+    instants = sorted(times | wanted)
+    pm = {loc: a for loc, a in addr.items() if loc.startswith("p")}
+    pm_addrs = set(pm.values())
+    seen: Set[Tuple[int, ...]] = set()
+    named_at: Dict[float, Dict[str, int]] = {}
+    key: Optional[Tuple[int, ...]] = None
+    for t, (image, landed) in zip(
+        instants, system.gpu.subsystem.crash_images(instants)
+    ):
+        if key is None or landed is None or any(
+            not pm_addrs.isdisjoint(r.words) for r in landed
+        ):
+            named = {loc: image.get(a, 0) for loc, a in pm.items()}
+            key = tuple(named.values())
+        if t in times and key not in seen:
             seen.add(key)
             observation.images.append((t, named))
+        if t in wanted:
+            named_at[t] = named
 
-    observation.final_image = named_image(end)
+    observation.final_image = dict(named_at[end])
     # A dFence's durability obligation binds at its completion instant:
     # everything the issuing thread persisted before it must already be
     # durable *then* (later images only grow).
     observation.dfence_images = {
-        eid: (t, named_image(t))
+        eid: (t, dict(named_at[t]))
         for eid, (t, _) in observation.dfence_images.items()
     }
     return observation

@@ -152,8 +152,3 @@ class ThreadFence(Op):
 @dataclass(slots=True)
 class BlockBarrier(Op):
     """``__syncthreads()``: all warps of the threadblock rendezvous."""
-
-
-@dataclass(slots=True)
-class KernelEnd(Op):
-    """Internal: injected by the SM when a warp's generator finishes."""

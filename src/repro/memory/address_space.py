@@ -101,9 +101,6 @@ class AddressSpace:
         except KeyError:
             raise MemoryError_(f"no PM region named {name!r}") from None
 
-    def named_regions(self) -> Dict[str, Allocation]:
-        return dict(self._named)
-
     def region_of(self, addr: int) -> Optional[Allocation]:
         """Find the allocation containing *addr* (linear scan; debug aid)."""
         for allocation in self._allocations.values():

@@ -14,7 +14,7 @@ allocations and giving crash images a well-defined "never written" state.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping
 
 from repro.memory.address_space import is_pm_addr
 
@@ -45,9 +45,6 @@ class BackingStore:
         check_word_aligned(addr)
         self.visible[addr] = int(value)
 
-    def read_many(self, addrs: Iterable[int]) -> Tuple[int, ...]:
-        return tuple(self.read(addr) for addr in addrs)
-
     # ------------------------------------------------------------------
     # durable image
     # ------------------------------------------------------------------
@@ -63,10 +60,6 @@ class BackingStore:
         check_word_aligned(addr)
         return self.durable.get(addr, 0)
 
-    def crash_image(self) -> Dict[int, int]:
-        """The PM contents that survive a crash right now."""
-        return dict(self.durable)
-
     def load_pm_image(self, image: Mapping[int, int]) -> None:
         """Install a PM image (post-crash restart): durable == visible."""
         for addr in image:
@@ -81,7 +74,3 @@ class BackingStore:
         # ones; volatile memory starts zeroed.
         self.visible.clear()
         self.visible.update(image)
-
-    def pm_words(self) -> Dict[int, int]:
-        """All PM words currently visible (debug/verification aid)."""
-        return {a: v for a, v in self.visible.items() if is_pm_addr(a)}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.common.config import GPUConfig, MemoryConfig, PMPlacement
 from repro.common.units import gbps_to_bytes_per_cycle
@@ -69,17 +69,6 @@ class PersistLog:
         if end is not None:
             times = {t for t in times if t <= end}
         return sorted(times)
-
-    def image_at(self, time: float) -> Dict[int, int]:
-        """Durable PM image after a crash at *time*: every persist whose
-        WPQ acceptance happened by then, applied in acceptance order."""
-        image: Dict[int, int] = {}
-        for record in self.records_until(time):
-            image.update(record.words)
-        return image
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 class MemorySubsystem:
@@ -263,16 +252,33 @@ class MemorySubsystem:
     # crash support
     # ------------------------------------------------------------------
     def crash_image(self, time: float) -> Dict[int, int]:
-        """The durable PM image if power fails at *time*: host-initialized
-        durable contents overlaid with every persist accepted by then.
+        """The durable PM image if power fails at *time*."""
+        return next(self.crash_images([time]))[0]
 
-        A fault injector may rewrite the accepted records at this point
-        (torn persists: lines still in the WPQ at the crash lose a
-        subset of their words)."""
+    def crash_images(
+        self, times: List[float]
+    ) -> Iterator[Tuple[Dict[int, int], Optional[List[PersistRecord]]]]:
+        """The durable PM image at each of *times* (ascending), in one
+        pass over the log in acceptance order.
+
+        Yields ``(image, landed)``: *image* (updated in place) overlays
+        the host-initialized durable words with every persist accepted
+        by that instant; *landed* lists the records accepted since the
+        previous instant.  A fault injector may tear lines still in the
+        WPQ at the crash, so under one each image is rebuilt from its
+        accepted prefix and *landed* is None."""
+        records = self.persist_log.records_until(times[-1]) if times else []
+        faults = self.faults if self.faults is not None and self.faults.active else None
         image = dict(self.backing.durable)
-        records = self.persist_log.records_until(time)
-        if self.faults is not None and self.faults.active:
-            records = self.faults.torn_records(records, time)
-        for record in records:
-            image.update(record.words)
-        return image
+        done = 0
+        for time in times:
+            start = done
+            while done < len(records) and records[done].accept_time <= time:
+                done += 1
+            landed = records[start:done]
+            if faults is not None:
+                image = dict(self.backing.durable)
+                landed = faults.torn_records(records[:done], time)
+            for record in landed:
+                image.update(record.words)
+            yield image, None if faults else landed

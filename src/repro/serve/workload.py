@@ -165,10 +165,6 @@ class Plan:
             {r.key for r in self.requests if r.op == OP_INSERT}
         )
 
-    @property
-    def max_version(self) -> int:
-        return max(self.final_versions.values(), default=0)
-
     def digest(self) -> str:
         """SHA-256 over the canonical stream encoding — the determinism
         tests' byte-identity witness."""

@@ -266,10 +266,6 @@ class Tracer:
             + len(self.persists)
         )
 
-    def stall_table(self) -> Dict[str, Dict[str, float]]:
-        """Exact per-warp-track category totals (copy)."""
-        return {track: dict(cats) for track, cats in self.stall_totals.items()}
-
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"
         return f"Tracer({state}, {self.event_count()} events)"

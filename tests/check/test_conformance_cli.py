@@ -111,3 +111,10 @@ class TestCli:
         assert entry["caught"]
         assert entry["shrunk_ops"] <= 6
         assert "def test_conformance_regression" in entry["regression_test"]
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_crash_points_below_one_rejected(self, points, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--smoke", "--crash-points", points, "--quiet"])
+        assert exc.value.code == 2
+        assert "--crash-points must be >= 1" in capsys.readouterr().err
