@@ -6,15 +6,17 @@ an earlier fenced persist), then releases a flag.  With the correct
 consumer block reads 7.  With the buggy **block** scope, the flag
 publishes immediately and the consumer reads stale data.
 
-The same mismatch is shown in the axiomatic model: the block-scope
-release across blocks creates no pmo edge, so the "pY durable without
-pX" crash image becomes reachable.
+The same mismatch is shown in the axiomatic model on the litmus
+library's ``scope_mismatch`` program: the block-scope release across
+blocks creates no pmo edge, so the "pB durable without pA" crash image
+becomes reachable; its device-scope twin forbids it.
 
 Run:  python examples/persistency_bug_demo.py
 """
 
 from repro import GPUSystem, ModelName, Scope, small_system
-from repro.formal import LITMUS_TESTS, run_litmus
+from repro.check.corpus import EXPECTATIONS, library_program, unmet_expectations
+from repro.check.oracle import allowed_unconstrained
 
 
 def run_demo(scope: Scope) -> int:
@@ -52,18 +54,25 @@ def main() -> None:
     print(f"  block-scope release:  consumer read pX = {buggy}  (stale!)")
 
     print("== axiomatic model ==")
-    result = run_litmus(LITMUS_TESTS["scope_mismatch_bug"])
-    bad = [im for im in result.images if im.get("pY") == 1 and im.get("pX", 0) != 1]
+    buggy = library_program("scope_mismatch")
+    bad = [
+        image
+        for image in map(dict, allowed_unconstrained(buggy))
+        if image.get("pB") == 1 and "pA" not in image
+    ]
     print(
         "  block-scope release across blocks makes the inconsistent "
         f"image {bad[0] if bad else '??'} reachable"
     )
-    result = run_litmus(LITMUS_TESTS["device_release_cross_block"])
+    fixed = library_program("device_release_cross_block")
+    unmet = unmet_expectations(fixed, EXPECTATIONS[fixed.name])
     print(
         "  device-scope release forbids it "
-        f"({len(result.images)} allowed images, model check "
-        f"{'PASS' if result.passed else 'FAIL'})"
+        f"({len(allowed_unconstrained(fixed))} allowed images, model check "
+        f"{'PASS' if not unmet else 'FAIL'})"
     )
+    if not bad or unmet:
+        raise SystemExit("persistency_bug_demo: the model disagrees")
     print("persistency_bug_demo OK")
 
 

@@ -258,8 +258,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--list-mutants", action="store_true")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    if args.crash_points < 1:
-        parser.error(f"--crash-points must be >= 1, got {args.crash_points}")
+    for flag, value, least in (
+        ("--programs", args.programs, 0),
+        ("--mutant-programs", args.mutant_programs, 0),
+        ("--batch-size", args.batch_size, 1),
+        ("--crash-points", args.crash_points, 1),
+    ):
+        if value < least:
+            parser.error(f"{flag} must be >= {least}, got {value}")
+
+    def names(flag: str, text: str, known: Sequence[str]) -> List[str]:
+        unknown = [name for name in text.split(",") if name not in known]
+        if unknown:
+            parser.error(
+                f"{flag}: unknown {', '.join(unknown)}; have {', '.join(known)}"
+            )
+        return text.split(",")
 
     if args.list_mutants:
         for name, blurb in sorted(describe_mutants().items()):
@@ -274,7 +288,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         mutant_programs = min(mutant_programs, 10)
         variants = list(SMOKE_VARIANTS)
     models = (
-        [ModelName(m) for m in args.models.split(",")]
+        [
+            ModelName(m)
+            for m in names("--models", args.models, [m.value for m in ModelName])
+        ]
         if args.models
         else list(STOCK_MODELS)
     )
@@ -283,7 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.mutants == "none":
         mutants = []
     else:
-        mutants = args.mutants.split(",")
+        mutants = names("--mutants", args.mutants, mutant_names())
 
     executor = Executor(workers=args.workers, cache=args.cache_dir)
     report = build_report(

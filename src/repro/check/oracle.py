@@ -28,7 +28,7 @@ configuration.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import ModelName
 from repro.common.errors import ConfigError, LitmusError
@@ -75,12 +75,18 @@ def _allowed(
     return memo[key]
 
 
-def allowed_unconstrained(program: LitmusProgram) -> Set[NormImage]:
-    """Union over every feasible witness of the allowed crash images."""
+def allowed_unconstrained(
+    program: LitmusProgram, completed: Sequence[int] = ()
+) -> Set[NormImage]:
+    """Union over every feasible witness of the allowed crash images,
+    with the dFences whose eids are in *completed* treated as completed
+    before the crash."""
     allowed: Set[NormImage] = set()
     for reads_from in all_reads_from(program):
         try:
-            images = allowed_crash_images(ExecutionWitness(program, reads_from))
+            images = allowed_crash_images(
+                ExecutionWitness(program, reads_from), completed
+            )
         except LitmusError:
             continue  # infeasible witness (cyclic vmo/pmo)
         allowed.update(normalize(image) for image in images)

@@ -34,6 +34,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.check.corpus import EXPECTATIONS
 from repro.common.config import ModelName, PMPlacement, small_system
 from repro.exec import Executor, ScenarioJob
 from repro.exec.executor import add_pool_args, pool_kwargs
@@ -367,46 +368,36 @@ def litmus_cases(
 ) -> List[Dict[str, Any]]:
     """Formal-oracle cases: (test, model, plan, expectation).
 
-    Every case runs the litmus program on the timing simulator and
-    validates observed crash images against the axiomatic model.  The
-    ``drain_drop`` case seeds broken hardware (an acked-but-dropped
-    drain) — the formal oracle must call its images unreachable.
+    Every case runs a litmus library program on the timing simulator
+    and judges the run against the axiomatic model; the scope-bug
+    expectation comes from the library's data.  The ``drain_drop`` case
+    seeds broken hardware (an acked-but-dropped drain) — the formal
+    oracle must flag the run.
     """
+
+    def case(test, model, plan=None, expect=CONSISTENT):
+        return {
+            "test": test,
+            "model": model,
+            "plan": plan,
+            "expect": expect,
+            "expect_scope_bug": EXPECTATIONS[test].scope_bug,
+        }
+
     cases = [
-        {
-            "test": "mp_ofence",
-            "model": ModelName.SBRP,
-            "plan": None,
-            "expect": CONSISTENT,
-            "expect_scope_bug": False,
-        },
-        {
-            "test": "mp_ofence",
-            "model": ModelName.SBRP,
-            "plan": DrainDropPlan(drop_every=2),
-            "expect": UNREACHABLE_STATE,
-            "expect_scope_bug": False,
-        },
-        {
-            "test": "scope_mismatch_bug",
-            "model": ModelName.SBRP,
-            "plan": None,
-            "expect": CONSISTENT,
-            "expect_scope_bug": True,
-        },
+        case("mp_ofence", ModelName.SBRP),
+        case(
+            "mp_ofence",
+            ModelName.SBRP,
+            DrainDropPlan(drop_every=2),
+            UNREACHABLE_STATE,
+        ),
+        case("scope_mismatch", ModelName.SBRP),
     ]
     if not smoke:
-        from repro.formal.litmus import LITMUS_TESTS
-
         cases += [
-            {
-                "test": name,
-                "model": model,
-                "plan": None,
-                "expect": CONSISTENT,
-                "expect_scope_bug": name == "scope_mismatch_bug",
-            }
-            for name in sorted(LITMUS_TESTS)
+            case(name, model)
+            for name in sorted(EXPECTATIONS)
             for model in models
             if not (name == "mp_ofence" and model is ModelName.SBRP)
         ]

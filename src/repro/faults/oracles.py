@@ -7,11 +7,14 @@ Two oracle families cross-check each injected run:
   invariants (:meth:`repro.apps.base.App.oracle_check`) — the paper's
   *recoverability* criterion (Section 2.2: after any crash, recovery
   must restore a consistent state);
-* the **formal oracle** replays a litmus program on the (possibly
-  faulted) timing simulator and checks every observed durable image
-  against the axiomatic model's reachable crash states
-  (:func:`repro.formal.bridge.validate_against_model`) — the paper's
-  *strict persistency* ordering criterion.
+* the **formal oracle** replays a litmus library program
+  (:mod:`repro.check.corpus`) on the (possibly faulted) timing simulator
+  and judges the run with the conformance checker's differential oracle
+  (:func:`repro.check.oracle.check_observation`): every observed durable
+  image must be a reachable crash state, every completed dFence must
+  have made its predecessors durable, and the drained final image must
+  hold every persist — the paper's *strict persistency* ordering
+  criterion.
 
 Classification never inspects exception text: each outcome is decided
 by exception type alone, so a reworded message can never silently change
@@ -40,7 +43,8 @@ from repro.system import CrashImage, GPUSystem
 CONSISTENT = "consistent"
 #: Recovery ran but the app oracle rejected the resulting state.
 APP_VIOLATION = "app_violation"
-#: The simulator produced a durable image the axiomatic model forbids.
+#: The simulator's run broke the axiomatic model: a durable image it
+#: forbids, or a dFence or final durability obligation left unmet.
 UNREACHABLE_STATE = "unreachable_state"
 #: The recovery machinery itself raised (recovery kernel crashed).
 RECOVERY_RAISED = "recovery_raised"
@@ -142,29 +146,28 @@ def run_litmus_oracle(
 ) -> Dict[str, Any]:
     """Cross-validate simulator crash images against the formal model.
 
-    Runs *test_name* on the timing simulator (optionally under the fault
-    *plan*) and reports every observed durable image the axiomatic model
-    says is unreachable, plus any statically detectable scoped-
-    persistency misuse in the program itself.
+    Runs the library program *test_name* on the timing simulator
+    (optionally under the fault *plan*) and reports every violation the
+    differential oracle finds in the run — soundness, dFence and final
+    completeness — plus any statically detectable scoped-persistency
+    misuse in the program itself.
     """
+    from repro.check.corpus import library_program
+    from repro.check.oracle import allowed_unconstrained, check_observation
     from repro.faults.injector import build_injector
+    from repro.formal.bridge import simulate_program
     from repro.formal.bug_detector import find_scope_bugs
-    from repro.formal.bridge import validate_against_model
-    from repro.formal.litmus import LITMUS_TESTS
 
-    test = LITMUS_TESTS[test_name]
-    unreachable = validate_against_model(
-        test, model, faults=build_injector(plan)
+    program = library_program(test_name)
+    observation = simulate_program(program, model, faults=build_injector(plan))
+    violations = check_observation(
+        program, observation, allowed_unconstrained(program), "base", {}
     )
-    scope_bugs = find_scope_bugs(test.build().validate())
-    classification = UNREACHABLE_STATE if unreachable else CONSISTENT
     return {
         "test": test_name,
         "model": model.value,
         "plan": plan.to_json() if plan is not None else None,
-        "classification": classification,
-        "unreachable_images": [
-            dict(sorted(img.items())) for img in unreachable
-        ],
-        "scope_bugs": sorted(str(bug) for bug in scope_bugs),
+        "classification": UNREACHABLE_STATE if violations else CONSISTENT,
+        "violations": violations,
+        "scope_bugs": sorted(str(bug) for bug in find_scope_bugs(program)),
     }

@@ -12,30 +12,28 @@ specification executable:
   execution witness,
 * :mod:`~repro.formal.crash_states` — enumerates every crash image the
   model permits (order ideals of the pmo DAG),
-* :mod:`~repro.formal.litmus` — a litmus-test harness with a library of
-  tests covering the paper's examples (message passing, scope
-  mismatches, transitivity, dFence), and
+* :mod:`~repro.formal.bug_detector` — static detection of the Section
+  5.3 scoped-persistency misuse, and
 * :mod:`~repro.formal.bridge` — runs litmus programs on the timing
-  simulator and checks the observed durable states fall within the set
-  the axiomatic model allows (model validation).
+  simulator and reports what each run revealed (images, witness, dFence
+  and final images) for the oracle in :mod:`repro.check.oracle`.
+
+The litmus library with its expectations lives in
+:mod:`repro.check.corpus`.
 """
 
 from repro.formal.events import Event, EventKind, LitmusProgram, Thread
 from repro.formal.relations import ExecutionWitness, build_pmo, build_po, build_vmo
 from repro.formal.crash_states import allowed_crash_images
-from repro.formal.litmus import LITMUS_TESTS, LitmusTest, run_litmus
 
 __all__ = [
     "Event",
     "EventKind",
     "ExecutionWitness",
-    "LITMUS_TESTS",
     "LitmusProgram",
-    "LitmusTest",
     "Thread",
     "allowed_crash_images",
     "build_pmo",
     "build_po",
     "build_vmo",
-    "run_litmus",
 ]

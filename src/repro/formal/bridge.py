@@ -6,13 +6,14 @@ must be a subset of what the axiomatic model allows — if the simulator
 ever produces an image the model forbids, the hardware implementation
 violates its own specification.
 
-:func:`simulate_program` is the general entry point used by the
-conformance checker (:mod:`repro.check`): it returns not just the
-deduplicated crash images but the *observed execution* — which release
-each acquire actually read, when each dFence completed and what was
-durable at that instant, and the final post-drain image — so the
-differential oracle can check the durability obligations that depend on
-the witness, not only unconstrained downward closure.
+:func:`simulate_program` returns not just the deduplicated crash images
+but the *observed execution* — which release each acquire actually
+read, when each dFence completed and what was durable at that instant,
+and the final post-drain image — so the differential oracle
+(:mod:`repro.check.oracle`) can check the durability obligations that
+depend on the witness, not only unconstrained downward closure.  The
+conformance checker and the fault campaign's formal oracle both judge
+its observations there.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.common.config import ModelName, SystemConfig, small_system
 from repro.common.errors import ConfigError
 from repro.formal.events import EventKind, LitmusProgram
-from repro.formal.litmus import LitmusTest, run_litmus
 from repro.system import GPUSystem
 
 #: Word spacing between litmus locations.  One cache line apart, so each
@@ -205,48 +205,3 @@ def simulate_program(
     }
     return observation
 
-
-def simulate_litmus(
-    test: LitmusTest,
-    model: ModelName = ModelName.SBRP,
-    crash_points: int = 64,
-    faults: Optional[Any] = None,
-) -> List[Dict[str, int]]:
-    """Run the litmus program on the simulator; return the distinct
-    durable images observed at every persist boundary plus
-    *crash_points* evenly spaced instants.
-
-    *faults* (a :class:`repro.faults.FaultInjector`) lets the fault
-    campaign run litmus programs on deliberately broken hardware and
-    check whether the formal oracle notices."""
-    program = test.build().validate()
-    observation = simulate_program(
-        program, model=model, crash_points=crash_points, faults=faults
-    )
-    return observation.image_dicts()
-
-
-def validate_against_model(
-    test: LitmusTest,
-    model: ModelName = ModelName.SBRP,
-    faults: Optional[Any] = None,
-) -> List[Dict[str, int]]:
-    """Return simulator-observed images NOT allowed by the axiomatic
-    model (empty = the implementation refines its specification).
-
-    The simulator samples crash points across the whole execution —
-    including before any dFence completes — so the comparison uses the
-    unconstrained allowed set (no completed-dFence assumption).
-    """
-    unconstrained = LitmusTest(
-        name=test.name, build=test.build, forbidden=(), required=()
-    )
-    allowed = run_litmus(unconstrained).images
-    allowed_keys = {tuple(sorted(img.items())) for img in allowed}
-
-    def normalize(img: Dict[str, int]) -> Tuple[Tuple[str, int], ...]:
-        return tuple(sorted((k, v) for k, v in img.items() if v != 0))
-
-    allowed_norm = {normalize(dict(k)) for k in map(dict, allowed_keys)}
-    observed = simulate_litmus(test, model, faults=faults)
-    return [img for img in observed if normalize(img) not in allowed_norm]

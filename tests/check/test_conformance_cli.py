@@ -118,3 +118,20 @@ class TestCli:
             main(["--smoke", "--crash-points", points, "--quiet"])
         assert exc.value.code == 2
         assert "--crash-points must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--batch-size", "0"], "--batch-size must be >= 1, got 0"),
+            (["--mutant-programs", "-2"], "--mutant-programs must be >= 0, got -2"),
+            (["--programs", "-1"], "--programs must be >= 0, got -1"),
+            (["--models", "sbrp,tso"], "--models: unknown tso; have gpm, epoch, sbrp"),
+            (["--mutants", "bogus"], "--mutants: unknown bogus; have ack_without_flush"),
+        ],
+        ids=["batch-size", "mutant-programs", "programs", "models", "mutants"],
+    )
+    def test_bad_size_or_name_rejected(self, args, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--smoke", "--quiet"] + args)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err

@@ -8,7 +8,7 @@ from repro.check.enumerator import SMOKE_VARIANTS, VARIANTS, Variant, variants_b
 from repro.check.oracle import allowed_unconstrained, check_program, failing_variants
 from repro.common.config import ModelName, Scope
 from repro.common.errors import ConfigError
-from repro.formal.events import LitmusProgram
+from repro.formal.events import EventKind, LitmusProgram
 
 
 def mp_program():
@@ -35,6 +35,14 @@ class TestAllowedUnconstrained:
     def test_unwritten_value_not_allowed(self):
         allowed = allowed_unconstrained(mp_program())
         assert (("pA", 999),) not in allowed
+
+    def test_completed_dfence_makes_predecessors_mandatory(self):
+        program = next(p for p in corpus_programs() if p.name == "dfence_split")
+        dfence = next(e.eid for e in program.events() if e.kind is EventKind.DFENCE)
+        unconstrained = allowed_unconstrained(program)
+        completed = allowed_unconstrained(program, [dfence])
+        assert () in unconstrained and completed < unconstrained
+        assert all({"pA", "pC"} <= dict(image).keys() for image in completed)
 
 
 STOCK_MODELS = [ModelName.SBRP, ModelName.GPM, ModelName.EPOCH]

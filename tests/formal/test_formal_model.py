@@ -1,4 +1,4 @@
-"""The axiomatic model: relations, crash images, litmus library."""
+"""The axiomatic model: relations and crash images."""
 
 import os
 import subprocess
@@ -7,21 +7,18 @@ import sys
 import pytest
 
 import repro
-from repro.common.config import ModelName, Scope
+from repro.common.config import Scope
 from repro.common.errors import LitmusError
 from repro.formal import (
-    LITMUS_TESTS,
     ExecutionWitness,
     LitmusProgram,
     allowed_crash_images,
     build_pmo,
     build_po,
     build_vmo,
-    run_litmus,
 )
 from repro.formal.crash_states import order_ideals
 from repro.formal.relations import transitive_closure
-from repro.formal.bridge import simulate_litmus, validate_against_model
 
 
 def edge_count(relation):
@@ -138,33 +135,6 @@ class TestCrashImages:
             ExecutionWitness(prog), completed_dfences=[dfence_eid]
         )
         assert all(im.get("pA") == 1 for im in images)
-
-
-class TestLitmusLibrary:
-    @pytest.mark.parametrize("name", sorted(LITMUS_TESTS))
-    def test_litmus_passes(self, name):
-        result = run_litmus(LITMUS_TESTS[name])
-        assert result.passed, (result.violations, result.missing)
-
-    def test_library_covers_the_papers_examples(self):
-        # Section 5.3's scoped bug and Figure 4's logging discipline
-        # must both be present.
-        assert "scope_mismatch_bug" in LITMUS_TESTS
-        assert "mp_ofence" in LITMUS_TESTS
-
-
-class TestBridge:
-    @pytest.mark.parametrize("name", ["mp_ofence", "block_release_same_block"])
-    @pytest.mark.parametrize(
-        "model", [ModelName.SBRP, ModelName.EPOCH], ids=lambda m: m.value
-    )
-    def test_simulator_refines_model(self, name, model):
-        bad = validate_against_model(LITMUS_TESTS[name], model)
-        assert bad == [], f"simulator produced forbidden images: {bad}"
-
-    def test_simulate_litmus_reaches_final_state(self):
-        images = simulate_litmus(LITMUS_TESTS["mp_ofence"], ModelName.SBRP)
-        assert {"pData": 1, "pFlag": 1} in images
 
 
 def test_formal_and_check_need_no_third_party_package_but_numpy():

@@ -1,33 +1,17 @@
 """Additional litmus scenarios built inline (beyond the library)."""
 
-import pytest
-
+from repro.check.oracle import allowed_unconstrained
 from repro.common.config import Scope
 from repro.formal import (
     ExecutionWitness,
     LitmusProgram,
-    allowed_crash_images,
     build_pmo,
 )
-from repro.formal.events import all_reads_from
 
 
 def images_of(program):
-    from repro.common.errors import LitmusError
-
-    seen = set()
-    out = []
-    for rf in all_reads_from(program):
-        try:
-            imgs = allowed_crash_images(ExecutionWitness(program, rf))
-        except LitmusError:
-            continue
-        for img in imgs:
-            key = tuple(sorted(img.items()))
-            if key not in seen:
-                seen.add(key)
-                out.append(img)
-    return out
+    """Every allowed crash image over all witnesses, as dicts."""
+    return [dict(image) for image in allowed_unconstrained(program)]
 
 
 class TestPMResidentReleaseVariable:
