@@ -2,7 +2,13 @@
 
 An :class:`App` owns a workload description and knows how to:
 
-* ``setup(system)`` — allocate and initialize its PM/volatile data,
+* ``attach(system, pm)`` — declare its memory layout, once: map each PM
+  region through ``pm(name, size)``, allocate volatile buffers with
+  ``system.malloc`` and upload their (deterministic) contents.
+  ``setup(system)`` attaches with ``system.pm_create`` and then calls
+  ``initialize(system)`` to write the initial PM contents;
+  ``reopen(system)`` attaches to a rebooted machine with
+  ``system.pm_open``, so every region lands at the address it had;
 * ``run(system)`` — launch the crash-free kernels (the timed part),
 * ``recover(system)`` — launch the recovery kernel against a rebooted
   system whose PM holds a crash image,
@@ -18,11 +24,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, List
 
-from repro.common.errors import OracleViolation, RecoveryError
+from repro.common.errors import RecoveryError
 from repro.gpu.device import KernelResult
+from repro.memory.address_space import Allocation
 from repro.system import GPUSystem
+
+#: How :meth:`App.attach` maps a named PM region: ``pm(name, size)``.
+PMMapper = Callable[[str, int], Allocation]
 
 
 @dataclass(frozen=True)
@@ -52,8 +62,22 @@ class App(abc.ABC):
     recovery_style: str = ""
 
     @abc.abstractmethod
+    def attach(self, system: GPUSystem, pm: PMMapper) -> None:
+        """Map PM regions through *pm* and volatile buffers (with their
+        uploads) through ``system.malloc``, in a fixed order."""
+
+    def initialize(self, system: GPUSystem) -> None:
+        """Write the initial PM contents of a fresh machine (default:
+        none — regions start zeroed)."""
+
     def setup(self, system: GPUSystem) -> None:
         """Allocate PM regions and initialize inputs."""
+        self.attach(system, system.pm_create)
+        self.initialize(system)
+
+    def reopen(self, system: GPUSystem) -> None:
+        """Re-open PM regions by name on a rebooted system."""
+        self.attach(system, lambda name, size: system.pm_open(name))
 
     @abc.abstractmethod
     def run(self, system: GPUSystem) -> RunOutcome:
@@ -71,29 +95,6 @@ class App(abc.ABC):
     def check(self, system: GPUSystem, complete: bool = True) -> None:
         """Verify consistency invariants; with ``complete=True``, also
         verify the final answer matches the CPU reference."""
-
-    def reopen(self, system: GPUSystem) -> None:
-        """Re-open PM regions by name on a rebooted system.
-
-        Default: re-run setup-style open for every named region recorded
-        during :meth:`setup` (subclasses store their allocations).
-        """
-        raise NotImplementedError
-
-    def oracle_check(self, system: GPUSystem, complete: bool = False) -> None:
-        """Recovery-oracle entry point for the fault campaign.
-
-        Same invariants as :meth:`check`, but violations surface as
-        :class:`~repro.common.errors.OracleViolation` so campaign
-        classification can separate "the app's invariants are broken"
-        from "the recovery kernel itself crashed" by exception type.
-        """
-        try:
-            self.check(system, complete=complete)
-        except OracleViolation:
-            raise
-        except RecoveryError as exc:
-            raise OracleViolation(str(exc)) from exc
 
     # ------------------------------------------------------------------
     # helpers

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.apps.base import App, AppParams, RunOutcome
+from repro.apps.base import App, AppParams, PMMapper, RunOutcome
 from repro.apps.common import SEAL
 from repro.system import GPUSystem
 
@@ -100,33 +100,24 @@ class GpKVS(App):
     # ------------------------------------------------------------------
     # memory layout
     # ------------------------------------------------------------------
-    def setup(self, system: GPUSystem) -> None:
+    def attach(self, system: GPUSystem, pm: PMMapper) -> None:
         p = self.params
-        self.tbl_key = system.pm_create("gpkvs.tbl_key", 4 * p.capacity)
-        self.tbl_val = system.pm_create("gpkvs.tbl_val", 4 * p.capacity)
-        self.log_key = system.pm_create("gpkvs.log_key", 4 * p.n_pairs)
-        self.log_val = system.pm_create("gpkvs.log_val", 4 * p.n_pairs)
-        self.log_slot = system.pm_create("gpkvs.log_slot", 4 * p.n_pairs)
-        self.log_seal = system.pm_create("gpkvs.log_seal", 4 * p.n_pairs)
-        self.directory = system.pm_create("gpkvs.dir", 4 * p.dir_words)
+        self.tbl_key = pm("gpkvs.tbl_key", 4 * p.capacity)
+        self.tbl_val = pm("gpkvs.tbl_val", 4 * p.capacity)
+        self.log_key = pm("gpkvs.log_key", 4 * p.n_pairs)
+        self.log_val = pm("gpkvs.log_val", 4 * p.n_pairs)
+        self.log_slot = pm("gpkvs.log_slot", 4 * p.n_pairs)
+        self.log_seal = pm("gpkvs.log_seal", 4 * p.n_pairs)
+        self.directory = pm("gpkvs.dir", 4 * p.dir_words)
         self.coeff = system.malloc(4 * p.coeff_words)
+        system.host_write_words(self.coeff, np.arange(p.coeff_words) + 1)
+
+    def initialize(self, system: GPUSystem) -> None:
+        p = self.params
         slots = np.arange(p.capacity)
         system.host_write_words(self.tbl_key, slots)
         system.host_write_words(self.tbl_val, old_value(slots))
         system.host_write_words(self.directory, np.arange(p.dir_words) + 1)
-        system.host_write_words(self.coeff, np.arange(p.coeff_words) + 1)
-
-    def reopen(self, system: GPUSystem) -> None:
-        self.tbl_key = system.pm_open("gpkvs.tbl_key")
-        self.tbl_val = system.pm_open("gpkvs.tbl_val")
-        self.log_key = system.pm_open("gpkvs.log_key")
-        self.log_val = system.pm_open("gpkvs.log_val")
-        self.log_slot = system.pm_open("gpkvs.log_slot")
-        self.log_seal = system.pm_open("gpkvs.log_seal")
-        self.directory = system.pm_open("gpkvs.dir")
-        p = self.params
-        self.coeff = system.malloc(4 * p.coeff_words)
-        system.host_write_words(self.coeff, np.arange(p.coeff_words) + 1)
 
     # ------------------------------------------------------------------
     # kernels

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.base import App, AppParams, RunOutcome
+from repro.apps.base import App, AppParams, PMMapper, RunOutcome
 from repro.apps.common import SEAL
 from repro.system import GPUSystem
 
@@ -77,37 +77,24 @@ class Hashmap(App):
     # ------------------------------------------------------------------
     # memory layout
     # ------------------------------------------------------------------
-    def setup(self, system: GPUSystem) -> None:
+    def attach(self, system: GPUSystem, pm: PMMapper) -> None:
         p = self.params
         cap = p.capacity
-        self.t1_key = system.pm_create("hm.t1_key", 4 * cap)
-        self.t1_val = system.pm_create("hm.t1_val", 4 * cap)
-        self.t2_key = system.pm_create("hm.t2_key", 4 * cap)
-        self.t2_val = system.pm_create("hm.t2_val", 4 * cap)
+        self.t1_key = pm("hm.t1_key", 4 * cap)
+        self.t1_val = pm("hm.t1_val", 4 * cap)
+        self.t2_key = pm("hm.t2_key", 4 * cap)
+        self.t2_val = pm("hm.t2_val", 4 * cap)
         # Per-thread undo record: old pair of the displaced t1 slot plus
         # the new t2 contents being written, sealed.
         for field in ("old_key", "old_val", "slot", "seal"):
-            setattr(
-                self,
-                f"log_{field}",
-                system.pm_create(f"hm.log_{field}", 4 * p.n_inserts),
-            )
+            setattr(self, f"log_{field}", pm(f"hm.log_{field}", 4 * p.n_inserts))
         self.coeff = system.malloc(4 * p.coeff_words)
         system.host_write_words(self.coeff, np.arange(p.coeff_words) + 1)
-        slots = np.arange(cap)
+
+    def initialize(self, system: GPUSystem) -> None:
+        slots = np.arange(self.params.capacity)
         system.host_write_words(self.t1_key, resident_key(slots))
         system.host_write_words(self.t1_val, resident_val(slots))
-
-    def reopen(self, system: GPUSystem) -> None:
-        p = self.params
-        self.t1_key = system.pm_open("hm.t1_key")
-        self.t1_val = system.pm_open("hm.t1_val")
-        self.t2_key = system.pm_open("hm.t2_key")
-        self.t2_val = system.pm_open("hm.t2_val")
-        for field in ("old_key", "old_val", "slot", "seal"):
-            setattr(self, f"log_{field}", system.pm_open(f"hm.log_{field}"))
-        self.coeff = system.malloc(4 * p.coeff_words)
-        system.host_write_words(self.coeff, np.arange(p.coeff_words) + 1)
 
     # ------------------------------------------------------------------
     # kernels

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.base import App, AppParams, RunOutcome
+from repro.apps.base import App, AppParams, PMMapper, RunOutcome
 from repro.apps.common import SEAL, spin_pacq
 from repro.common.config import Scope
 from repro.system import GPUSystem
@@ -57,28 +57,17 @@ class Multiqueue(App):
     # ------------------------------------------------------------------
     # memory layout
     # ------------------------------------------------------------------
-    def setup(self, system: GPUSystem) -> None:
+    def attach(self, system: GPUSystem, pm: PMMapper) -> None:
         p = self.params
         gpu = system.config.gpu
         self.batch_size = gpu.threads_per_block
         capacity = p.batches * self.batch_size
-        self.entries = system.pm_create("mq.entries", 4 * capacity * p.blocks)
-        self.tail = system.pm_create("mq.tail", 4 * p.blocks * 32)  # line-spaced
-        self.log_old = system.pm_create("mq.log_old", 4 * p.blocks * 32)
-        self.log_new = system.pm_create("mq.log_new", 4 * p.blocks * 32)
-        self.log_seal = system.pm_create("mq.log_seal", 4 * p.blocks * 32)
+        self.entries = pm("mq.entries", 4 * capacity * p.blocks)
+        self.tail = pm("mq.tail", 4 * p.blocks * 32)  # line-spaced
+        self.log_old = pm("mq.log_old", 4 * p.blocks * 32)
+        self.log_new = pm("mq.log_new", 4 * p.blocks * 32)
+        self.log_seal = pm("mq.log_seal", 4 * p.blocks * 32)
         # One producer flag per warp plus one commit flag, per block.
-        self.wflags = system.malloc(4 * p.blocks * (gpu.warps_per_block + 1))
-
-    def reopen(self, system: GPUSystem) -> None:
-        p = self.params
-        gpu = system.config.gpu
-        self.batch_size = gpu.threads_per_block
-        self.entries = system.pm_open("mq.entries")
-        self.tail = system.pm_open("mq.tail")
-        self.log_old = system.pm_open("mq.log_old")
-        self.log_new = system.pm_open("mq.log_new")
-        self.log_seal = system.pm_open("mq.log_seal")
         self.wflags = system.malloc(4 * p.blocks * (gpu.warps_per_block + 1))
 
     def _tail_word(self, block: int) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.base import App, AppParams, RunOutcome
+from repro.apps.base import App, AppParams, PMMapper, RunOutcome
 from repro.apps.common import spin_pacq
 from repro.common.config import Scope
 from repro.system import GPUSystem
@@ -59,7 +59,7 @@ class Reduction(App):
     # ------------------------------------------------------------------
     # memory layout
     # ------------------------------------------------------------------
-    def setup(self, system: GPUSystem) -> None:
+    def attach(self, system: GPUSystem, pm: PMMapper) -> None:
         p = self.params
         gpu = system.config.gpu
         self.warps_per_block = gpu.warps_per_block
@@ -69,28 +69,11 @@ class Reduction(App):
         # One PM line per partial (as the paper's per-thread pArr gives
         # each warp its own line): padding avoids false same-line
         # conflicts between different warps' single persists.
-        self.parr = system.pm_create("red.parr", 4 * 32 * self.n_warps)
-        self.pblk = system.pm_create("red.pblk", 4 * 32 * p.blocks)
-        self.out = system.pm_create("red.out", 4)
+        self.parr = pm("red.parr", 4 * 32 * self.n_warps)
+        self.pblk = pm("red.pblk", 4 * 32 * p.blocks)
+        self.out = pm("red.out", 4)
         self.wflags = system.malloc(4 * self.n_warps)
         self.bflags = system.malloc(4 * p.blocks)
-        self._upload(system)
-
-    def reopen(self, system: GPUSystem) -> None:
-        p = self.params
-        gpu = system.config.gpu
-        self.warps_per_block = gpu.warps_per_block
-        self.n_warps = p.blocks * self.warps_per_block
-        self.n_elems = p.blocks * gpu.threads_per_block * p.per_thread
-        self.input = system.malloc(4 * self.n_elems)
-        self.parr = system.pm_open("red.parr")
-        self.pblk = system.pm_open("red.pblk")
-        self.out = system.pm_open("red.out")
-        self.wflags = system.malloc(4 * self.n_warps)
-        self.bflags = system.malloc(4 * p.blocks)
-        self._upload(system)
-
-    def _upload(self, system: GPUSystem) -> None:
         system.host_write_words(self.input, self.input_values())
 
     def input_values(self) -> np.ndarray:

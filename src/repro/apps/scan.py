@@ -24,7 +24,7 @@ from typing import List
 
 import numpy as np
 
-from repro.apps.base import App, AppParams, RunOutcome
+from repro.apps.base import App, AppParams, PMMapper, RunOutcome
 from repro.apps.common import spin_pacq
 from repro.common.config import Scope
 from repro.system import GPUSystem
@@ -51,7 +51,7 @@ class Scan(App):
     # ------------------------------------------------------------------
     # memory layout
     # ------------------------------------------------------------------
-    def _shape(self, system: GPUSystem) -> None:
+    def attach(self, system: GPUSystem, pm: PMMapper) -> None:
         gpu = system.config.gpu
         self.wpb = gpu.warps_per_block
         if self.wpb & (self.wpb - 1):
@@ -59,28 +59,16 @@ class Scan(App):
         self.seg = gpu.threads_per_block
         self.n = self.params.blocks * self.seg
         self.rounds = max(1, self.wpb.bit_length() - 1)  # log2(wpb)
-
-    def setup(self, system: GPUSystem) -> None:
-        self._shape(system)
-        self.input = system.pm_create("scan.input", 4 * self.n)
+        self.input = pm("scan.input", 4 * self.n)
         self.bufs: List = [
-            system.pm_create(f"scan.buf{r}", 4 * self.n)
-            for r in range(self.rounds + 1)
+            pm(f"scan.buf{r}", 4 * self.n) for r in range(self.rounds + 1)
         ]
         self.flags = system.malloc(
             4 * self.params.blocks * self.wpb * (self.rounds + 1)
         )
-        system.host_write_words(self.input, self.input_values())
 
-    def reopen(self, system: GPUSystem) -> None:
-        self._shape(system)
-        self.input = system.pm_open("scan.input")
-        self.bufs = [
-            system.pm_open(f"scan.buf{r}") for r in range(self.rounds + 1)
-        ]
-        self.flags = system.malloc(
-            4 * self.params.blocks * self.wpb * (self.rounds + 1)
-        )
+    def initialize(self, system: GPUSystem) -> None:
+        system.host_write_words(self.input, self.input_values())
 
     def input_values(self) -> np.ndarray:
         return (np.arange(self.n) * 7) % 23 + 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.base import App, AppParams, RunOutcome
+from repro.apps.base import App, AppParams, PMMapper, RunOutcome
 from repro.system import GPUSystem
 
 
@@ -68,23 +68,13 @@ class SRAD(App):
     # ------------------------------------------------------------------
     # memory layout
     # ------------------------------------------------------------------
-    def setup(self, system: GPUSystem) -> None:
+    def attach(self, system: GPUSystem, pm: PMMapper) -> None:
         n = self.n_pixels
         self.image = system.malloc(4 * n)  # volatile input (GDDR)
-        self.noise = system.pm_create("srad.noise", 4 * n)
-        self.out = system.pm_create("srad.out", 4 * n)
-        self._upload_image(system)
-
-    def reopen(self, system: GPUSystem) -> None:
-        n = self.n_pixels
-        self.image = system.malloc(4 * n)
-        self.noise = system.pm_open("srad.noise")
-        self.out = system.pm_open("srad.out")
-        # The volatile input did not survive the crash; the host
-        # re-uploads it (it is the original, deterministic image).
-        self._upload_image(system)
-
-    def _upload_image(self, system: GPUSystem) -> None:
+        self.noise = pm("srad.noise", 4 * n)
+        self.out = pm("srad.out", 4 * n)
+        # The volatile input does not survive a crash; the host uploads
+        # it on every attach (it is the original, deterministic image).
         system.host_write_words(self.image, self.image_pixels())
 
     def image_pixels(self) -> np.ndarray:

@@ -55,15 +55,6 @@ class RecoveryError(ReproError):
     """Post-crash recovery produced an inconsistent data structure."""
 
 
-class OracleViolation(RecoveryError):
-    """A recovery oracle rejected a post-crash state.
-
-    Raised by :meth:`repro.apps.base.App.oracle_check` (and the formal
-    bridge) so fault-campaign classification can tell app-invariant
-    violations apart from recovery kernels crashing, by type alone.
-    """
-
-
 class LitmusError(ReproError):
     """A litmus test is malformed or its outcome check failed."""
 

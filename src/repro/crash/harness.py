@@ -11,21 +11,65 @@ persist log records when each persist was accepted by an ADR memory
 controller).  Recovery always happens on a **fresh machine**: new GPU,
 cold caches, empty persist buffers — only the durable PM image and the
 driver's namespace table survive, exactly like a real power cycle.
+
+:func:`recover` is the one reboot → recover → judge step: the harness
+and the fault campaign's soak chains both call it.  It classifies the
+outcome by exception type alone, so a reworded message can never change
+a verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
-
-from typing import Any
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.apps.base import App, RunOutcome
 from repro.common.config import SystemConfig
-from repro.common.errors import RecoveryError
+from repro.common.errors import RecoveryError, ReproError
 from repro.system import CrashImage, GPUSystem
 
 AppFactory = Callable[[], App]
+
+#: Recovery succeeded and the app's invariants hold.
+CONSISTENT = "consistent"
+#: Recovery ran but the app's invariant check rejected the state.
+APP_VIOLATION = "app_violation"
+#: The recovery machinery itself raised (recovery kernel crashed).
+RECOVERY_RAISED = "recovery_raised"
+
+
+def describe(exc: BaseException) -> str:
+    """Stable one-line description: type name + message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def recover(
+    app: App, config: SystemConfig, image: CrashImage, **machine: Any
+) -> Tuple[str, Optional[str], Optional[GPUSystem], float]:
+    """Boot a fresh machine from *image*, recover *app*, check it.
+
+    *machine* is passed on to the :class:`GPUSystem` constructor.
+    Returns ``(classification, error, rebooted, recovery_cycles)``:
+
+    * any :class:`ReproError` while rebooting, reopening, recovering or
+      syncing gives :data:`RECOVERY_RAISED` (and no machine) — the
+      recovery path must *itself* be crash-safe;
+    * a :class:`RecoveryError` from ``app.check(rebooted,
+      complete=False)`` gives :data:`APP_VIOLATION`;
+    * otherwise the state is :data:`CONSISTENT`.
+    """
+    try:
+        rebooted = GPUSystem(config, pm_image=image, **machine)
+        app.reopen(rebooted)
+        recovery = app.recover(rebooted)
+        rebooted.sync()
+    except ReproError as exc:
+        return RECOVERY_RAISED, describe(exc), None, 0.0
+    try:
+        app.check(rebooted, complete=False)
+    except RecoveryError as exc:
+        return APP_VIOLATION, describe(exc), rebooted, recovery.cycles
+    return CONSISTENT, None, rebooted, recovery.cycles
 
 
 @dataclass
@@ -35,9 +79,14 @@ class CrashReport:
     crash_time: float
     run_cycles: float
     recovery_cycles: float
-    consistent: bool
-    completed: bool
+    #: :data:`CONSISTENT`, :data:`APP_VIOLATION` or :data:`RECOVERY_RAISED`.
+    classification: str
+    completed: bool = False
     error: Optional[str] = None
+
+    @property
+    def consistent(self) -> bool:
+        return self.classification == CONSISTENT
 
 
 class CrashHarness:
@@ -56,7 +105,6 @@ class CrashHarness:
         #: happens on a clean machine.
         self.faults = faults
         self._baseline: Optional[GPUSystem] = None
-        self._baseline_app: Optional[App] = None
         self._run: Optional[RunOutcome] = None
 
     # ------------------------------------------------------------------
@@ -71,7 +119,6 @@ class CrashHarness:
             self._run = app.run(system)
             system.sync()
             self._baseline = system
-            self._baseline_app = app
         return self._baseline
 
     @property
@@ -141,8 +188,7 @@ class CrashHarness:
         self, complete: bool = False, limit: Optional[int] = None
     ) -> List[CrashReport]:
         """Inject one crash per persist boundary (see
-        :meth:`persist_boundaries`); the fault campaign reuses this as
-        its clean power-cut sweep."""
+        :meth:`persist_boundaries`)."""
         return [
             self.crash_at(t, complete) for t in self.persist_boundaries(limit)
         ]
@@ -151,25 +197,18 @@ class CrashHarness:
     # recovery on a fresh machine
     # ------------------------------------------------------------------
     def _recover_from(self, image: CrashImage, complete: bool) -> CrashReport:
-        rebooted = GPUSystem(self.config, pm_image=image)
         app = self.factory()
-        app.reopen(rebooted)
-        recovery = app.recover(rebooted)
-        rebooted.sync()
+        classification, error, rebooted, recovery_cycles = recover(
+            app, self.config, image
+        )
         report = CrashReport(
             crash_time=image.time,
             run_cycles=self.run_cycles,
-            recovery_cycles=recovery.cycles,
-            consistent=True,
-            completed=False,
+            recovery_cycles=recovery_cycles,
+            classification=classification,
+            error=error,
         )
-        try:
-            app.check(rebooted, complete=False)
-        except RecoveryError as exc:
-            report.consistent = False
-            report.error = str(exc)
-            return report
-        if complete:
+        if complete and report.consistent:
             # Forward progress: re-running the workload must finish the
             # job from the recovered state.
             app.run(rebooted)
@@ -178,7 +217,7 @@ class CrashHarness:
                 app.check(rebooted, complete=True)
                 report.completed = True
             except RecoveryError as exc:
-                report.error = str(exc)
+                report.error = describe(exc)
         return report
 
     def recovery_cycles_at_worst_case(self) -> float:

@@ -42,7 +42,6 @@ from repro.exec.pool import (
     WorkerPool,
 )
 from repro.metrics.registry import MetricsRegistry
-from repro.trace.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bench.runner import ScenarioResult
@@ -111,12 +110,6 @@ def add_pool_args(parser: argparse.ArgumentParser) -> None:
         help="base retry backoff in seconds, doubling per attempt "
         "(default: 0.5)",
     )
-    parser.add_argument(
-        "--retry-errors",
-        action="store_true",
-        help="also retry jobs that failed with a clean exception "
-        "(deterministic here, so off by default)",
-    )
 
 
 def pool_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
@@ -125,7 +118,6 @@ def pool_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
         timeout=args.timeout,
         retries=args.retries,
         backoff=args.backoff,
-        retry_errors=args.retry_errors,
     )
 
 
@@ -170,9 +162,7 @@ class Executor:
         timeout: Optional[float] = None,
         retries: int = 1,
         backoff: float = 0.5,
-        retry_errors: bool = False,
         progress: Optional[Callable[[PoolEvent], None]] = None,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
@@ -182,9 +172,7 @@ class Executor:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.retry_errors = retry_errors
         self.progress = progress
-        self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = ExecStats()
         self.failures: List[JobFailedError] = []
@@ -195,21 +183,9 @@ class Executor:
     # progress plumbing
     # ------------------------------------------------------------------
     def _emit(self, event: PoolEvent) -> None:
-        """Fan a pool event out to the callback and the tracer.
-
-        With a tracer attached, executor progress lands on an ``exec``
-        counter track (jobs done / in flight over wall-clock seconds),
-        viewable alongside simulation traces in Perfetto.
-        """
+        """Hand a pool event to the progress callback, if any."""
         if self.progress is not None:
             self.progress(event)
-        if self.tracer is not None and self.tracer.enabled:
-            ts = time.monotonic() - self._t0
-            self.tracer.counter("exec", "jobs_done", ts, event.done)
-            if event.kind == "done":
-                self.tracer.instant(
-                    "exec", f"{event.label}:{event.status}", ts
-                )
 
     # ------------------------------------------------------------------
     # submission
@@ -355,7 +331,6 @@ class Executor:
             timeout=self.timeout,
             retries=self.retries,
             backoff=self.backoff,
-            retry_errors=self.retry_errors,
             progress=self._emit,
             metrics=self.metrics,
         )

@@ -106,7 +106,6 @@ class WorkerPool:
         timeout: Optional[float] = None,
         retries: int = 1,
         backoff: float = 0.5,
-        retry_errors: bool = False,
         progress: Optional[Progress] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -116,7 +115,6 @@ class WorkerPool:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.retry_errors = retry_errors
         self.progress = progress
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # fork keeps arbitrary runner callables usable and is the fast
@@ -161,9 +159,7 @@ class WorkerPool:
         def finish(state: _Active, status: str, value=None, error=None):
             nonlocal done
             duration = time.monotonic() - state.started
-            retryable = status in (STATUS_CRASHED, STATUS_TIMEOUT) or (
-                status == STATUS_ERROR and self.retry_errors
-            )
+            retryable = status in (STATUS_CRASHED, STATUS_TIMEOUT)
             if retryable and state.attempt <= self.retries:
                 delay = self.backoff * (2 ** (state.attempt - 1))
                 pending.append(

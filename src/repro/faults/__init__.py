@@ -12,12 +12,14 @@ them — or fails *diagnosably*:
 * :mod:`~repro.faults.injector` — :class:`FaultInjector`, the
   deterministic plan interpreter the memory subsystem and persistency
   models consult;
-* :mod:`~repro.faults.oracles` — typed post-crash classification: the
-  application oracle (recover on a clean machine, check app invariants)
-  and the formal oracle (validate observed crash images against the
-  axiomatic model's reachable states);
-* :mod:`~repro.faults.runner` — one scenario end to end: injected run,
-  crash at every persist boundary, classify, minimize a reproducer;
+* :mod:`~repro.faults.oracles` — typed outcome classification: the
+  run-exception classes, the formal oracle (validate observed crash
+  images against the axiomatic model's reachable states), and the
+  application oracle's classes re-exported from :mod:`repro.crash`,
+  whose :func:`~repro.crash.recover` reboots, recovers and checks;
+* :mod:`~repro.faults.runner` — one scenario end to end: the injected
+  run and a crash at every persist boundary, both through a
+  :class:`~repro.crash.CrashHarness`, then a minimized reproducer;
 * :mod:`~repro.faults.soak` — a serving stream's crash→recover→crash
   chain under a fault timeline, with the oracle at every reboot and a
   zero-loss audit;
@@ -38,7 +40,6 @@ from repro.faults.oracles import (
     MODEL_ERROR,
     RECOVERY_RAISED,
     UNREACHABLE_STATE,
-    recover_and_classify,
     run_litmus_oracle,
 )
 from repro.faults.plans import (
@@ -94,7 +95,6 @@ __all__ = [
     "TornPersistPlan",
     "UNREACHABLE_STATE",
     "build_injector",
-    "recover_and_classify",
     "run_fault_scenario",
     "run_litmus_oracle",
 ]

@@ -629,6 +629,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--list-plans", action="store_true")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
+    if args.max_crash_points is not None and args.max_crash_points < 1:
+        parser.error(
+            f"--max-crash-points must be >= 1, got {args.max_crash_points}"
+        )
 
     if args.list_plans:
         return _list_plans()

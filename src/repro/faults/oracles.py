@@ -2,11 +2,13 @@
 
 Two oracle families cross-check each injected run:
 
-* the **application oracle** boots a fresh machine from the crash image,
-  runs the app's recovery kernel, and checks the app's own consistency
-  invariants (:meth:`repro.apps.base.App.oracle_check`) — the paper's
+* the **application oracle** is :func:`repro.crash.recover`: it boots a
+  fresh machine from the crash image, runs the app's recovery kernel,
+  and checks the app's own consistency invariants — the paper's
   *recoverability* criterion (Section 2.2: after any crash, recovery
-  must restore a consistent state);
+  must restore a consistent state).  Its three classes
+  (:data:`CONSISTENT`, :data:`APP_VIOLATION`, :data:`RECOVERY_RAISED`)
+  and :func:`describe` live in :mod:`repro.crash.harness`;
 * the **formal oracle** replays a litmus library program
   (:mod:`repro.check.corpus`) on the (possibly faulted) timing simulator
   and judges the run with the conformance checker's differential oracle
@@ -23,31 +25,29 @@ a campaign verdict.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro.common.config import ModelName, SystemConfig
+from repro.common.config import ModelName
 from repro.common.errors import (
     FaultInjectionError,
     LivelockError,
-    OracleViolation,
     PersistencyError,
     ReproError,
     SimulationError,
 )
-from repro.system import CrashImage, GPUSystem
+from repro.crash.harness import (
+    APP_VIOLATION,
+    CONSISTENT,
+    RECOVERY_RAISED,
+    describe,
+)
 
 # ----------------------------------------------------------------------
 # outcome classifications
 # ----------------------------------------------------------------------
-#: Recovery succeeded and the app's invariants hold.
-CONSISTENT = "consistent"
-#: Recovery ran but the app oracle rejected the resulting state.
-APP_VIOLATION = "app_violation"
 #: The simulator's run broke the axiomatic model: a durable image it
 #: forbids, or a dFence or final durability obligation left unmet.
 UNREACHABLE_STATE = "unreachable_state"
-#: The recovery machinery itself raised (recovery kernel crashed).
-RECOVERY_RAISED = "recovery_raised"
 #: The injected run wedged: livelock, deadlock, or cycle-budget blowout.
 HUNG = "hung"
 #: The injection escalated to a typed FaultInjectionError.
@@ -76,11 +76,6 @@ INCONSISTENT_CLASSES = frozenset(
 )
 
 
-def describe(exc: BaseException) -> str:
-    """Stable one-line description: type name + message."""
-    return f"{type(exc).__name__}: {exc}"
-
-
 def classify_run_exception(exc: ReproError) -> str:
     """Classify an exception raised by the *injected run* itself.
 
@@ -97,43 +92,6 @@ def classify_run_exception(exc: ReproError) -> str:
     if isinstance(exc, SimulationError):
         return HUNG
     return MODEL_ERROR
-
-
-# ----------------------------------------------------------------------
-# application oracle
-# ----------------------------------------------------------------------
-def recover_and_classify(
-    app_name: str,
-    app_params: Dict[str, Any],
-    config: SystemConfig,
-    image: CrashImage,
-) -> Tuple[str, Optional[str]]:
-    """Boot a clean machine from *image*, recover, check invariants.
-
-    Returns ``(classification, error)``:
-
-    * any :class:`ReproError` while rebooting / recovering / draining
-      classifies as :data:`RECOVERY_RAISED` — the recovery path must
-      *itself* be crash-safe;
-    * an :class:`OracleViolation` from the app's invariant checker
-      classifies as :data:`APP_VIOLATION`;
-    * otherwise the state is :data:`CONSISTENT`.
-    """
-    from repro.apps import build_app
-
-    app = build_app(app_name, **app_params)
-    try:
-        rebooted = GPUSystem(config, pm_image=image)
-        app.reopen(rebooted)
-        app.recover(rebooted)
-        rebooted.sync()
-    except ReproError as exc:
-        return RECOVERY_RAISED, describe(exc)
-    try:
-        app.oracle_check(rebooted, complete=False)
-    except OracleViolation as exc:
-        return APP_VIOLATION, describe(exc)
-    return CONSISTENT, None
 
 
 # ----------------------------------------------------------------------

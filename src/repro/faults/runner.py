@@ -2,14 +2,16 @@
 
 :func:`run_fault_scenario` is what a :class:`~repro.exec.jobs.ScenarioJob`
 in ``mode="faults"`` executes inside its (possibly separate) worker
-process:
+process.  It drives a :class:`~repro.crash.CrashHarness` whose baseline
+run carries a :class:`~repro.faults.injector.FaultInjector` built from
+the job's plan:
 
-1. run the app under a :class:`~repro.faults.injector.FaultInjector`
-   built from the job's plan, classifying any wedge/escalation by type;
+1. run the app under the injector, classifying any wedge/escalation by
+   type;
 2. if the run completed, crash at **every persist boundary** (each
    instant the durable image can change, deterministically subsampled to
-   ``max_crash_points``), recover each image on a clean machine, and
-   classify it through the application oracle;
+   ``max_crash_points``) and let the harness recover each image on a
+   clean machine and classify it (:func:`repro.crash.recover`);
 3. fold the per-point classifications into a scenario *outcome*, match
    it against the plan's declared expectation, and attach a minimized
    reproducer spec (one crash point, JSON-loadable as a ScenarioJob)
@@ -27,6 +29,7 @@ from typing import Any, Dict, List, Optional
 from repro.bench.runner import ScenarioResult
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
+from repro.crash import CrashHarness
 from repro.faults.injector import FaultInjector
 from repro.faults.oracles import (
     CONSISTENT,
@@ -36,7 +39,6 @@ from repro.faults.oracles import (
     RUN_COMPLETED,
     classify_run_exception,
     describe,
-    recover_and_classify,
 )
 from repro.faults.plans import (
     EXPECT_ANY,
@@ -46,7 +48,6 @@ from repro.faults.plans import (
     EXPECT_INCONSISTENT,
     FaultPlan,
 )
-from repro.system import GPUSystem
 
 #: Default cap on sampled crash points per scenario.  Boundaries are
 #: subsampled deterministically (first + last always kept), so a sweep
@@ -55,18 +56,6 @@ DEFAULT_MAX_CRASH_POINTS = 24
 
 #: Scenario outcome when at least one crash point was inconsistent.
 OUTCOME_INCONSISTENT = "inconsistent"
-
-
-def _subsample(times: List[float], limit: Optional[int]) -> List[float]:
-    """Deterministic subsample keeping endpoints (mirrors
-    :meth:`repro.crash.harness.CrashHarness.persist_boundaries`)."""
-    if limit is None or limit <= 0 or len(times) <= limit:
-        return times
-    if limit == 1:
-        return [times[-1]]
-    step = (len(times) - 1) / (limit - 1)
-    picked = {round(i * step) for i in range(limit)}
-    return [times[i] for i in sorted(picked)]
 
 
 def matches(expect: str, outcome: str) -> bool:
@@ -100,18 +89,16 @@ def run_fault_scenario(
     crash_times = payload.pop("crash_times", None)
     plan = FaultPlan.from_json(payload)
     injector = FaultInjector(plan)
+    harness = CrashHarness(
+        lambda: build_app(app_name, **app_params), config, faults=injector
+    )
 
     # Phase 1: the injected run.
-    system = GPUSystem(config, faults=injector)
-    app = build_app(app_name, **app_params)
     run_class = RUN_COMPLETED
     run_error: Optional[str] = None
     cycles = 0.0
     try:
-        app.setup(system)
-        outcome_run = app.run(system)
-        system.sync()
-        cycles = outcome_run.cycles
+        cycles = harness.run_cycles
     except ReproError as exc:
         run_class = classify_run_exception(exc)
         run_error = describe(exc)
@@ -122,17 +109,15 @@ def run_fault_scenario(
         if crash_times is not None:
             times = [float(t) for t in crash_times]
         else:
-            times = [0.0] + system.gpu.subsystem.persist_log.boundary_times(
-                end=system.now
-            )
-            times = _subsample(times, max_crash_points)
+            times = harness.persist_boundaries(max_crash_points)
         for t in times:
-            image = system.crash(at=min(t, system.now))
-            classification, error = recover_and_classify(
-                app_name, app_params, config, image
-            )
+            report = harness.crash_at(t, complete=False)
             points.append(
-                {"time": t, "classification": classification, "error": error}
+                {
+                    "time": t,
+                    "classification": report.classification,
+                    "error": report.error,
+                }
             )
 
     # Phase 3: fold into outcome + verdict + minimized reproducer.

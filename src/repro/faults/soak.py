@@ -8,10 +8,12 @@ image.  The fault campaign (:mod:`repro.faults.campaign`) runs these
 chains as its ``soak`` cells.
 
 * **oracle per reboot** — every crash image first goes through the
-  application oracle (:func:`repro.faults.oracles.recover_and_classify`:
-  clean machine, recovery kernel, invariant check) before the chain
-  continues, so a single bad image fails the soak even if later batches
-  would have papered over it;
+  application oracle (:func:`repro.crash.recover`: clean machine,
+  recovery kernel, invariant check) before the chain continues, so a
+  single bad image fails the soak even if later batches would have
+  papered over it.  The chain then reboots a second time from the same
+  image, onto the metered machine that keeps running under the fault
+  timeline;
 * **zero data loss** — after each reboot's recovery, every key's
   recovered version is audited against the ledger of batches whose
   group commit *durably completed* before the crash instant; a
@@ -39,6 +41,7 @@ from repro.bench.runner import ScenarioResult
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
 from repro.common.units import CLOCK_MHZ
+from repro.crash import recover
 from repro.faults.injector import FaultInjector
 from repro.faults.oracles import (
     APP_VIOLATION,
@@ -46,7 +49,6 @@ from repro.faults.oracles import (
     INCONSISTENT_CLASSES,
     classify_run_exception,
     describe,
-    recover_and_classify,
 )
 from repro.faults.plans import (
     EXPECT_CONSISTENT,
@@ -216,8 +218,8 @@ def run_soak_scenario(
             t_crash = t0 + crash_fraction * (system.now - t0)
             image = system.crash(at=t_crash)
             _merge_counts(injected, system.faults)
-            classification, error = recover_and_classify(
-                app_name, params, config, image
+            classification, error, _, _ = recover(
+                build_app(app_name, **params), config, image
             )
             offset += t_crash
             rebooted = GPUSystem(

@@ -46,7 +46,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.apps.base import App, AppParams, RunOutcome
+from repro.apps.base import App, AppParams, PMMapper, RunOutcome
 from repro.apps.common import SEAL
 from repro.serve.txn import (
     DEFAULT_THRESHOLD_WORDS,
@@ -142,30 +142,28 @@ class ServeKVS(App):
     # ------------------------------------------------------------------
     # memory layout
     # ------------------------------------------------------------------
-    def _regions(self) -> Dict[str, int]:
+    def attach(self, system: GPUSystem, pm: PMMapper) -> None:
         p = self.params
         cap, pay, b = p.capacity, p.payload_large, p.batch_requests
-        return {
-            "serve.tbl_key": 4 * cap,
-            "serve.tbl_val": 4 * cap,
-            "serve.pay": 4 * cap * pay,
-            "serve.ulog_slot": 4 * b,
-            "serve.ulog_key": 4 * b,
-            "serve.ulog_val": 4 * b,
-            "serve.ulog_pay": 4 * b * pay,
-            "serve.ulog_seal": 4 * b,
-            "serve.rlog_slot": 4 * b,
-            "serve.rlog_key": 4 * b,
-            "serve.rlog_val": 4 * b,
-            "serve.rlog_pay": 4 * b * pay,
-            "serve.rlog_flag": 4 * b,
-        }
+        for region, size in (
+            ("tbl_key", cap),
+            ("tbl_val", cap),
+            ("pay", cap * pay),
+            ("ulog_slot", b),
+            ("ulog_key", b),
+            ("ulog_val", b),
+            ("ulog_pay", b * pay),
+            ("ulog_seal", b),
+            ("rlog_slot", b),
+            ("rlog_key", b),
+            ("rlog_val", b),
+            ("rlog_pay", b * pay),
+            ("rlog_flag", b),
+        ):
+            setattr(self, region, pm(f"serve.{region}", 4 * size))
 
-    def setup(self, system: GPUSystem) -> None:
+    def initialize(self, system: GPUSystem) -> None:
         p = self.params
-        for region, size in self._regions().items():
-            attr = region.split(".", 1)[1]
-            setattr(self, attr, system.pm_create(region, size))
         slots = np.arange(p.n_keys)
         keys = np.zeros(p.capacity, dtype=np.int64)
         vals = np.zeros(p.capacity, dtype=np.int64)
@@ -179,11 +177,6 @@ class ServeKVS(App):
             base = s * p.payload_large
             payload[base : base + plen] = vals[s] + 1 + np.arange(plen)
         system.host_write_words(self.pay, payload)
-
-    def reopen(self, system: GPUSystem) -> None:
-        for region in self._regions():
-            attr = region.split(".", 1)[1]
-            setattr(self, attr, system.pm_open(region))
 
     # ------------------------------------------------------------------
     # per-batch host-side request arrays

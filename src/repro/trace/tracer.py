@@ -246,17 +246,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def persist_boundaries(self) -> List[float]:
-        """Distinct durability (acceptance) instants of every completed
-        persist, sorted.  The fault campaign uses these as crash points:
-        the durable image can only change at a boundary."""
-        times = {
-            record.t_accept
-            for record in self.persists
-            if record.t_accept is not None
-        }
-        return sorted(times)
-
     def event_count(self) -> int:
         """Total timeline events currently buffered."""
         return (

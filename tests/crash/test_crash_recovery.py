@@ -3,8 +3,10 @@
 import pytest
 
 from repro import GPUSystem, ModelName, Scope, small_system
-from repro.apps import APPS, build_app
-from repro.crash import CrashHarness
+from repro.apps import APPS, App, RunOutcome, app_names, build_app
+from repro.common.errors import RecoveryError, SimulationError
+from repro.crash import RECOVERY_RAISED, CrashHarness
+from repro.memory.address_space import Allocation
 
 SIZES = {
     "gpkvs": dict(n_pairs=512, capacity=1024, rounds=2),
@@ -13,6 +15,7 @@ SIZES = {
     "reduction": dict(blocks=3, per_thread=2),
     "multiqueue": dict(batches=2, blocks=3),
     "scan": dict(blocks=3),
+    "serve_kvs": dict(n_requests=96, n_keys=96, capacity=256, batch_requests=48),
 }
 
 
@@ -53,6 +56,73 @@ class TestHarnessMechanics:
         harness = self.make()
         first = harness.baseline()
         assert harness.baseline() is first
+
+
+class BrokenRecovery(App):
+    """One PM word; its recovery kernel dies with a simulator error."""
+
+    name = "broken_recovery"
+
+    def attach(self, system, pm):
+        self.word = pm("broken.word", 4)
+
+    def run(self, system):
+        return RunOutcome([system.launch(self._store, 1)])
+
+    def _store(self, w):
+        yield w.st(self.word.base, 1, mask=w.lane == 0)
+
+    def recover(self, system):
+        raise SimulationError("recovery kernel faulted")
+
+    def check(self, system, complete=True):
+        pass
+
+
+class TestRecoveryRaised:
+    def make(self):
+        return CrashHarness(BrokenRecovery, small_system(ModelName.SBRP))
+
+    def test_raising_recovery_is_a_recovery_raised_report(self):
+        report = self.make().crash_at(0.0)
+        assert report.classification == RECOVERY_RAISED
+        assert not report.consistent and not report.completed
+        assert report.error == "SimulationError: recovery kernel faulted"
+        assert report.recovery_cycles == 0.0
+
+    def test_worst_case_recovery_rejects_it(self):
+        with pytest.raises(RecoveryError, match="SimulationError"):
+            self.make().recovery_cycles_at_worst_case()
+
+
+def layout(app):
+    """Every region the app mapped, by attribute name."""
+    found = {}
+    for attr, value in vars(app).items():
+        if isinstance(value, Allocation):
+            found[attr] = value
+        elif isinstance(value, list) and value and isinstance(value[0], Allocation):
+            found[attr] = tuple(value)
+    return found
+
+
+@pytest.mark.parametrize("name", app_names())
+def test_reopen_maps_the_regions_setup_created(name):
+    """``setup`` and ``reopen`` share one ``attach``: on the rebooted
+    machine every region (PM and volatile) lands where setup put it."""
+    config = small_system(ModelName.SBRP)
+    system = GPUSystem(config)
+    app = build_app(name, **SIZES[name])
+    app.setup(system)
+    created = layout(app)
+    assert created
+    app.run(system)
+    system.sync()
+    image = system.crash(at=system.now / 2)
+
+    reopened = build_app(name, **SIZES[name])
+    reopened.reopen(GPUSystem.reboot(system, image))
+    assert layout(reopened) == created
 
 
 class TestScopedPersistencyBug:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro import GPUSystem, ModelName, small_system
 from repro.apps import build_app
-from repro.common.errors import RecoveryError
+from repro.crash import CONSISTENT, recover
 
 PARAMS = dict(n_pairs=256, capacity=512, rounds=2)
 
@@ -66,12 +66,10 @@ class TestRandomizedCrashPoints:
     def test_any_crash_point_is_recoverable(self, fraction):
         system, app = fresh_run()
         image = system.crash(at=system.now * fraction)
-        boot = GPUSystem(small_system(ModelName.SBRP), pm_image=image)
-        app2 = build_app("gpkvs", **PARAMS)
-        app2.reopen(boot)
-        app2.recover(boot)
-        boot.sync()
-        app2.check(boot, complete=False)
+        classification, error, _, _ = recover(
+            build_app("gpkvs", **PARAMS), small_system(ModelName.SBRP), image
+        )
+        assert classification == CONSISTENT, error
 
 
 class TestTornCrashChains:
@@ -94,23 +92,22 @@ class TestTornCrashChains:
 
         # Reboot with the injector still attached: the *rerun* after
         # recovery crashes torn as well.
-        boot1 = GPUSystem(small_system(model), pm_image=image1, faults=injector())
         app1 = build_app("gpkvs", **PARAMS)
-        app1.reopen(boot1)
-        app1.recover(boot1)
-        boot1.sync()
-        app1.check(boot1, complete=False)
+        classification, error, boot1, _ = recover(
+            app1, small_system(model), image1, faults=injector()
+        )
+        assert classification == CONSISTENT, error
+        assert boot1.faults is not None
         app1.run(boot1)
         boot1.sync()
         image2 = boot1.crash(at=boot1.now * 0.75)
 
         # Final reboot on clean hardware: recover and finish the batch.
-        boot2 = GPUSystem(small_system(model), pm_image=image2)
         app2 = build_app("gpkvs", **PARAMS)
-        app2.reopen(boot2)
-        app2.recover(boot2)
-        boot2.sync()
-        app2.check(boot2, complete=False)
+        classification, error, boot2, _ = recover(
+            app2, small_system(model), image2
+        )
+        assert classification == CONSISTENT, error
         app2.run(boot2)
         boot2.sync()
         app2.check(boot2, complete=True)

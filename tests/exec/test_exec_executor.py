@@ -13,7 +13,6 @@ from repro.exec import (
     ScenarioJob,
     execute_job_payload,
 )
-from repro.trace.tracer import TraceConfig, Tracer
 
 #: Tiny configs keep every executor test sub-second per simulation.
 _CFG = small_system(ModelName.SBRP, PMPlacement.NEAR)
@@ -138,21 +137,13 @@ class TestFailures:
             Executor(workers=0)
 
 
-class TestProgressAndTracer:
+class TestProgress:
     def test_progress_callback_in_serial_mode(self):
         events = []
         ex = Executor(workers=1, progress=events.append)
         ex.submit([_job()])
         assert [e.kind for e in events] == ["start", "done"]
         assert events[-1].status == "ok"
-
-    def test_tracer_records_executor_counters(self):
-        tracer = Tracer(TraceConfig())
-        ex = Executor(workers=1, tracer=tracer)
-        ex.submit([_job()])
-        exec_counters = [c for c in tracer.counters if c[0] == "exec"]
-        assert exec_counters, "executor progress not wired to the tracer"
-        assert exec_counters[-1][3] == 1  # one job done
 
 
 class TestWorkerPayload:

@@ -114,6 +114,14 @@ class TestRepro:
         # Exit 0 = the pinned crash point reproduced the inconsistency.
         assert main(["--repro", str(spec)]) == 0
 
+    @pytest.mark.parametrize("preset", [["--smoke"], []], ids=["smoke", "full"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_crash_point_cap_below_one_rejected(self, capsys, preset, value):
+        with pytest.raises(SystemExit) as info:
+            main(preset + ["--max-crash-points", value])
+        assert info.value.code == 2
+        assert "--max-crash-points must be >= 1" in capsys.readouterr().err
+
     def test_list_plans(self, capsys):
         assert main(["--list-plans"]) == 0
         out = capsys.readouterr().out

@@ -23,12 +23,12 @@ from repro.faults import (
     build_injector,
 )
 from repro.faults.injector import _mix
+from repro.crash import recover
 from repro.faults.oracles import (
     APP_VIOLATION,
     CONSISTENT,
     FAULT_RAISED,
     HUNG,
-    recover_and_classify,
 )
 from repro.faults.runner import run_fault_scenario
 from repro.memory.subsystem import PersistRecord
@@ -175,10 +175,11 @@ class TestOracleClassification:
         app.setup(system)
         app.run(system)
         system.sync()
-        classification, error = recover_and_classify(
-            "gpkvs", dict(PARAMS), config, system.crash()
+        classification, error, rebooted, cycles = recover(
+            build_app("gpkvs", **PARAMS), config, system.crash()
         )
         assert classification == CONSISTENT and error is None
+        assert rebooted is not None and cycles > 0
 
     def test_seeded_bug_classified_as_app_violation(self):
         params = {**PARAMS, "seeded_bug": "commit_first"}

@@ -28,6 +28,7 @@ from repro.check.corpus import corpus_programs
 from repro.check.enumerator import SMOKE_VARIANTS
 from repro.check.oracle import check_program
 from repro.crash import CrashHarness
+from repro.faults import PowerCutPlan, run_fault_scenario
 from repro.serve.app import build_serve_app
 
 MODELS = [ModelName.GPM, ModelName.EPOCH, ModelName.SBRP]
@@ -111,7 +112,15 @@ class TestMachineLifetime:
 
         assert cyclic_repro_garbage(scenario) == Counter()
 
-    def test_oracle_check_program(self, model):
+    def test_fault_scenario(self, model):
+        def scenario():
+            fault = dict(PowerCutPlan().to_json(), max_crash_points=3)
+            result = run_fault_scenario("gpkvs", small_system(model), GPKVS, fault)
+            assert result.detail["outcome"] == "consistent"
+
+        assert cyclic_repro_garbage(scenario) == Counter()
+
+    def test_conformance_check_program(self, model):
         program = corpus_programs()[0]
 
         def scenario():
