@@ -43,6 +43,8 @@ APPS = {
 _LAZY_APPS = {
     "serve_kvs": ("repro.serve.app", "ServeKVS"),
 }
+#: Lazy apps already imported; kept apart so ``APPS`` stays Table 2.
+_LAZY_RESOLVED = {}
 
 
 def app_names():
@@ -52,12 +54,12 @@ def app_names():
 
 def build_app(name: str, **params):
     """Instantiate a registered application by name."""
-    cls = APPS.get(name)
+    cls = APPS.get(name) or _LAZY_RESOLVED.get(name)
     if cls is None and name in _LAZY_APPS:
         import importlib
 
         module, attr = _LAZY_APPS[name]
-        cls = APPS[name] = getattr(importlib.import_module(module), attr)
+        cls = _LAZY_RESOLVED[name] = getattr(importlib.import_module(module), attr)
     if cls is None:
         raise KeyError(f"unknown app {name!r}; have {app_names()}")
     return cls(**params)

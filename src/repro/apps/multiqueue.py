@@ -99,8 +99,11 @@ class Multiqueue(App):
             if is_leader_warp:
                 # Tail persists only after every warp's entries.
                 for other in range(wpb):
+                    # One op per spin loop, as in spin_pacq: the SM only
+                    # reads op fields.
+                    acq = w.pacq(flag_base + 4 * other, Scope.BLOCK)
                     while True:
-                        got = yield w.pacq(flag_base + 4 * other, Scope.BLOCK)
+                        got = yield acq
                         if got >= batch + 1:
                             break
                 new_tail = tail + self.batch_size
@@ -118,8 +121,9 @@ class Multiqueue(App):
                 yield w.prel(commit_flag, batch + 1, Scope.BLOCK)
             else:
                 # Wait for the leader to commit before the next batch.
+                acq = w.pacq(commit_flag, Scope.BLOCK)
                 while True:
-                    got = yield w.pacq(commit_flag, Scope.BLOCK)
+                    got = yield acq
                     if got >= batch + 1:
                         break
             tail += self.batch_size

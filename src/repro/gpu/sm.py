@@ -146,21 +146,38 @@ class SM:
     # issue machinery
     # ------------------------------------------------------------------
     def kick(self, now: float) -> None:
-        """Ensure an issue event will fire when a warp can issue."""
+        """Ensure an issue event will fire when a warp can issue.
+
+        The event fires at ``max(now, _next_issue_free, earliest READY
+        ready_time)``.  The scan starts at the round-robin cursor and
+        stops at the first READY warp that could issue by
+        ``max(now, _next_issue_free)``: that warp already fixes the
+        time, so the rest of the warps cannot change it."""
         if self._issue_pending:
             return
+        if self._slots_cache is None:
+            self._warp_list()
+        wl = self._warps_cache
+        n = len(wl)
+        if not n:
+            return
         ready = _READY
+        floor = now if now > self._next_issue_free else self._next_issue_free
         best = None
-        for w in self.warps.values():
+        rr = self._rr % n
+        # Indices rr - n .. rr - 1 visit slots rr .. n - 1, then 0 .. rr - 1.
+        for i in range(rr - n, rr):
+            w = wl[i]
             if w.state is ready:
                 rt = w.ready_time
+                if rt <= floor:
+                    best = floor
+                    break
                 if best is None or rt < best:
                     best = rt
         if best is None:
             return
-        when = best if best > now else now
-        if self._next_issue_free > when:
-            when = self._next_issue_free
+        when = best if best > floor else floor
         self._issue_pending = True
         # Inlined Engine.schedule.
         engine = self.engine
@@ -235,20 +252,24 @@ class SM:
                 raise SimulationError(f"unknown op {op!r}")
             handler(self, warp, op, now)
         # Trailing kick(), inlined over the cached warp list: runs once
-        # per issued instruction.
+        # per issued instruction.  Same early-exit scan as kick().
         if self._issue_pending:
             return
+        floor = self._next_issue_free  # > now: set above
         best = None
-        for w in wl:
+        rr = self._rr
+        for i in range(rr - n, rr):
+            w = wl[i]
             if w.state is ready:
                 rt = w.ready_time
+                if rt <= floor:
+                    best = floor
+                    break
                 if best is None or rt < best:
                     best = rt
         if best is None:
             return
-        when = best if best > now else now
-        if self._next_issue_free > when:
-            when = self._next_issue_free
+        when = best if best > floor else floor
         self._issue_pending = True
         engine = self.engine
         engine._seq += 1

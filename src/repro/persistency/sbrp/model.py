@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Mapping
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.common.bitmask import WarpMask
 from repro.common.config import DrainPolicy, Scope, SystemConfig
@@ -95,7 +95,7 @@ class SBRPModel(PersistencyModel):
                         self._schedule_pump(sm)
                         return Outcome.blocked()
                     line.write_words(words)
-                    entry.warp_mask |= bit
+                    st.pb.merge(entry, bit)
                     self.stats.add("sbrp.stores_coalesced")
                     self.stats.add("l1.write_hit_pm")
                     if sm.tracer.enabled:
@@ -160,7 +160,7 @@ class SBRPModel(PersistencyModel):
         tail = st.pb.tail()
         if tail is not None and tail.kind is EntryKind.OFENCE:
             # Back-to-back oFences coalesce into one entry (Section 6.1).
-            tail.warp_mask |= bit
+            st.pb.merge(tail, bit)
             st.note_order_point(warp.slot, tail)
             self.stats.add("sbrp.ofence_coalesced")
             return Outcome.complete(now + 1)
@@ -349,21 +349,23 @@ class SBRPModel(PersistencyModel):
         past delayed entries: unrelated warps' persists keep flowing —
         the paper's stated purpose for the FSM ("avoid false ordering
         amongst persists from different warps").
+
+        A scan leaves ``st.scan_memo``: the PB's edit count, the FSM the
+        scan ended with, ``force_until_seq`` and either the youngest
+        sequence number (the scan ran to the end) or ``None`` (it
+        stopped at a full drain window).  While those are unchanged,
+        ``space_waiters`` is empty and, for a stopped scan, the window
+        is still full, a new scan would hold every entry it visits again
+        and flush nothing, so it is skipped (DESIGN §13).  Traced passes
+        always scan: the scan emits the delay events.
         """
         st = self.states[sm.sm_id]
         st.pump_scheduled = False
         if st.actr == 0:
             st.fsm.reset()
         traced = sm.tracer.enabled
-        hold = 0  # warps with a delayed earlier entry in this pass
         pb = st.pb
-        # Physically drop leading tombstones first (head() is the FIFO's
-        # existing lazy-cleanup path): shorter scans, same live sequence.
-        pb.head()
-        fsm = st.fsm
-        fsm_bits = fsm.bits  # only _order_point_at_head mutates the FSM
-        persist = EntryKind.PERSIST
-        remove = pb.remove
+        fsm_bits = st.fsm.bits
         # Inlined _policy_allows for the WINDOW policy (the default):
         # the method is pure, so short-circuiting here is value-identical.
         window = (
@@ -371,14 +373,46 @@ class SBRPModel(PersistencyModel):
             if self._drain_policy is DrainPolicy.WINDOW
             else None
         )
-        # Iterate the deque directly: the pass only *tombstones* entries
-        # (remove() flags them, never mutates the deque), and nothing in
-        # the loop body appends — wakes merely schedule events.  Checking
-        # ``evicted`` at visit time therefore matches the snapshot the
-        # reference ``list(entries())`` took up front.
-        for entry in pb._fifo:
-            if entry.evicted:
-                continue
+        memo = st.scan_memo
+        if (
+            memo is None
+            or traced
+            or st.space_waiters
+            or memo[0] != pb.edits
+            or memo[1] != fsm_bits
+            or memo[2] != st.force_until_seq
+            or (
+                memo[3] != pb.last_seq
+                if memo[3] is not None
+                else st.sends_pending < window
+            )
+        ):
+            st.scan_memo = self._scan(sm, st, window, traced, now)
+        if st.actr == 0:
+            st.fsm.reset()
+            self._resolve_actr_zero(sm, st, now)
+        if traced:
+            self._trace_pb(sm, st, now)
+
+    def _scan(
+        self,
+        sm: "SM",
+        st: SBRPState,
+        window: Optional[int],
+        traced: bool,
+        now: float,
+    ) -> Optional[tuple]:
+        """One in-order pass over the live PB entries; returns the memo
+        key that lets the next pass skip an identical scan."""
+        hold = 0  # warps with a delayed earlier entry in this pass
+        pb = st.pb
+        fsm = st.fsm
+        fsm_bits = fsm.bits  # only _order_point_at_head mutates the FSM
+        persist = EntryKind.PERSIST
+        remove = pb.remove
+        # A snapshot: the pass removes entries as it goes, and nothing
+        # in the loop body appends (wakes merely schedule events).
+        for entry in pb.entries():
             warp_mask = entry.warp_mask
             if entry.kind is persist:
                 if warp_mask & (fsm_bits | hold):
@@ -414,11 +448,12 @@ class SBRPModel(PersistencyModel):
                 fsm_bits = fsm.bits
             if st.space_waiters:
                 self._wake_space_waiters(sm, st, now)
-        if st.actr == 0:
-            st.fsm.reset()
-            self._resolve_actr_zero(sm, st, now)
-        if traced:
-            self._trace_pb(sm, st, now)
+        else:
+            return (pb.edits, fsm_bits, st.force_until_seq, pb.last_seq)
+        # Stopped by the drain policy: reusable only under the window's.
+        if window is None:
+            return None
+        return (pb.edits, fsm_bits, st.force_until_seq, None)
 
     def _order_point_at_head(
         self, sm: "SM", st: SBRPState, entry: PBEntry, now: float

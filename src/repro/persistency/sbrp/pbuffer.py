@@ -2,19 +2,20 @@
 
 Each entry is either a *persist* (pointing at a dirty L1 line) or an
 *ordering point* (oFence / dFence / scoped pAcq / pRel), tagged with a
-Warp BM recording which warp slots issued it.  Entries leave from the
-head in FIFO order; a persist may additionally leave out-of-order via a
-*tombstone* when a capacity eviction is allowed to bypass (no ordering
-entry precedes it).
+Warp BM recording which warp slots issued it.  The buffer is one
+insertion-ordered dict of its live entries keyed by sequence number
+(the authors' artifact keeps the same ``entryMap``): the drain scan
+retires entries from anywhere, and a persist may leave out of FIFO
+order when a capacity eviction is allowed to bypass (no ordering entry
+precedes it).  A removed entry is gone at once; nothing waits at the
+head to be cleaned up.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.common.config import Scope
 
@@ -47,8 +48,6 @@ class PBEntry:
     #: Release payload (device-scope pRel publishes on completion).
     flag_addr: Optional[int] = None
     flag_value: int = 0
-    #: Set when a capacity eviction flushed this persist out of order.
-    evicted: bool = False
     #: Warps stalled until this entry is flushed and acknowledged (the
     #: EDM coalescing-conflict stall of Section 6.1).
     waiters: List["Warp"] = field(default_factory=list)
@@ -58,34 +57,37 @@ class PBEntry:
 
 
 class PersistBuffer:
-    """FIFO of :class:`PBEntry` with live-entry accounting."""
+    """FIFO of :class:`PBEntry`: an insertion-ordered dict of the live
+    entries, keyed by sequence number."""
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._fifo: Deque[PBEntry] = deque()
         self._by_seq: Dict[int, PBEntry] = {}
-        self._seq = itertools.count(1)
         self._order_entries = 0
-        self._tombstones = 0
+        #: Sequence number of the youngest entry ever appended.
+        self.last_seq = 0
+        #: Bumped by every removal and every in-place Warp BM merge, so a
+        #: reader can tell that no live entry left or changed its mask.
+        self.edits = 0
         self.peak_occupancy = 0
 
     # ------------------------------------------------------------------
     # occupancy
     # ------------------------------------------------------------------
     def live_count(self) -> int:
-        return len(self._fifo) - self._tombstones
+        return len(self._by_seq)
 
     def is_full(self) -> bool:
-        return self.live_count() >= self.capacity
+        return len(self._by_seq) >= self.capacity
 
     def has_order_entries(self) -> bool:
         return self._order_entries > 0
 
     def __len__(self) -> int:
-        return self.live_count()
+        return len(self._by_seq)
 
     def __bool__(self) -> bool:
-        return self.live_count() > 0
+        return bool(self._by_seq)
 
     # ------------------------------------------------------------------
     # append / lookup
@@ -99,8 +101,9 @@ class PersistBuffer:
         flag_addr: Optional[int] = None,
         flag_value: int = 0,
     ) -> PBEntry:
+        self.last_seq += 1
         entry = PBEntry(
-            seq=next(self._seq),
+            seq=self.last_seq,
             kind=kind,
             warp_mask=warp_mask,
             line_addr=line_addr,
@@ -108,13 +111,11 @@ class PersistBuffer:
             flag_addr=flag_addr,
             flag_value=flag_value,
         )
-        self._fifo.append(entry)
         self._by_seq[entry.seq] = entry
         if kind is not EntryKind.PERSIST:
             self._order_entries += 1
-        occupancy = len(self._fifo) - self._tombstones
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
+        if len(self._by_seq) > self.peak_occupancy:
+            self.peak_occupancy = len(self._by_seq)
         return entry
 
     def get(self, seq: int) -> Optional[PBEntry]:
@@ -123,40 +124,33 @@ class PersistBuffer:
 
     def tail(self) -> Optional[PBEntry]:
         """The youngest live entry (for oFence coalescing)."""
-        for entry in reversed(self._fifo):
-            if not entry.evicted:
-                return entry
-        return None
+        return next(reversed(self._by_seq.values()), None)
+
+    def merge(self, entry: PBEntry, warp_mask: int) -> None:
+        """OR *warp_mask* into a live entry's Warp BM (store and oFence
+        coalescing)."""
+        entry.warp_mask |= warp_mask
+        self.edits += 1
 
     # ------------------------------------------------------------------
     # removal
     # ------------------------------------------------------------------
     def head(self) -> Optional[PBEntry]:
-        """The oldest live entry, discarding leading tombstones."""
-        while self._fifo and self._fifo[0].evicted:
-            tomb = self._fifo.popleft()
-            self._by_seq.pop(tomb.seq, None)
-            self._tombstones -= 1
-        return self._fifo[0] if self._fifo else None
+        """The oldest live entry."""
+        return next(iter(self._by_seq.values()), None)
 
     def pop_head(self) -> PBEntry:
         entry = self.head()
         if entry is None:
             raise IndexError("pop from empty persist buffer")
-        self._fifo.popleft()
-        self._by_seq.pop(entry.seq, None)
-        if entry.kind.is_order:
-            self._order_entries -= 1
+        self.remove(entry)
         return entry
 
     def remove(self, entry: PBEntry) -> None:
-        """Retire an entry in place (the drain scan removes entries from
-        anywhere; physical deque cleanup happens lazily at the head)."""
-        if entry.evicted:
+        """Retire an entry from anywhere in the buffer (the drain scan)."""
+        if self._by_seq.pop(entry.seq, None) is None:
             raise ValueError(f"entry {entry.seq} already removed")
-        entry.evicted = True
-        self._tombstones += 1
-        self._by_seq.pop(entry.seq, None)
+        self.edits += 1
         if entry.kind is not EntryKind.PERSIST:
             self._order_entries -= 1
 
@@ -169,13 +163,15 @@ class PersistBuffer:
     def order_entry_before(self, seq: int) -> bool:
         """True when a live ordering entry precedes *seq* in the FIFO
         (the paper's eviction-legality check)."""
-        for entry in self._fifo:
+        if not self._order_entries:
+            return False
+        for entry in self._by_seq.values():
             if entry.seq >= seq:
                 break
-            if not entry.evicted and entry.kind.is_order:
+            if entry.kind is not EntryKind.PERSIST:
                 return True
         return False
 
     def entries(self) -> List[PBEntry]:
-        """Live entries in FIFO order (debug / test aid)."""
-        return [entry for entry in self._fifo if not entry.evicted]
+        """Live entries in FIFO order (snapshot)."""
+        return list(self._by_seq.values())

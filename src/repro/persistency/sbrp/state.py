@@ -72,6 +72,8 @@ class SBRPState:
         #: Drain everything up to this PB sequence regardless of policy.
         self.force_until_seq = 0
         self.pump_scheduled = False
+        #: How the last drain scan ended (see ``SBRPModel._pump``).
+        self.scan_memo: Optional[tuple] = None
         #: Reused pump callback (one closure per SM, not per schedule).
         self.pump_cb = None
 

@@ -16,6 +16,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,10 +24,22 @@ import numpy as np
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
 from repro.memory.address_space import AddressSpace, Allocation
+from repro.memory.backing import check_word_aligned
 from repro.memory.namespace import NamespaceEntry, NamespaceTable
 from repro.gpu.device import GPU, KernelResult
 from repro.metrics.registry import MetricsRegistry
 from repro.trace.tracer import NULL_TRACER, TraceConfig, Tracer
+
+
+def _word_addrs(alloc: Allocation, count: Optional[int]) -> range:
+    """Addresses of the first *count* words of *alloc* (default: all of
+    them), bounds-checked once: a count past the region raises the
+    ``MemoryError_`` that ``alloc.word`` gives its first bad index."""
+    n = count if count is not None else alloc.size // 4
+    inside = -(-alloc.size // 4)  # words that start inside the region
+    if n > inside:
+        alloc.word(inside)  # raises
+    return range(alloc.base, alloc.base + 4 * n, 4)
 
 
 @dataclass(frozen=True)
@@ -156,18 +169,24 @@ class GPUSystem:
         return self.gpu.backing.read(addr)
 
     def read_words(self, alloc: Allocation, count: Optional[int] = None) -> np.ndarray:
-        n = count if count is not None else alloc.size // 4
-        return np.array(
-            [self.gpu.backing.read(alloc.word(i)) for i in range(n)], dtype=np.int64
+        addrs = _word_addrs(alloc, count)
+        if addrs:
+            check_word_aligned(alloc.base)
+        return np.fromiter(
+            map(self.gpu.backing.visible.get, addrs, repeat(0)),
+            dtype=np.int64,
+            count=len(addrs),
         )
 
     def durable_words(
         self, alloc: Allocation, count: Optional[int] = None
     ) -> np.ndarray:
         """Read the *durable* (crash-surviving) value of the region."""
-        n = count if count is not None else alloc.size // 4
         image = self.gpu.subsystem.crash_image(self.now)
-        return np.array([image.get(alloc.word(i), 0) for i in range(n)], dtype=np.int64)
+        addrs = _word_addrs(alloc, count)
+        return np.fromiter(
+            map(image.get, addrs, repeat(0)), dtype=np.int64, count=len(addrs)
+        )
 
     # ------------------------------------------------------------------
     # execution

@@ -38,6 +38,13 @@ class TestRegistry:
             style = build_app(name).recovery_style
             assert style == ("logging" if name in logging else "native")
 
+    def test_building_a_lazy_app_leaves_the_registry_alone(self):
+        for _ in range(2):  # import, then the resolved-class cache
+            assert type(build_app("serve_kvs")).__name__ == "ServeKVS"
+        assert sorted(APPS) == sorted(
+            ["gpkvs", "hashmap", "srad", "reduction", "multiqueue", "scan"]
+        )
+
     def test_unknown_app_rejected(self):
         with pytest.raises(KeyError):
             build_app("nope")

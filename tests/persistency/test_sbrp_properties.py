@@ -62,6 +62,13 @@ def test_pbuffer_matches_reference_under_interleaving(data):
         assert pb.order_entry_before(probe) == _reference_order_entry_before(
             live, probe
         )
+        # Eviction legality asks at a live entry's own seq, and at the
+        # seq the next append will take.
+        for seq in [e.seq for e in live] + [pb.last_seq + 1]:
+            assert pb.order_entry_before(seq) == _reference_order_entry_before(
+                live, seq
+            )
+        assert all(pb.get(e.seq) is e for e in live)
 
     # head() discards leading tombstones and agrees with the reference.
     assert pb.head() is (live[0] if live else None)

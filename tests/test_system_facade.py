@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import CrashImage, GPUSystem, ModelName, small_system
-from repro.common.errors import SimulationError
+from repro.common.errors import MemoryError_, SimulationError
 
 
 @pytest.fixture
@@ -41,6 +41,17 @@ class TestHostIO:
         region = system.pm_create("r", 256)
         system.host_fill(region, 9)
         assert (system.read_words(region) == 9).all()
+
+    @pytest.mark.parametrize("reader", ["read_words", "durable_words"])
+    def test_word_reads_past_the_region_name_the_first_bad_word(
+        self, system, reader
+    ):
+        region = system.pm_create("r", 256)  # 64 words
+        read = getattr(system, reader)
+        assert read(region, 64).dtype == np.int64
+        assert len(read(region, 0)) == 0
+        with pytest.raises(MemoryError_, match="word 64 out of bounds"):
+            read(region, 70)
 
 
 class TestCrashReboot:
