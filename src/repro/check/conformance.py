@@ -250,7 +250,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--batch-size", type=int, default=DEFAULT_BATCH,
         help="programs per job; fixed partition, independent of --workers",
     )
-    parser.add_argument("--crash-points", type=int, default=48)
+    parser.add_argument(
+        "--crash-points", type=int, default=48,
+        help="evenly spaced crash instants per run, imaged only under a "
+        "fault injector (fault-free runs image t = 0 and every persist "
+        "acceptance, which is exact); must be >= 1 (default 48)",
+    )
     parser.add_argument(
         "--no-shrink", action="store_true",
         help="skip counterexample minimization",
@@ -268,12 +273,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"{flag} must be >= {least}, got {value}")
 
     def names(flag: str, text: str, known: Sequence[str]) -> List[str]:
-        unknown = [name for name in text.split(",") if name not in known]
+        given = text.split(",")
+        unknown = [name for name in given if name not in known]
         if unknown:
             parser.error(
                 f"{flag}: unknown {', '.join(unknown)}; have {', '.join(known)}"
             )
-        return text.split(",")
+        repeated = sorted({name for name in given if given.count(name) > 1})
+        if repeated:
+            # A target named twice would be run and counted twice.
+            parser.error(f"{flag}: repeated {', '.join(repeated)}")
+        return given
 
     if args.list_mutants:
         for name, blurb in sorted(describe_mutants().items()):

@@ -12,7 +12,8 @@ order across partitions is not global).
 
 Crash-at-every-persist is implicit: :func:`simulate_program` samples
 the durable image at every persist-log boundary, so every acceptance
-instant contributes one observed crash image.
+instant contributes one observed crash image.  Fault-free, no other
+instant can reveal a new one.
 
 Variants that build the same machine share one run: the SBRP-only knobs
 (drain policy, window, scope demotion) are dropped under GPM and Epoch,
@@ -48,10 +49,10 @@ class Variant:
     demote_block_scope: bool = False
     reverse_threads: bool = False
 
-    def configure(self, program: LitmusProgram, model: ModelName) -> SystemConfig:
-        config = base_config(program, model)
+    def configure(self, config: SystemConfig) -> SystemConfig:
+        """*config* (a program's :func:`base_config`) perturbed."""
         sbrp = config.sbrp
-        if model is ModelName.SBRP:  # only the SBRP model reads these
+        if config.model is ModelName.SBRP:  # only the SBRP model reads these
             if self.drain_policy is not None:
                 sbrp = replace(sbrp, drain_policy=DrainPolicy(self.drain_policy))
             if self.window is not None:
@@ -123,11 +124,15 @@ def observe(
 ) -> List[Union[SimulationObservation, Exception]]:
     """Simulator runs of *program*, one result per variant: the
     observation, or the exception that ended the run.  Variants that
-    build the same machine (config and warp slots) share one run."""
+    build the same machine (config and warp slots) share one run.
+    *crash_points* is passed to :func:`simulate_program`, which images
+    those evenly spaced instants only under a fault injector; a value
+    below 1 raises :class:`ConfigError`."""
+    base = base_config(program, model)
     runs: Dict[Tuple[SystemConfig, Any], Any] = {}
     results = []
     for variant in variants:
-        config = variant.configure(program, model)
+        config = variant.configure(base)
         order = variant.thread_order(program)
         run = (config, warp_slots(program, order))
         if run not in runs:

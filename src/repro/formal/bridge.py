@@ -98,6 +98,13 @@ def simulate_program(
 ) -> SimulationObservation:
     """Run *program* on the timing simulator and observe its execution.
 
+    The durable image is taken at t = 0, at every persist-log boundary,
+    at every dFence completion and at the end of the run.  Fault-free,
+    that is exact: an image changes only when a persist is accepted.
+    Under an active fault injector a line still in the WPQ window may
+    tear, so *crash_points* evenly spaced instants over the run are
+    imaged as well; it must be at least 1 either way.
+
     *config* overrides the default shrunk system (the conformance
     enumerator sweeps drain policies and WPQ congestion this way).
     *model_factory* builds the persistency model instead of the config's
@@ -155,8 +162,10 @@ def simulate_program(
             elif event.kind is EventKind.PREL:
                 yield w.prel(addr[event.loc], event.value, event.scope)
             elif event.kind is EventKind.PACQ:
+                # One op per spin loop, as in apps.common.spin_pacq.
+                op = w.pacq(addr[event.loc], event.scope)
                 while True:
-                    got = yield w.pacq(addr[event.loc], event.scope)
+                    got = yield op
                     if got != 0:
                         break
                 observation.reads_from[event.eid] = release_of_value.get(
@@ -169,11 +178,15 @@ def simulate_program(
     end = system.gpu.engine.now
     observation.end = end
 
-    # Images can only change at acceptance boundaries.  The evenly
-    # spaced points matter only under torn-persist faults, where a line
-    # stops tearing once it leaves the WPQ window.
-    times = set(system.gpu.subsystem.persist_log.boundary_times(end=end))
-    times.update(end * i / crash_points for i in range(crash_points + 1))
+    # Fault-free, an image changes only when a persist is accepted, so
+    # t = 0 and the acceptance boundaries reveal every image at its
+    # earliest instant.  The evenly spaced points matter only where a
+    # line can tear, and it stops tearing once it leaves the WPQ window.
+    subsystem = system.gpu.subsystem
+    times = set(subsystem.persist_log.boundary_times(end=end))
+    times.add(0.0)
+    if subsystem.active_faults is not None:
+        times.update(end * i / crash_points for i in range(crash_points + 1))
     wanted = {t for t, _ in observation.dfence_images.values()} | {end}
     instants = sorted(times | wanted)
     pm = {loc: a for loc, a in addr.items() if loc.startswith("p")}
@@ -181,9 +194,7 @@ def simulate_program(
     seen: Set[Tuple[int, ...]] = set()
     named_at: Dict[float, Dict[str, int]] = {}
     key: Optional[Tuple[int, ...]] = None
-    for t, (image, landed) in zip(
-        instants, system.gpu.subsystem.crash_images(instants)
-    ):
+    for t, (image, landed) in zip(instants, subsystem.crash_images(instants)):
         if key is None or landed is None or any(
             not pm_addrs.isdisjoint(r.words) for r in landed
         ):

@@ -251,6 +251,14 @@ class MemorySubsystem:
     # ------------------------------------------------------------------
     # crash support
     # ------------------------------------------------------------------
+    @property
+    def active_faults(self) -> "Optional[FaultInjector]":
+        """The active fault injector, or None.  Only under one can a
+        crash image differ from the one at the last acceptance boundary
+        before it: a line still in the WPQ window may tear, and stops
+        tearing once it leaves the window."""
+        return self.faults if self.faults is not None and self.faults.active else None
+
     def crash_image(self, time: float) -> Dict[int, int]:
         """The durable PM image if power fails at *time*."""
         return next(self.crash_images([time]))[0]
@@ -268,7 +276,7 @@ class MemorySubsystem:
         WPQ at the crash, so under one each image is rebuilt from its
         accepted prefix and *landed* is None."""
         records = self.persist_log.records_until(times[-1]) if times else []
-        faults = self.faults if self.faults is not None and self.faults.active else None
+        faults = self.active_faults
         image = dict(self.backing.durable)
         done = 0
         for time in times:

@@ -95,15 +95,16 @@ def litmus_fingerprint(
     cannot move any conformance verdict.
     """
     from repro.check.enumerator import Variant
-    from repro.formal.bridge import simulate_program
+    from repro.formal.bridge import base_config, simulate_program
     from repro.formal.events import LitmusProgram
 
     program = LitmusProgram.from_json(dict(program_json))
     name = ModelName(model)
+    base = base_config(program, name)
     per_variant: List[Dict[str, Any]] = []
     for variant_json in variants_json:
         variant = Variant.from_json(variant_json)
-        config = variant.configure(program, name)
+        config = variant.configure(base)
         try:
             obs = simulate_program(
                 program,

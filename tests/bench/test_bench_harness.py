@@ -80,6 +80,16 @@ class TestFigureDrivers:
         # The baseline normalizes to 1.
         assert table.cell("srad", "Epoch-far") == pytest.approx(1.0)
 
+    def test_figure6_sbrp_beats_epoch_on_scoped_apps(self):
+        """The paper's headline: scopes let SBRP beat Epoch on the apps
+        with inter-thread persist ordering, on both placements."""
+        table = figure6(preset="quick", apps=list(SCOPED_APPS))
+        for app in SCOPED_APPS:
+            for placement in ("far", "near"):
+                sbrp = table.cell(app, f"SBRP-{placement}")
+                epoch = table.cell(app, f"Epoch-{placement}")
+                assert sbrp > epoch, (app, placement, sbrp, epoch)
+
     def test_figure8_sbrp_retains_more(self):
         table = figure8(preset="quick", apps=["gpkvs"])
         assert table.cell("gpkvs", "SBRP-far") <= table.cell("gpkvs", "Epoch-far")

@@ -127,8 +127,17 @@ class TestCli:
             (["--programs", "-1"], "--programs must be >= 0, got -1"),
             (["--models", "sbrp,tso"], "--models: unknown tso; have gpm, epoch, sbrp"),
             (["--mutants", "bogus"], "--mutants: unknown bogus; have ack_without_flush"),
+            # A repeated target would be run and counted twice.
+            (["--models", "gpm,sbrp,gpm"], "--models: repeated gpm"),
+            (
+                ["--mutants", "ofence_noop,ofence_noop"],
+                "--mutants: repeated ofence_noop",
+            ),
         ],
-        ids=["batch-size", "mutant-programs", "programs", "models", "mutants"],
+        ids=[
+            "batch-size", "mutant-programs", "programs", "models", "mutants",
+            "repeated-model", "repeated-mutant",
+        ],
     )
     def test_bad_size_or_name_rejected(self, args, message, capsys):
         with pytest.raises(SystemExit) as exc:

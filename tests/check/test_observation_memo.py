@@ -1,12 +1,16 @@
-"""``check_program`` simulates each distinct machine once per call.
+"""``check_program`` simulates each distinct machine once per call and
+derives a program's allowed sets once while it is checked in a row.
 
 Variants that build the same machine (SBRP-only knobs under GPM/Epoch,
 a reversed block of one thread) share one run.  The report must equal
-one assembled from a separate simulation per variant.
+one assembled from a separate simulation per variant.  The allowed sets
+of the last program checked are kept for the next check of the same
+program content, under any model or mutant; reports must not change.
 """
 
 import pytest
 
+from repro.check import oracle
 from repro.check.corpus import corpus_programs
 from repro.check.enumerator import SMOKE_VARIANTS, VARIANTS, observe
 from repro.check.oracle import (
@@ -15,14 +19,38 @@ from repro.check.oracle import (
     check_program,
     normalize,
 )
+from repro.check.mutants import mutant_names
 from repro.common.config import ModelName
 from repro.common.errors import ConfigError
 from repro.formal.bridge import simulate_program
+from repro.formal.events import LitmusProgram
 from repro.system import GPUSystem
 
 
 def program(name):
     return next(p for p in corpus_programs() if p.name == name)
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts derivations of a program's unconstrained allowed set, and
+    starts from an empty last-program memo."""
+    derived = []
+    original = oracle.allowed_unconstrained
+
+    def counting(program, *args):
+        derived.append(program.name)
+        return original(program, *args)
+
+    monkeypatch.setattr(oracle, "allowed_unconstrained", counting)
+    monkeypatch.setattr(oracle, "_last", (None, set(), {}))
+    return derived
+
+
+def cold_check(prog, model, mutant=None):
+    """``check_program`` with the last-program memo cleared first."""
+    oracle._last = (None, set(), {})
+    return check_program(prog, model, list(SMOKE_VARIANTS), mutant=mutant)
 
 
 @pytest.fixture
@@ -132,3 +160,56 @@ def test_crash_points_below_one_rejected(crash_points):
     # A bad argument is raised, not reported as a simulation error.
     with pytest.raises(ConfigError):
         check_program(prog, ModelName.SBRP, list(SMOKE_VARIANTS), crash_points)
+
+
+TARGETS = [(model, None) for model in ModelName] + [
+    (ModelName.SBRP, mutant) for mutant in mutant_names()
+]
+
+
+def test_warm_memo_reports_equal_cold_ones(derivations):
+    programs = corpus_programs()
+    warm = [
+        check_program(prog, model, list(SMOKE_VARIANTS), mutant=mutant)
+        for prog in programs
+        for model, mutant in TARGETS
+    ]
+    assert len(derivations) == len(programs)
+    cold = [
+        cold_check(prog, model, mutant)
+        for prog in programs
+        for model, mutant in TARGETS
+    ]
+    assert len(derivations) == len(programs) * (1 + len(TARGETS))
+    assert warm == cold
+
+
+def one_write(name, value):
+    prog = LitmusProgram(name)
+    prog.thread(block=0).w("pA", value).ofence().w("pB", value)
+    return prog
+
+
+def test_same_name_different_events_do_not_share(derivations):
+    first, second = one_write("same", 1), one_write("same", 2)
+    check_program(first, ModelName.SBRP, list(SMOKE_VARIANTS))
+    report = check_program(second, ModelName.SBRP, list(SMOKE_VARIANTS))
+    assert derivations == ["same", "same"]
+    assert report["violations"] == 0
+    assert report == cold_check(second, ModelName.SBRP)
+
+
+def test_same_events_under_another_name_share(derivations):
+    check_program(one_write("a", 1), ModelName.GPM, list(SMOKE_VARIANTS))
+    check_program(one_write("b", 1), ModelName.EPOCH, list(SMOKE_VARIANTS))
+    assert derivations == ["a"]
+
+
+def test_program_extended_after_a_check_is_recomputed(derivations):
+    prog = one_write("grown", 1)
+    check_program(prog, ModelName.SBRP, list(SMOKE_VARIANTS))
+    prog.threads[0].w("pC", 3)
+    report = check_program(prog, ModelName.SBRP, list(SMOKE_VARIANTS))
+    assert derivations == ["grown", "grown"]
+    assert report["violations"] == 0
+    assert report == cold_check(prog, ModelName.SBRP)

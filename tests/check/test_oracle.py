@@ -8,6 +8,7 @@ from repro.check.enumerator import SMOKE_VARIANTS, VARIANTS, Variant, variants_b
 from repro.check.oracle import allowed_unconstrained, check_program, failing_variants
 from repro.common.config import ModelName, Scope
 from repro.common.errors import ConfigError
+from repro.formal.bridge import base_config
 from repro.formal.events import EventKind, LitmusProgram
 
 
@@ -89,7 +90,7 @@ class TestVariants:
 
     def test_congested_variant_overrides_memory(self):
         congested = variants_by_name(["congested"])[0]
-        config = congested.configure(mp_program(), ModelName.SBRP)
+        config = congested.configure(base_config(mp_program(), ModelName.SBRP))
         assert config.memory.wpq_entries == 1
         assert config.memory.nvm_bw_scale == 0.02
 

@@ -1,0 +1,84 @@
+"""The bridge's imaging rule: fault-free, crash images change only when
+a persist is accepted.
+
+``simulate_program`` images a fault-free run at t = 0, at every
+persist-log boundary, at every dFence completion and at the end.  Under
+an active fault injector it adds ``crash_points`` evenly spaced
+instants, because a line still in the WPQ window may tear.  An injector
+whose plan never fires leaves the run itself unchanged but takes the
+spaced-instant path, so the two observations must be equal: a spaced
+instant that revealed an image the boundaries miss would break that.
+"""
+
+import pytest
+
+from repro.check.corpus import corpus_programs
+from repro.check.enumerator import SMOKE_VARIANTS
+from repro.check.fuzzer import generate_stream
+from repro.common.config import ModelName
+from repro.faults.injector import build_injector
+from repro.faults.plans import DrainDropPlan
+from repro.formal.bridge import base_config, simulate_program
+from repro.formal.events import LitmusProgram
+from repro.memory.subsystem import MemorySubsystem
+
+PROGRAMS = corpus_programs() + generate_stream(5, 40)
+
+
+def never_fires():
+    """An active injector whose drop plan starts past any litmus run."""
+    return build_injector(DrainDropPlan(drop_offset=10**9))
+
+
+def run(program, model, variant, faults=None):
+    return simulate_program(
+        program,
+        model,
+        config=variant.configure(base_config(program, model)),
+        faults=faults,
+        thread_order=variant.thread_order(program),
+    )
+
+
+@pytest.mark.parametrize("model", list(ModelName), ids=lambda m: m.value)
+def test_boundaries_reveal_every_image(model):
+    mismatches = []
+    for program in PROGRAMS:
+        for variant in SMOKE_VARIANTS:
+            faults = never_fires()
+            plain = run(program, model, variant)
+            spaced = run(program, model, variant, faults)
+            assert faults.counts == {}
+            if plain != spaced:
+                mismatches.append((program.name, variant.name))
+    assert mismatches == []
+
+
+def test_injected_run_images_the_spaced_instants(monkeypatch):
+    instants = []
+    original = MemorySubsystem.crash_images
+
+    def counting(self, times):
+        instants.append(len(times))
+        return original(self, times)
+
+    monkeypatch.setattr(MemorySubsystem, "crash_images", counting)
+    program = corpus_programs()[0]
+    simulate_program(program, crash_points=48)
+    simulate_program(program, crash_points=48, faults=never_fires())
+    plain, spaced = instants
+    assert plain < 49 < spaced
+
+
+def test_all_zero_image_at_t0_is_observed():
+    """The first persist lands well after t = 0, and the image before it
+    is still observed, at t = 0.0."""
+    program = LitmusProgram("late_first_persist")
+    program.thread(block=0).w("vX", 1).dfence().w("pA", 1).w("pB", 2)
+    obs = simulate_program(program, ModelName.SBRP)
+    assert obs.images[0] == (0.0, {"pA": 0, "pB": 0})
+    first_persist = obs.images[1][0]
+    assert first_persist > 0.0
+    assert obs.images[-1][1] == {"pA": 1, "pB": 2}
+    assert obs.final_image == {"pA": 1, "pB": 2}
+
