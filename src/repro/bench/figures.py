@@ -30,6 +30,9 @@ from repro.exec.jobs import MODE_RECOVERY, ScenarioJob
 _FAR = PMPlacement.FAR
 _NEAR = PMPlacement.NEAR
 
+#: Figure 6 series whose runs Figure 11 crashes.
+_RECOVERED = ("Epoch-near", "SBRP-near")
+
 
 def _apps(apps: Optional[List[str]]) -> List[str]:
     return apps if apps is not None else list(APP_ORDER)
@@ -71,7 +74,11 @@ def figure6(
     executor: Optional[Executor] = None,
 ) -> FigureTable:
     """Figure 6: speedup over epoch-far of GPM / SBRP-far / epoch-near /
-    SBRP-near for every application."""
+    SBRP-near for every application.
+
+    The PM-near Epoch and SBRP runs also time their worst-case recovery,
+    which is what :func:`figure11` reports.
+    """
     names = _apps(apps)
     series = ["GPM", "Epoch-far", "SBRP-far", "Epoch-near", "SBRP-near"]
     table = FigureTable("Figure 6: speedup over epoch-far", "app", series)
@@ -90,6 +97,7 @@ def figure6(
                 config=cfg,
                 app_params=workload(app, preset),
                 trace_dir=trace_dir,
+                recover=label in _RECOVERED,
             ),
         )
         for app in names
@@ -387,11 +395,15 @@ def figure11(
     after a worst-case crash, normalized to epoch-near (lower is
     better).
 
+    Each cell is the recovery measured by :func:`figure6`'s run of the
+    same PM-near scenario: the executor answers a recovery job from that
+    run when it has it and runs it otherwise.
+
     *trace_dir* is accepted for a uniform driver signature but unused:
-    the CrashHarness replays partial executions on throwaway systems, so
-    its recovery runs are not traced.
+    recovery kernels run on rebooted throwaway machines and are not
+    traced.
     """
-    del trace_dir  # uniform signature; recovery replays are untraced
+    del trace_dir  # uniform signature; recovery runs are untraced
     names = _apps(apps)
     series = ["Epoch", "SBRP"]
     table = FigureTable(

@@ -15,7 +15,12 @@ from repro.common.config import (
     paper_system,
     stable_hash,
 )
+from repro.crash import CrashHarness
 from repro.system import GPUSystem
+
+#: Stat under which a ``recover=True`` scenario records the recovery
+#: kernel's runtime after its worst-case crash (the Figure 11 cell).
+RECOVERY_STAT = "recovery.cycles"
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,7 @@ def run_scenario(
     trace_dir: Optional[str] = None,
     trace_tag: Optional[str] = None,
     metrics: bool = False,
+    recover: bool = False,
 ) -> ScenarioResult:
     """Run one app to completion under *config* and collect metrics.
 
@@ -132,14 +138,20 @@ def run_scenario(
     sweep points that share a config label.  ``metrics=True`` meters
     the system's :class:`~repro.metrics.registry.MetricsRegistry`
     (histograms on) and attaches its snapshot to the result.
+
+    ``recover=True`` then crashes the finished run at the paper's
+    Figure 11 worst case and records the recovery kernel's cycles, run
+    on a fresh machine, as the :data:`RECOVERY_STAT` stat; every other
+    field is what the plain run reports.
     """
     traced = trace or trace_dir is not None
     system = GPUSystem(config, trace=traced, metrics=metrics)
     app = build_app(app_name, **(app_params or {}))
     app.setup(system)
     outcome = app.run(system)
-    if verify:
+    if verify or recover:
         system.sync()
+    if verify:
         app.check(system, complete=True)
     profile: Optional[str] = None
     if traced:
@@ -152,11 +164,17 @@ def run_scenario(
             )
             system.write_trace(stem + ".trace.json")
             system.write_trace_csv(stem + ".counters.csv")
+    stats = system.stats.snapshot()
+    if recover:
+        harness = CrashHarness(
+            lambda: build_app(app_name, **(app_params or {})), config
+        ).adopt(system, outcome)
+        stats[RECOVERY_STAT] = harness.recovery_cycles_at_worst_case()
     return ScenarioResult(
         app=app_name,
         label=config.label,
         cycles=outcome.cycles,
-        stats=system.stats.snapshot(),
+        stats=stats,
         profile=profile,
         metrics=system.metrics_snapshot() if metrics else None,
     )

@@ -6,6 +6,10 @@ Workflow::
     report = harness.crash_at_fraction(0.5)   # power fails mid-run
     assert report.consistent
 
+A harness simulates its workload once, lazily.  A caller that has
+already run the workload to completion hands that run over with
+:meth:`CrashHarness.adopt` instead, and the harness crashes it as is.
+
 A *crash* is a point-in-time snapshot of the durable PM image (the
 persist log records when each persist was accepted by an ADR memory
 controller).  Recovery always happens on a **fresh machine**: new GPU,
@@ -110,6 +114,14 @@ class CrashHarness:
     # ------------------------------------------------------------------
     # baseline crash-free execution
     # ------------------------------------------------------------------
+    def adopt(self, system: GPUSystem, run: RunOutcome) -> "CrashHarness":
+        """Use *system*, on which the factory's app already ran to
+        completion as *run* and was synced, as the baseline; nothing is
+        re-simulated.  Returns the harness."""
+        self._baseline = system
+        self._run = run
+        return self
+
     def baseline(self) -> GPUSystem:
         """Run the workload once (lazily); crashes replay against it."""
         if self._baseline is None:

@@ -11,6 +11,10 @@ Submission semantics:
 * duplicate jobs (same content hash) within or across ``submit`` calls
   are executed once (in-memory memo), cache lookups happen per unique
   job, and only genuine misses reach the worker pool;
+* one run answers both halves of a cell (see ``ScenarioJob.twin``): a
+  recovery job is answered by its ``recover=True`` scenario twin —
+  memoised, cached or executed in its place — and a plain scenario job
+  by that twin whenever the twin is memoised or cached;
 * ``workers=1`` is a pure serial fallback — jobs run in-process with no
   multiprocessing involved, which is also the byte-identical reference
   path for the parallel scheduler.
@@ -33,7 +37,7 @@ from typing import (
 )
 
 from repro.exec.cache import ResultCache
-from repro.exec.jobs import ScenarioJob
+from repro.exec.jobs import MODE_RECOVERY, ScenarioJob
 from repro.exec.pool import (
     STATUS_ERROR,
     STATUS_OK,
@@ -67,6 +71,16 @@ def execute_job_payload(payload: dict) -> dict:
     start method.
     """
     return ScenarioJob.from_json(payload).execute().to_json()
+
+
+def answered_by(job: ScenarioJob) -> List[ScenarioJob]:
+    """The jobs whose result answers *job*, the one to run on a miss
+    first: a recovery job only by its twin, a plain scenario job by
+    itself or its twin, any other job by itself."""
+    twin = job.twin
+    if job.mode == MODE_RECOVERY:
+        return [twin]
+    return [job] if twin is None else [job, twin]
 
 
 def error_class(outcome: JobOutcome) -> Optional[str]:
@@ -208,38 +222,34 @@ class Executor:
         self.stats.submitted += len(jobs)
         metrics = self.metrics
         metrics.add("exec.submitted", len(jobs))
-        keys = [job.key for job in jobs]
 
         # Resolve memo and cache hits; collect unique misses in order.
+        # runs[i] is the job whose result answers jobs[i].
+        runs: List[ScenarioJob] = []
         misses: List[int] = []  # index of first occurrence per unique key
         seen_this_call: Dict[str, int] = {}
-        for i, (job, key) in enumerate(zip(jobs, keys)):
-            if key in self._memo or key in seen_this_call:
-                self.stats.memo_hits += 1
-                metrics.add("exec.memo_hits")
-                continue
-            if self.cache is not None and job.cacheable:
-                cached = self.cache.get(job)
-                if cached is not None:
-                    self._memo[key] = cached
-                    self.stats.cache_hits += 1
-                    metrics.add("exec.cache_hits")
-                    continue
-            seen_this_call[key] = i
-            misses.append(i)
+        for i, job in enumerate(jobs):
+            candidates = answered_by(job)
+            run = self._lookup(candidates, job.cacheable, seen_this_call)
+            if run is None:
+                run = candidates[0]
+                seen_this_call[run.key] = i
+                misses.append(i)
+            runs.append(run)
         self.stats.unique += len(misses)
         metrics.add("exec.unique", len(misses))
 
         # Execute the misses.
         outcomes: Dict[int, JobOutcome] = {}
         if misses:
+            todo = [runs[i] for i in misses]
             if self.workers == 1:
-                outcomes = self._run_serial([jobs[i] for i in misses], misses)
+                outcomes = self._run_serial(todo, misses)
             else:
-                outcomes = self._run_pool([jobs[i] for i in misses], misses)
+                outcomes = self._run_pool(todo, misses)
 
         for i, outcome in outcomes.items():
-            job = jobs[i]
+            job = runs[i]
             if outcome.attempts > 1:
                 self.stats.retries += outcome.attempts - 1
             # Derived from the JobOutcome, which both backends produce
@@ -254,7 +264,7 @@ class Executor:
                 metrics.add(f"exec.error.{cls}")
             if outcome.ok:
                 result = ScenarioResult.from_json(outcome.value)
-                self._memo[keys[i]] = result
+                self._memo[job.key] = result
                 self.stats.executed += 1
                 metrics.add("exec.executed")
                 if self.cache is not None and job.cacheable:
@@ -267,7 +277,38 @@ class Executor:
                 if not allow_failures:
                     raise failure
 
-        return [self._memo.get(key) for key in keys]
+        results: List[Optional["ScenarioResult"]] = []
+        for job, run in zip(jobs, runs):
+            result = self._memo.get(run.key)
+            if result is not None and run is not job:
+                result = job.answer(result)
+            results.append(result)
+        return results
+
+    def _lookup(
+        self,
+        candidates: List[ScenarioJob],
+        cacheable: bool,
+        pending: Dict[str, int],
+    ) -> Optional[ScenarioJob]:
+        """The first of *candidates* whose result is memoised, *pending*
+        (a miss earlier in this call) or cached, counting the hit; None
+        on a miss.  The memo is searched before the cache."""
+        for run in candidates:
+            key = run.key
+            if key in self._memo or key in pending:
+                self.stats.memo_hits += 1
+                self.metrics.add("exec.memo_hits")
+                return run
+        if self.cache is not None and cacheable:
+            for run in candidates:
+                cached = self.cache.get(run)
+                if cached is not None:
+                    self._memo[run.key] = cached
+                    self.stats.cache_hits += 1
+                    self.metrics.add("exec.cache_hits")
+                    return run
+        return None
 
     def run(self, job: ScenarioJob) -> "ScenarioResult":
         """Convenience wrapper: submit one job, return its result."""

@@ -18,7 +18,7 @@ Two hashes matter:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
@@ -30,8 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Measurement modes a job can run in.
 MODE_SCENARIO = "scenario"
-#: Figure 11: worst-case crash + recovery-kernel runtime instead of a
-#: crash-free end-to-end run.
+#: Figure 11: the recovery-kernel runtime after a worst-case crash.  A
+#: recovery job is never run or cached itself: it is answered by its
+#: :attr:`~ScenarioJob.twin`, the same cell as a ``recover=True``
+#: scenario, whose one run reports both the crash-free cycles and the
+#: recovery cycles.
 MODE_RECOVERY = "recovery"
 #: Fault campaign: run the app under an injected fault plan, crash at
 #: every persist boundary, classify each recovery through the oracles.
@@ -112,6 +115,10 @@ class ScenarioJob:
     #: (only when set, preserving pre-existing hashes) because the
     #: result payload differs.
     metrics: bool = False
+    #: Also crash the finished run at the Figure 11 worst case and
+    #: record the recovery cycles (only valid in :data:`MODE_SCENARIO`;
+    #: in the spec only when set, as ``metrics`` is).
+    recover: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -130,6 +137,10 @@ class ScenarioJob:
             raise ConfigError(
                 "a soak payload is required for (and only valid in) "
                 f"mode={MODE_SOAK!r}"
+            )
+        if self.recover and self.mode != MODE_SCENARIO:
+            raise ConfigError(
+                f"recover is only valid in mode={MODE_SCENARIO!r}"
             )
 
     # ------------------------------------------------------------------
@@ -157,6 +168,8 @@ class ScenarioJob:
             spec["soak"] = dict(self.soak)
         if self.metrics:
             spec["metrics"] = True
+        if self.recover:
+            spec["recover"] = True
         return spec
 
     @property
@@ -209,6 +222,7 @@ class ScenarioJob:
             "check": dict(self.check) if self.check is not None else None,
             "soak": dict(self.soak) if self.soak is not None else None,
             "metrics": self.metrics,
+            "recover": self.recover,
         }
 
     @staticmethod
@@ -226,7 +240,42 @@ class ScenarioJob:
             check=data.get("check"),
             soak=data.get("soak"),
             metrics=data.get("metrics", False),
+            recover=data.get("recover", False),
         )
+
+    # ------------------------------------------------------------------
+    # one run, two answers
+    # ------------------------------------------------------------------
+    @property
+    def twin(self) -> Optional["ScenarioJob"]:
+        """The ``recover=True`` scenario job of this job's cell, or None.
+
+        Its run answers a recovery job always, and a plain scenario job
+        whenever it is already at hand (see :meth:`answer`); jobs of
+        other modes have no twin.
+        """
+        if self.mode == MODE_RECOVERY or (
+            self.mode == MODE_SCENARIO and not self.recover
+        ):
+            return replace(self, mode=MODE_SCENARIO, recover=True)
+        return None
+
+    def answer(self, result: "ScenarioResult") -> "ScenarioResult":
+        """This job's result, made from its :attr:`twin`'s *result*:
+        the recovery cycles for a recovery job, the crash-free run
+        without them for a plain scenario job."""
+        from repro.bench.runner import RECOVERY_STAT, ScenarioResult
+
+        if self.mode == MODE_RECOVERY:
+            cycles = result.stats[RECOVERY_STAT]
+            return ScenarioResult(
+                app=self.app,
+                label=self.config.label,
+                cycles=cycles,
+                stats={RECOVERY_STAT: cycles},
+            )
+        stats = {k: v for k, v in result.stats.items() if k != RECOVERY_STAT}
+        return replace(result, stats=stats)
 
     # ------------------------------------------------------------------
     # execution
@@ -238,7 +287,7 @@ class ScenarioJob:
         from repro.bench.runner import run_scenario
 
         if self.mode == MODE_RECOVERY:
-            return self._execute_recovery()
+            return self.answer(self.twin.execute())
         if self.mode == MODE_FAULTS:
             return self._execute_faults()
         if self.mode == MODE_CHECK:
@@ -268,22 +317,7 @@ class ScenarioJob:
             trace_dir=self.trace_dir,
             trace_tag=self.trace_tag,
             metrics=self.metrics,
-        )
-
-    def _execute_recovery(self) -> "ScenarioResult":
-        from repro.apps import build_app
-        from repro.bench.runner import ScenarioResult
-        from repro.crash import CrashHarness
-
-        harness = CrashHarness(
-            lambda: build_app(self.app, **dict(self.app_params)), self.config
-        )
-        cycles = harness.recovery_cycles_at_worst_case()
-        return ScenarioResult(
-            app=self.app,
-            label=self.config.label,
-            cycles=cycles,
-            stats={"recovery.cycles": cycles},
+            recover=self.recover,
         )
 
     def _execute_faults(self) -> "ScenarioResult":

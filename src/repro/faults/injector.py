@@ -76,7 +76,6 @@ class FaultInjector:
         self.plan = plan
         #: Global chain time of this machine's boot (timeline plans).
         self.time_offset = float(time_offset)
-        self.active = True
         #: Injection tallies (keys are stable; reports embed them).
         self.counts: Dict[str, int] = {}
         self._flushes_seen = 0

@@ -75,6 +75,11 @@ class FaultPlan:
     """Base class: a serializable description of one injected fault."""
 
     kind: ClassVar[str] = ""
+    #: Whether the plan can tear accepted lines at the crash instant
+    #: (``FaultInjector.torn_records``).  Crash images under any other
+    #: plan change only at persist acceptances, so they are imaged at
+    #: those boundaries alone.
+    tears: ClassVar[bool] = False
 
     #: What a correct implementation must do under this plan.
     expect: str = EXPECT_CONSISTENT
@@ -144,6 +149,7 @@ class TornPersistPlan(FaultPlan):
     """
 
     kind: ClassVar[str] = "torn_persist"
+    tears: ClassVar[bool] = True
 
     mode: str = "last"
     #: How long an accepted line stays tearable (the WPQ residency).

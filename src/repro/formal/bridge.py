@@ -99,11 +99,11 @@ def simulate_program(
     """Run *program* on the timing simulator and observe its execution.
 
     The durable image is taken at t = 0, at every persist-log boundary,
-    at every dFence completion and at the end of the run.  Fault-free,
-    that is exact: an image changes only when a persist is accepted.
-    Under an active fault injector a line still in the WPQ window may
-    tear, so *crash_points* evenly spaced instants over the run are
-    imaged as well; it must be at least 1 either way.
+    at every dFence completion and at the end of the run.  Unless the
+    fault plan tears lines, that is exact: an image changes only when a
+    persist is accepted.  Under a tearing plan a line still in the WPQ
+    window may tear, so *crash_points* evenly spaced instants over the
+    run are imaged as well; it must be at least 1 either way.
 
     *config* overrides the default shrunk system (the conformance
     enumerator sweeps drain policies and WPQ congestion this way).
@@ -178,14 +178,15 @@ def simulate_program(
     end = system.gpu.engine.now
     observation.end = end
 
-    # Fault-free, an image changes only when a persist is accepted, so
-    # t = 0 and the acceptance boundaries reveal every image at its
-    # earliest instant.  The evenly spaced points matter only where a
-    # line can tear, and it stops tearing once it leaves the WPQ window.
+    # Unless the plan tears, an image changes only when a persist is
+    # accepted, so t = 0 and the acceptance boundaries reveal every
+    # image at its earliest instant.  The evenly spaced points matter
+    # only where a line can tear, and it stops tearing once it leaves
+    # the WPQ window.
     subsystem = system.gpu.subsystem
     times = set(subsystem.persist_log.boundary_times(end=end))
     times.add(0.0)
-    if subsystem.active_faults is not None:
+    if subsystem.tearing_faults is not None:
         times.update(end * i / crash_points for i in range(crash_points + 1))
     wanted = {t for t, _ in observation.dfence_images.values()} | {end}
     instants = sorted(times | wanted)

@@ -215,7 +215,7 @@ class MemorySubsystem:
         nbytes = self.line_size
         self._persist_seq += 1
         seq = self._persist_seq
-        injected = self.faults is not None and self.faults.active
+        injected = self.faults is not None
         delay = self.faults.persist_delay(seq, now=now) if injected else 0.0
         after_l2 = now + self.gpu.l2_latency
         self.l2.access(line_addr, now)
@@ -252,12 +252,13 @@ class MemorySubsystem:
     # crash support
     # ------------------------------------------------------------------
     @property
-    def active_faults(self) -> "Optional[FaultInjector]":
-        """The active fault injector, or None.  Only under one can a
-        crash image differ from the one at the last acceptance boundary
-        before it: a line still in the WPQ window may tear, and stops
-        tearing once it leaves the window."""
-        return self.faults if self.faults is not None and self.faults.active else None
+    def tearing_faults(self) -> "Optional[FaultInjector]":
+        """The fault injector if its plan tears lines, else None.  Only
+        under one can a crash image differ from the one at the last
+        acceptance boundary before it: a line still in the WPQ window
+        may tear, and stops tearing once it leaves the window."""
+        faults = self.faults
+        return faults if faults is not None and faults.plan.tears else None
 
     def crash_image(self, time: float) -> Dict[int, int]:
         """The durable PM image if power fails at *time*."""
@@ -272,11 +273,11 @@ class MemorySubsystem:
         Yields ``(image, landed)``: *image* (updated in place) overlays
         the host-initialized durable words with every persist accepted
         by that instant; *landed* lists the records accepted since the
-        previous instant.  A fault injector may tear lines still in the
-        WPQ at the crash, so under one each image is rebuilt from its
+        previous instant.  A tearing fault plan may tear lines still in
+        the WPQ at the crash, so under one each image is rebuilt from its
         accepted prefix and *landed* is None."""
         records = self.persist_log.records_until(times[-1]) if times else []
-        faults = self.active_faults
+        faults = self.tearing_faults
         image = dict(self.backing.durable)
         done = 0
         for time in times:

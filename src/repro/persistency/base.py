@@ -140,11 +140,7 @@ class PersistencyModel(abc.ABC):
         # to per-word backing.write calls.
         sm.backing.visible.update(words)
         faults = sm.subsystem.faults
-        if (
-            faults is not None
-            and faults.active
-            and faults.drop_flush(sm.sm_id, line.tag)
-        ):
+        if faults is not None and faults.drop_flush(sm.sm_id, line.tag):
             line.dirty = False
             line.dirty_words = {}
             self.stats.add(sm.stat_pm_flushes)

@@ -14,9 +14,10 @@ machine, then prices the stream against its open-loop arrival times:
   whose deterministic p50/p95/p99 land in the result stats;
 * throughput is requests per simulated second over the stream's span;
 * recovery time reuses :class:`~repro.crash.CrashHarness`'s worst-case
-  crash point (the paper's Figure 11 scenario) — power fails just
-  before the last commit durably lands, the recovery kernel runs on a
-  rebooted machine, and its cycles are the recovery-under-load cost.
+  crash point (the paper's Figure 11 scenario) on the served run itself
+  — power fails just before the last commit durably lands, the recovery
+  kernel runs on a rebooted machine, and its cycles are the
+  recovery-under-load cost.
 
 Everything is a deterministic function of (app params, config), so
 serve reports are byte-identical across Executor worker counts.
@@ -88,7 +89,9 @@ def run_serve_scenario(
     recovery_cycles = 0.0
     if measure_recovery:
         harness = CrashHarness(lambda: build_app(app_name, **params), config)
-        recovery_cycles = harness.recovery_cycles_at_worst_case()
+        recovery_cycles = harness.adopt(
+            system, outcome
+        ).recovery_cycles_at_worst_case()
 
     paths = app.path_counts()
     stats: Dict[str, float] = {

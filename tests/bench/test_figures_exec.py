@@ -51,6 +51,36 @@ class TestWorkerParity:
         assert parallel.to_csv() == serial.to_csv()
 
 
+@pytest.fixture(scope="module")
+def standalone():
+    """Figure 6 and Figure 11 for reduction, each on its own executor."""
+    return {
+        "6": figure6(preset="quick", apps=["reduction"]).to_csv(),
+        "11": figure11(preset="quick", apps=["reduction"]).to_csv(),
+    }
+
+
+class TestFigure11FromFigure6:
+    """Figure 6's PM-near runs also answer Figure 11's recovery cells."""
+
+    def test_figure11_after_figure6_simulates_nothing(self, standalone):
+        ex = Executor(workers=1)
+        table6 = figure6(preset="quick", apps=["reduction"], executor=ex)
+        table11 = figure11(preset="quick", apps=["reduction"], executor=ex)
+        assert ex.stats.executed == 5
+        assert ex.stats.memo_hits == 2
+        assert table6.to_csv() == standalone["6"]
+        assert table11.to_csv() == standalone["11"]
+
+    def test_worker_count_does_not_change_either_table(self, standalone):
+        ex = Executor(workers=2)
+        table6 = figure6(preset="quick", apps=["reduction"], executor=ex)
+        table11 = figure11(preset="quick", apps=["reduction"], executor=ex)
+        assert ex.stats.executed == 5
+        assert table6.to_csv() == standalone["6"]
+        assert table11.to_csv() == standalone["11"]
+
+
 class TestRecoveryJobs:
     def test_figure11_runs_through_executor(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -58,6 +58,29 @@ class TestHarnessMechanics:
         assert harness.baseline() is first
 
 
+@pytest.mark.parametrize("name", ["gpkvs", "reduction", "scan", "serve_kvs"])
+def test_adopted_run_recovers_like_a_fresh_harness(name, model):
+    """Crashing a finished, synced and checked run gives the recovery a
+    harness that simulates its own baseline gives."""
+    config = small_system(model)
+
+    def factory():
+        return build_app(name, **SIZES[name])
+
+    system = GPUSystem(config)
+    app = factory()
+    app.setup(system)
+    run = app.run(system)
+    system.sync()
+    app.check(system, complete=True)
+    instructions = system.stat("sm.instructions")
+    adopted = CrashHarness(factory, config).adopt(system, run)
+    cycles = adopted.recovery_cycles_at_worst_case()
+    assert adopted.baseline() is system
+    assert system.stat("sm.instructions") == instructions  # nothing re-ran
+    assert cycles == CrashHarness(factory, config).recovery_cycles_at_worst_case()
+
+
 class BrokenRecovery(App):
     """One PM word; its recovery kernel dies with a simulator error."""
 

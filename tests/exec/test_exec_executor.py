@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.bench.runner import ScenarioResult
+from repro.bench.runner import RECOVERY_STAT, ScenarioResult
 from repro.common.config import ModelName, PMPlacement, small_system
 from repro.exec import (
+    MODE_RECOVERY,
     Executor,
     JobFailedError,
     ResultCache,
@@ -79,6 +80,57 @@ class TestCacheIntegration:
         ex2 = Executor(workers=1, cache=cache)
         ex2.submit([traced])
         assert ex2.stats.executed == 1  # re-simulated, by design
+
+
+class TestRecoveryTwin:
+    """One recovering run answers its cell's recovery and plain jobs."""
+
+    def test_recovery_job_is_answered_by_a_memoised_twin(self):
+        plain, recovery = _job(), dataclasses.replace(_job(), mode=MODE_RECOVERY)
+        ex = Executor(workers=1)
+        twin = ex.run(recovery.twin)
+        got = ex.run(recovery)
+        assert ex.stats.executed == 1 and ex.stats.memo_hits == 1
+        cycles = twin.stat(RECOVERY_STAT)
+        assert cycles > 0
+        assert got == ScenarioResult(
+            app="reduction", label=_CFG.label, cycles=cycles,
+            stats={RECOVERY_STAT: cycles},
+        )
+        assert got == recovery.execute()
+        assert twin.cycles == plain.execute().cycles
+
+    def test_recovery_job_runs_its_twin_once(self, tmp_path):
+        recovery = dataclasses.replace(_job(), mode=MODE_RECOVERY)
+        cache = ResultCache(str(tmp_path))
+        ex = Executor(workers=1, cache=cache)
+        first = ex.submit([recovery, recovery])
+        assert ex.stats.executed == 1 and ex.stats.memo_hits == 1
+        assert cache.get(recovery.twin) is not None
+        assert cache.get(recovery) is None  # only the twin's run is cached
+        warm = Executor(workers=1, cache=cache)
+        assert warm.run(recovery) == first[0]
+        assert warm.stats.executed == 0 and warm.stats.cache_hits == 1
+
+    def test_plain_job_is_answered_by_a_memoised_or_cached_twin(self, tmp_path):
+        plain = _job()
+        cache = ResultCache(str(tmp_path))
+        ex = Executor(workers=1, cache=cache)
+        ex.run(plain.twin)
+        expected = plain.execute()
+        assert ex.run(plain) == expected  # the twin's stats, minus recovery
+        assert ex.stats.executed == 1 and ex.stats.memo_hits == 1
+        warm = Executor(workers=1, cache=cache)
+        assert warm.run(plain) == expected
+        assert warm.stats.executed == 0 and warm.stats.cache_hits == 1
+
+    def test_a_recovering_job_does_not_take_a_plain_result(self):
+        plain = _job()
+        ex = Executor(workers=1)
+        ex.run(plain)
+        twin = ex.run(plain.twin)
+        assert ex.stats.executed == 2
+        assert RECOVERY_STAT in twin.stats
 
 
 class TestParallelParity:

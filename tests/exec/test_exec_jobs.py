@@ -16,7 +16,7 @@ from repro.common.config import (
     stable_hash,
 )
 from repro.common.errors import ConfigError
-from repro.exec import MODE_RECOVERY, ScenarioJob, code_fingerprint
+from repro.exec import MODE_RECOVERY, MODE_SCENARIO, ScenarioJob, code_fingerprint
 
 
 @pytest.fixture
@@ -163,6 +163,24 @@ class TestScenarioJob:
         assert job.label == "srad@SBRP-near"
         recovery = dataclasses.replace(job, mode=MODE_RECOVERY)
         assert "recovery" in recovery.label
+
+    def test_recover_enters_the_spec_only_when_set(self, job):
+        assert "recover" not in job.spec
+        recovering = dataclasses.replace(job, recover=True)
+        assert recovering.spec["recover"] is True
+        assert recovering.key != job.key
+        assert ScenarioJob.from_json(recovering.to_json()) == recovering
+
+    def test_recover_only_valid_in_scenario_mode(self, config):
+        with pytest.raises(ConfigError):
+            ScenarioJob(app="srad", config=config, mode=MODE_RECOVERY, recover=True)
+
+    def test_twin_is_the_recovering_scenario_of_the_cell(self, job):
+        twin = dataclasses.replace(job, recover=True)
+        assert job.twin == twin
+        assert dataclasses.replace(job, mode=MODE_RECOVERY).twin == twin
+        assert twin.mode == MODE_SCENARIO
+        assert twin.twin is None
 
 
 class TestScenarioResultSerialization:

@@ -52,7 +52,8 @@ class TestDeterminism:
     def test_build_injector(self):
         assert build_injector(None) is None
         injector = build_injector(PowerCutPlan())
-        assert injector is not None and injector.active
+        assert isinstance(injector, FaultInjector)
+        assert injector.plan == PowerCutPlan()
 
     def test_scenario_detail_is_reproducible(self, model):
         first = scenario(model, PowerCutPlan().to_json())

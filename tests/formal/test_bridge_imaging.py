@@ -1,14 +1,18 @@
-"""The bridge's imaging rule: fault-free, crash images change only when
-a persist is accepted.
+"""The bridge's imaging rule: unless the fault plan tears lines, crash
+images change only when a persist is accepted.
 
-``simulate_program`` images a fault-free run at t = 0, at every
-persist-log boundary, at every dFence completion and at the end.  Under
-an active fault injector it adds ``crash_points`` evenly spaced
-instants, because a line still in the WPQ window may tear.  An injector
-whose plan never fires leaves the run itself unchanged but takes the
-spaced-instant path, so the two observations must be equal: a spaced
-instant that revealed an image the boundaries miss would break that.
+``simulate_program`` images a run at t = 0, at every persist-log
+boundary, at every dFence completion and at the end.  Under a plan that
+declares tearing it adds ``crash_points`` evenly spaced instants,
+because a line still in the WPQ window may tear.  An injector whose plan
+declares tearing but never fires leaves the run itself unchanged yet
+takes the spaced-instant path, so the two observations must be equal: a
+spaced instant that revealed an image the boundaries miss would break
+that.
 """
+
+from dataclasses import dataclass
+from typing import ClassVar
 
 import pytest
 
@@ -25,9 +29,16 @@ from repro.memory.subsystem import MemorySubsystem
 PROGRAMS = corpus_programs() + generate_stream(5, 40)
 
 
+@dataclass(frozen=True)
+class TearsNothing(DrainDropPlan):
+    """Declares tearing, but only a TornPersistPlan tears a record."""
+
+    tears: ClassVar[bool] = True
+
+
 def never_fires():
-    """An active injector whose drop plan starts past any litmus run."""
-    return build_injector(DrainDropPlan(drop_offset=10**9))
+    """A tearing injector whose drop plan starts past any litmus run."""
+    return build_injector(TearsNothing(drop_offset=10**9))
 
 
 def run(program, model, variant, faults=None):
@@ -54,20 +65,38 @@ def test_boundaries_reveal_every_image(model):
     assert mismatches == []
 
 
-def test_injected_run_images_the_spaced_instants(monkeypatch):
-    instants = []
+@pytest.fixture
+def instants(monkeypatch):
+    """How many instants each ``crash_images`` call images, in order."""
+    counts = []
     original = MemorySubsystem.crash_images
 
     def counting(self, times):
-        instants.append(len(times))
+        counts.append(len(times))
         return original(self, times)
 
     monkeypatch.setattr(MemorySubsystem, "crash_images", counting)
+    return counts
+
+
+def test_injected_run_images_the_spaced_instants(instants):
     program = corpus_programs()[0]
     simulate_program(program, crash_points=48)
     simulate_program(program, crash_points=48, faults=never_fires())
     plain, spaced = instants
     assert plain < 49 < spaced
+
+
+def test_non_tearing_run_images_only_the_boundaries(instants):
+    program = corpus_programs()[0]
+    plain = simulate_program(program, crash_points=48)
+    dropped = simulate_program(
+        program,
+        crash_points=48,
+        faults=build_injector(DrainDropPlan(drop_offset=10**9)),
+    )
+    assert instants[0] == instants[1] < 49
+    assert dropped == plain
 
 
 def test_all_zero_image_at_t0_is_observed():

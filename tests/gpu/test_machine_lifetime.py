@@ -24,6 +24,7 @@ import pytest
 
 from repro import GPUSystem, ModelName, small_system
 from repro.apps import build_app
+from repro.bench.runner import RECOVERY_STAT, run_scenario
 from repro.check.corpus import corpus_programs
 from repro.check.enumerator import SMOKE_VARIANTS
 from repro.check.oracle import check_program
@@ -109,6 +110,13 @@ class TestMachineLifetime:
             )
             report = harness.crash_at_fraction(0.5)
             assert report.consistent and report.completed
+
+        assert cyclic_repro_garbage(scenario) == Counter()
+
+    def test_recovering_scenario_run(self, model):
+        def scenario():
+            result = run_scenario("gpkvs", small_system(model), GPKVS, recover=True)
+            assert result.stat(RECOVERY_STAT) > 0
 
         assert cyclic_repro_garbage(scenario) == Counter()
 
