@@ -7,19 +7,18 @@ resulting table (visible with ``pytest -s``), and appends it to
 output capture.
 
 All benchmarks share one :class:`repro.exec.Executor`, so baselines that
-recur across figures simulate once per session and — with the default
-result cache — once per code version ever.  Control it with::
+recur across figures simulate once per session; every session simulates
+afresh.  Fan the scenarios out with::
 
     pytest benchmarks/ --workers 4            # parallel fan-out
-    pytest benchmarks/ --cache-dir /tmp/c     # explicit cache root
-    pytest benchmarks/ --no-cache             # always re-simulate
 """
 
 import pathlib
 
 import pytest
 
-from repro.exec import Executor, ResultCache, default_cache_dir
+from repro.exec import Executor
+from repro.exec.executor import positive_int
 
 FIGURES_FILE = pathlib.Path(__file__).parent / "figures_output.txt"
 
@@ -37,24 +36,9 @@ def pytest_addoption(parser):
     parser.addoption(
         "--workers",
         action="store",
-        type=int,
+        type=positive_int,
         default=1,
         help="worker processes for scenario execution (1 = serial)",
-    )
-    parser.addoption(
-        "--cache-dir",
-        action="store",
-        default=None,
-        help=(
-            "scenario-result cache root "
-            "(default: $REPRO_CACHE_DIR or ~/.cache/repro-sbrp)"
-        ),
-    )
-    parser.addoption(
-        "--no-cache",
-        action="store_true",
-        default=False,
-        help="disable the scenario-result cache",
     )
 
 
@@ -76,15 +60,8 @@ def trace_dir(request):
 
 @pytest.fixture(scope="session")
 def executor(request) -> Executor:
-    """One executor per benchmark session: dedupe + cache + workers."""
-    cache = None
-    if not request.config.getoption("--no-cache"):
-        root = request.config.getoption("--cache-dir")
-        cache = ResultCache(root if root is not None else default_cache_dir())
-    return Executor(
-        workers=request.config.getoption("--workers"),
-        cache=cache,
-    )
+    """One executor per benchmark session: dedupe + workers."""
+    return Executor(workers=request.config.getoption("--workers"))
 
 
 def emit(table) -> None:

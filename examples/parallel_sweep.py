@@ -1,12 +1,12 @@
 """Parallel sweep: regenerate paper figures through the exec subsystem.
 
 Runs Figure 6 and Figure 8 (quick preset) through one shared
-:class:`repro.exec.Executor`: scenario configs the two figures have in
-common simulate once, independent scenarios fan out across worker
-processes, and every result lands in the content-addressed cache — so a
-second run of this script performs zero simulations.
+:class:`repro.exec.Executor`: independent scenarios fan out across
+worker processes, and every Figure 8 scenario config is one Figure 6
+already ran, so the executor's in-process memo answers all of Figure 8
+without simulating.
 
-Run:  python examples/parallel_sweep.py [workers] [cache-dir]
+Run:  python examples/parallel_sweep.py [workers]
 
 The full evaluation is one command away:
 
@@ -16,16 +16,14 @@ The full evaluation is one command away:
 import sys
 
 from repro.bench import figure6, figure8
-from repro.exec import Executor, ResultCache, default_cache_dir
+from repro.exec import Executor
 
 
 def main() -> None:
     workers = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    cache_dir = sys.argv[2] if len(sys.argv) > 2 else default_cache_dir()
 
     executor = Executor(
         workers=workers,
-        cache=ResultCache(cache_dir),
         progress=lambda e: print(
             f"  [{e.done}/{e.total}] {e.kind:5s} {e.label}", file=sys.stderr
         )
@@ -33,14 +31,16 @@ def main() -> None:
         else None,
     )
 
-    print(f"executing with {workers} worker(s), cache at {cache_dir}\n")
+    print(f"executing with {workers} worker(s)\n")
+    executed = {}
     for fig in (figure6, figure8):
         print(fig(preset="quick", executor=executor).to_ascii())
         print()
+        executed[fig.__name__] = executor.stats.executed
 
     print(executor.stats.summary())
-    if executor.stats.executed == 0:
-        print("warm cache: every scenario served without simulating")
+    reran = executed["figure8"] - executed["figure6"]
+    print(f"memo: Figure 8 simulated {reran} scenario(s) Figure 6 had not run")
 
 
 if __name__ == "__main__":

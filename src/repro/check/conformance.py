@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import ModelName, small_system
 from repro.exec import MODE_CHECK, Executor, ScenarioJob
+from repro.exec.executor import positive_int
 from repro.formal.events import LitmusProgram
 
 from repro.check.corpus import corpus_programs
@@ -235,8 +236,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--smoke", action="store_true",
         help="small CI budget: fewer programs, the smoke variant subset",
     )
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--cache-dir", default=None)
+    parser.add_argument("--workers", type=positive_int, default=1)
     parser.add_argument("--out", default=None, help="report path (default stdout)")
     parser.add_argument(
         "--models", default=None,
@@ -312,7 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         mutants = names("--mutants", args.mutants, mutant_names())
 
-    executor = Executor(workers=args.workers, cache=args.cache_dir)
+    executor = Executor(workers=args.workers)
     report = build_report(
         programs=programs,
         seed=args.seed,

@@ -272,15 +272,6 @@ class SystemConfig:
             seed=data.get("seed", 0),
         ).validate()
 
-    def cache_key(self) -> str:
-        """Stable content hash of the full configuration.
-
-        Every field of every sub-config participates, so the key changes
-        whenever any timing-relevant parameter changes and two configs
-        with equal fields always share a key.
-        """
-        return stable_hash(self.to_dict())
-
 
 def paper_system(
     model: ModelName = ModelName.SBRP,

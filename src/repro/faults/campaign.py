@@ -4,8 +4,8 @@
 persistency models, and PM placements.  Every (app, model, placement,
 plan) cell is one crash-isolated :class:`~repro.exec.jobs.ScenarioJob`
 submitted through the shared :class:`~repro.exec.executor.Executor`, so
-campaign cells parallelize, dedupe, and (with ``--cache-dir``) persist
-exactly like the paper's figure sweeps.
+campaign cells parallelize and dedupe exactly like the paper's figure
+sweeps.
 
 The ``soak`` section runs crash→recover→crash chains of a serving
 stream under chronic fault timelines (:mod:`repro.faults.soak`); each
@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.check.corpus import EXPECTATIONS
 from repro.common.config import ModelName, PMPlacement, small_system
 from repro.exec import Executor, ScenarioJob
-from repro.exec.executor import add_pool_args, pool_kwargs
+from repro.exec.executor import add_pool_args, pool_kwargs, positive_int
 from repro.exec.jobs import MODE_FAULTS, MODE_SOAK
 from repro.faults.oracles import (
     CONSISTENT,
@@ -608,13 +608,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=sorted(named_plans()),
         help="restrict the full sweep to these named plans",
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=positive_int, default=1)
     add_pool_args(parser)
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="content-addressed result cache (off by default)",
-    )
     parser.add_argument(
         "--max-crash-points",
         type=int,
@@ -670,7 +665,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     executor = Executor(
         workers=args.workers,
-        cache=args.cache_dir,
         progress=None if args.quiet else _progress,
         **pool_kwargs(args),
     )

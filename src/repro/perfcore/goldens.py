@@ -36,6 +36,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.exec.executor import positive_int
 from repro.perfcore.fingerprint import diff_paths
 from repro.perfcore.grid import GridCell, build_grid, run_cell
 
@@ -47,7 +48,7 @@ def run_cells(cells: List[GridCell], workers: int = 1) -> List[Dict[str, Any]]:
     """Fingerprints of *cells*, in cell order.  With several workers the
     cells fan out over a crash-isolated pool; a cell whose worker died
     fingerprints as the failure."""
-    if workers <= 1:
+    if workers == 1:
         return [run_cell(cell.to_json()) for cell in cells]
     from repro.exec.pool import WorkerPool
 
@@ -154,7 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="check only these cell names",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=positive_int, default=1,
         help="concurrent worker processes (default: 1 = in-process)",
     )
     parser.add_argument(

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.common.config import ModelName, small_system
 from repro.exec import Executor, ScenarioJob
-from repro.exec.executor import add_pool_args, pool_kwargs
+from repro.exec.executor import add_pool_args, pool_kwargs, positive_int
 from repro.exec.jobs import MODE_SERVE
 from repro.serve.txn import POLICIES, POLICY_ADAPTIVE
 
@@ -144,7 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--smoke", action="store_true", help="CI-sized stream"
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=positive_int, default=1,
         help="crash-isolated worker processes (default: 1; the report "
         "is byte-identical across counts)",
     )
@@ -153,19 +153,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="output path (default: serve_<suite>.json in cwd)",
     )
     parser.add_argument(
-        "--cache-dir", default=None,
-        help="content-addressed result cache directory",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress"
     )
     add_pool_args(parser)
     args = parser.parse_args(argv)
 
     jobs = suite_jobs(smoke=args.smoke)
-    executor = Executor(
-        workers=args.workers, cache=args.cache_dir, **pool_kwargs(args)
-    )
+    executor = Executor(workers=args.workers, **pool_kwargs(args))
     results = executor.submit(jobs)
     doc = build_report(jobs, results, smoke=args.smoke)
 

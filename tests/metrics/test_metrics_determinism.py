@@ -131,16 +131,3 @@ class TestWorkerCountByteIdentity:
         assert serial.get("exec.submitted") == 3
         assert serial.get("exec.memo_hits") == 1
         assert serial.get("exec.executed") == 2
-
-    def test_cache_hits_counted_identically(self, tmp_path):
-        results = {}
-        for workers in (1, 2):
-            registry = MetricsRegistry()
-            root = str(tmp_path / f"w{workers}")
-            Executor(workers=workers, cache=root, metrics=registry).submit(
-                _jobs()
-            )
-            warm = Executor(workers=workers, cache=root, metrics=registry)
-            warm.submit(_jobs())
-            results[workers] = registry.build_snapshot()
-        assert results[1] == results[2]
