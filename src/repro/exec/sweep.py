@@ -12,7 +12,10 @@ that recur across figures simulate once.  The selected drivers run in
 registry order, each once, whatever order ``--figures`` names them in:
 Figure 6's recovering PM-near runs then answer Figures 7, 8, 10 and 11.
 ``--out`` writes only the tables, so two invocations that agree on the
-data produce byte-identical files regardless of workers.
+data produce byte-identical files regardless of workers.  This is the
+one way to regenerate the figures: ``--preset quick --out
+figure_tables.txt`` rewrites the committed quick-preset tables, which
+CI diffs against a fresh sweep.
 """
 
 from __future__ import annotations

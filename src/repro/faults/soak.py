@@ -7,13 +7,13 @@ every ``crash_every_batches``-th batch and rebooting onto the surviving
 image.  The fault campaign (:mod:`repro.faults.campaign`) runs these
 chains as its ``soak`` cells.
 
-* **oracle per reboot** — every crash image first goes through the
-  application oracle (:func:`repro.crash.recover`: clean machine,
-  recovery kernel, invariant check) before the chain continues, so a
-  single bad image fails the soak even if later batches would have
-  papered over it.  The chain then reboots a second time from the same
-  image, onto the metered machine that keeps running under the fault
-  timeline;
+* **one reboot per crash, judged by the oracle** — every crash image
+  is rebooted once, through :func:`repro.crash.recover` (reopen,
+  recovery kernel, sync, invariant check), onto the metered machine
+  that keeps running under the fault timeline.  The chain continues on
+  that machine only if the oracle calls it consistent, so a single bad
+  image fails the soak even if later batches would have papered over
+  it, and a recovery that raises is a ``recovery_raised`` failure;
 * **zero data loss** — after each reboot's recovery, every key's
   recovered version is audited against the ledger of batches whose
   group commit *durably completed* before the crash instant; a
@@ -217,27 +217,24 @@ def run_soak_scenario(
             # in-flight casualty the recovery protocol must handle.
             t_crash = t0 + crash_fraction * (system.now - t0)
             image = system.crash(at=t_crash)
-            _merge_counts(injected, system.faults)
-            classification, error, _, _ = recover(
-                build_app(app_name, **params), config, image
-            )
             offset += t_crash
-            rebooted = GPUSystem(
+            classification, error, rebooted, recovery_cycles = recover(
+                app,
                 config,
-                pm_image=image,
+                image,
                 faults=FaultInjector(timeline, offset),
                 metrics=metrics,
             )
-            app.reopen(rebooted)
-            recovery = app.recover(rebooted)
-            rebooted.sync()
-            recovery_cycles = float(recovery.cycles)
-            recoveries.append(recovery_cycles)
-            downtime += recovery_cycles
-            clock += recovery_cycles  # clients wait out the reboot
-            metrics.observe("soak.recovery_cycles", recovery_cycles)
-            audit = _audit_committed(rebooted, app, committed)
-            lost.extend(audit)
+            audit: List[Dict[str, int]] = []
+            if rebooted is not None:
+                recoveries.append(recovery_cycles)
+                downtime += recovery_cycles
+                clock += recovery_cycles  # clients wait out the reboot
+                metrics.observe("soak.recovery_cycles", recovery_cycles)
+                audit = _audit_committed(rebooted, app, committed)
+                lost.extend(audit)
+                _merge_counts(injected, system.faults)
+                system = rebooted
             reboots.append(
                 {
                     "batch": index,
@@ -257,7 +254,6 @@ def run_soak_scenario(
                     "error": error,
                 }
                 break
-            system = rebooted
             replayed.add(index)
             continue  # replay the in-flight batch on the recovered machine
 

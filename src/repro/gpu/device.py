@@ -26,7 +26,7 @@ from repro.gpu.engine import Engine
 from repro.gpu.sm import SM
 from repro.gpu.warp import Warp, WarpCtx, WarpState
 from repro.metrics.registry import MetricsRegistry
-from repro.trace.tracer import NULL_TRACER, Tracer
+from repro.trace.tracer import Tracer
 
 KernelFn = Callable[..., Any]
 
@@ -72,7 +72,7 @@ class GPU:
         self.config = config
         self.stats = stats if stats is not None else MetricsRegistry(metered=False)
         self.backing = backing if backing is not None else BackingStore()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.engine = Engine(
             max_cycles=max_cycles,
             stats=self.stats,
@@ -160,7 +160,7 @@ class GPU:
             end=self.engine.now,
             blocks=grid_blocks,
         )
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.span(
                 "gpu", result.name, start, result.end, {"blocks": grid_blocks}
             )

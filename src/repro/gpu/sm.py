@@ -129,7 +129,7 @@ class SM:
         self._slots_cache = None
         warp.ready_time = now
         self.warps[warp.slot] = warp
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.warp_begin(self.warp_track(warp), now)
         self.kick(now)
 
@@ -229,7 +229,7 @@ class SM:
                 return
             warp.send_value = None
         self._counters["sm.instructions"] += 1.0
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.warp_phase(
                 self.warp_track(warp), _OP_CATEGORY.get(type(op), "sched"), now
             )
@@ -242,7 +242,7 @@ class SM:
             at = now + op.cycles
             n1 = now + 1
             warp.ready_time = at if at > n1 else n1
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.warp_phase(
                     self.warp_track(warp), "sched", warp.ready_time
                 )
@@ -285,7 +285,7 @@ class SM:
         warp.ready_time = at
         if send is not None:
             warp.send_value = send
-        if self.tracer.enabled:
+        if self.tracer is not None:
             # Close the blocked op's interval: cycles up to the wake are
             # attributed to the stalling op, after it to the scheduler.
             self.tracer.warp_phase(self.warp_track(warp), "sched", at)
@@ -302,7 +302,7 @@ class SM:
     # ------------------------------------------------------------------
     def _warp_done(self, warp: Warp, now: float) -> None:
         warp.state = WarpState.DONE
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.warp_end(self.warp_track(warp), now)
         if self.stats.metered:
             self.stats.observe("sm.active_warps", float(self.active_warps()))
@@ -318,7 +318,7 @@ class SM:
         warp.ready_time = at if at > n1 else n1
         if send is not None:
             warp.send_value = send
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.warp_phase(self.warp_track(warp), "sched", warp.ready_time)
 
     def _block(self, warp: Warp, op: Op) -> None:
@@ -372,7 +372,7 @@ class SM:
             warp.state = _READY
             warp.ready_time = now + self._spin_delta
             warp.send_value = 0
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.warp_phase(
                     self.warp_track(warp), "sched", warp.ready_time
                 )
@@ -661,7 +661,7 @@ class SM:
             w.state = WarpState.READY
             w.ready_time = now + 1
             w.retry_op = None
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.warp_phase(self.warp_track(w), "sched", now + 1)
         self.kick(now)
 

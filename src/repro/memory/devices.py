@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Deque, Optional
 
 from repro.metrics.registry import MetricsRegistry
-from repro.trace.tracer import NULL_TRACER, Tracer
+from repro.trace.tracer import Tracer
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class BandwidthChannel:
         self.bytes_per_cycle = bytes_per_cycle
         self.next_free = 0.0
         self.stats = stats if stats is not None else MetricsRegistry(metered=False)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         # Hot path: precomputed stat names (no per-transfer f-strings).
         self._stat_bytes = f"{name}.bytes"
         self._stat_transfers = f"{name}.transfers"
@@ -74,7 +74,7 @@ class BandwidthChannel:
         counters[self._stat_bytes] += nbytes
         counters[self._stat_transfers] += 1.0
         counters[self._stat_busy] += occupancy
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.span(self.name, "xfer", start, start + occupancy)
         return start + occupancy + self.latency
 
@@ -100,7 +100,7 @@ class NVMController:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.name = name
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.stats = stats if stats is not None else MetricsRegistry(metered=False)
         self.read_channel = BandwidthChannel(
             f"{name}.read", latency, read_bytes_per_cycle, self.stats, self.tracer
@@ -154,7 +154,7 @@ class NVMController:
         self.stats.add(self._stat_writes)
         if self.stats.metered:
             self.stats.observe("nvm.wpq_depth", float(len(self._wpq)))
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.span(self.name, "write", accept, drain_end)
             self.tracer.counter(self.name, "wpq", now, float(len(self._wpq)))
         return accept

@@ -22,7 +22,7 @@ from repro.memory.backing import BackingStore
 from repro.memory.cache import TagCache
 from repro.memory.devices import BandwidthChannel, NVMController, WriteAck
 from repro.metrics.registry import MetricsRegistry
-from repro.trace.tracer import NULL_TRACER, Tracer
+from repro.trace.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
@@ -80,7 +80,7 @@ class MemorySubsystem:
         gpu: GPUConfig,
         backing: BackingStore,
         stats: MetricsRegistry,
-        tracer: Tracer = NULL_TRACER,
+        tracer: Optional[Tracer] = None,
         faults: "Optional[FaultInjector]" = None,
     ) -> None:
         self.config = memory

@@ -150,7 +150,7 @@ class PersistencyModel(abc.ABC):
                 ack_time=now + self.config.gpu.l2_latency,
             )
         ack = sm.subsystem.persist_line(now, sm.sm_id, line.tag, words)
-        if sm.tracer.enabled:
+        if sm.tracer is not None:
             # Lifecycle: drain issued now; durable at acceptance; the
             # SM learns (ACTR decrement) at the ack.
             sm.tracer.persist_flush(

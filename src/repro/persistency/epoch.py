@@ -78,7 +78,7 @@ class EpochModel(PersistencyModel):
         else:
             self.stats.add("l1.write_hit_pm")
         line.write_words(words)
-        if sm.tracer.enabled:
+        if sm.tracer is not None:
             sm.tracer.persist_store(sm.sm_id, line_addr, now)
         return Outcome.complete(now + 1)
 

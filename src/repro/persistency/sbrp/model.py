@@ -90,7 +90,7 @@ class SBRPModel(PersistencyModel):
                         entry.waiters.append(warp)
                         st.force_until_seq = max(st.force_until_seq, entry.seq)
                         self.stats.add("sbrp.edm_stalls")
-                        if sm.tracer.enabled:
+                        if sm.tracer is not None:
                             sm.tracer.persist_delay(sm.sm_id, line_addr, "edm")
                         self._schedule_pump(sm)
                         return Outcome.blocked()
@@ -98,7 +98,7 @@ class SBRPModel(PersistencyModel):
                     st.pb.merge(entry, bit)
                     self.stats.add("sbrp.stores_coalesced")
                     self.stats.add("l1.write_hit_pm")
-                    if sm.tracer.enabled:
+                    if sm.tracer is not None:
                         sm.tracer.persist_store(sm.sm_id, line_addr, now)
                     return Outcome.complete(now + 1)
             self.stats.add("l1.write_hit_pm")
@@ -132,7 +132,7 @@ class SBRPModel(PersistencyModel):
         self.stats.add("sbrp.persist_entries")
         if self.stats.metered:
             self.stats.observe("sbrp.pb_occupancy", float(st.pb.live_count()))
-        if sm.tracer.enabled:
+        if sm.tracer is not None:
             sm.tracer.persist_store(sm.sm_id, line_addr, now)
             self._trace_pb(sm, st, now)
         self._schedule_pump(sm)
@@ -304,7 +304,7 @@ class SBRPModel(PersistencyModel):
             st.actr_zero_waiters.append(warp)
             st.force_until_seq = max(st.force_until_seq, entry.seq)
             self.stats.add("sbrp.evict_stalls")
-            if sm.tracer.enabled:
+            if sm.tracer is not None:
                 sm.tracer.persist_delay(sm.sm_id, entry.line_addr, "actr")
             self._schedule_pump(sm)
             return Outcome.blocked()
@@ -363,7 +363,7 @@ class SBRPModel(PersistencyModel):
         st.pump_scheduled = False
         if st.actr == 0:
             st.fsm.reset()
-        traced = sm.tracer.enabled
+        traced = sm.tracer is not None
         pb = st.pb
         fsm_bits = st.fsm.bits
         # Inlined _policy_allows for the WINDOW policy (the default):
@@ -554,7 +554,7 @@ class SBRPModel(PersistencyModel):
             st.retire_ack(ack_time)
             if self.stats.metered:
                 self.stats.observe("sbrp.actr", float(st.actr))
-            if sm.tracer.enabled:
+            if sm.tracer is not None:
                 sm.tracer.counter(f"sm{sm.sm_id}", "actr", t, float(st.actr))
             for waiter in waiters:
                 st.edm.clear(waiter.slot)

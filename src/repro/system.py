@@ -28,7 +28,7 @@ from repro.memory.backing import check_word_aligned
 from repro.memory.namespace import NamespaceEntry, NamespaceTable
 from repro.gpu.device import GPU, KernelResult
 from repro.metrics.registry import MetricsRegistry
-from repro.trace.tracer import NULL_TRACER, TraceConfig, Tracer
+from repro.trace.tracer import Tracer
 
 
 def _word_addrs(alloc: Allocation, count: Optional[int]) -> range:
@@ -59,7 +59,7 @@ class GPUSystem:
         config: SystemConfig,
         pm_image: Optional[CrashImage] = None,
         max_cycles: float = 2e9,
-        trace: "Tracer | TraceConfig | bool | None" = None,
+        trace: bool = False,
         faults: Optional[Any] = None,
         watchdog_events: Optional[int] = None,
         model_factory: Optional[Any] = None,
@@ -71,7 +71,8 @@ class GPUSystem:
         self.stats = self._resolve_metrics(metrics)
         self.space = AddressSpace(alignment=config.gpu.line_size)
         self.namespace = NamespaceTable(self.space)
-        self.tracer = self._resolve_tracer(trace)
+        #: The structured tracer, or None on an untraced machine.
+        self.tracer = Tracer() if trace else None
         #: Fault injector (``repro.faults``) threaded through to the
         #: memory subsystem and persistency models; None = clean run.
         self.faults = faults
@@ -88,19 +89,6 @@ class GPUSystem:
         if pm_image is not None:
             self.gpu.backing.load_pm_image(pm_image.pm)
             self.namespace.restore(pm_image.namespace, self.space)
-
-    @staticmethod
-    def _resolve_tracer(trace: "Tracer | TraceConfig | bool | None") -> Tracer:
-        """Accept a Tracer, a TraceConfig, or a bool; default: disabled."""
-        if trace is None or trace is False:
-            return NULL_TRACER
-        if trace is True:
-            return Tracer(TraceConfig())
-        if isinstance(trace, TraceConfig):
-            return Tracer(trace)
-        if isinstance(trace, Tracer):
-            return trace
-        raise SimulationError(f"unsupported trace argument: {trace!r}")
 
     @staticmethod
     def _resolve_metrics(
@@ -259,7 +247,7 @@ class GPUSystem:
         """Export the run's trace as Chrome/Perfetto ``trace.json``."""
         from repro.trace.perfetto import write_chrome_trace
 
-        if not self.tracer.enabled:
+        if self.tracer is None:
             raise SimulationError(
                 "tracing is disabled; construct with GPUSystem(cfg, trace=True)"
             )
@@ -269,7 +257,7 @@ class GPUSystem:
         """Export counter tracks (PB occupancy, ACTR, WPQ depth) as CSV."""
         from repro.trace.csvout import write_counter_csv
 
-        if not self.tracer.enabled:
+        if self.tracer is None:
             raise SimulationError(
                 "tracing is disabled; construct with GPUSystem(cfg, trace=True)"
             )
@@ -279,7 +267,7 @@ class GPUSystem:
         """ASCII profile: stall attribution, persist lifecycle, devices."""
         from repro.trace.report import profile_tracer
 
-        if not self.tracer.enabled:
+        if self.tracer is None:
             raise SimulationError(
                 "tracing is disabled; construct with GPUSystem(cfg, trace=True)"
             )

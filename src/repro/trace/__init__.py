@@ -3,7 +3,8 @@
 The subsystem has three layers:
 
 * :mod:`repro.trace.tracer` — the low-overhead :class:`Tracer` every
-  component emits into (no-op when disabled, ring-buffer backed);
+  component of a traced system emits into (ring-buffer backed; an
+  untraced system has none);
 * :mod:`repro.trace.events` — typed records: warp stall categories
   and persist-lifecycle traces (phase latencies go into
   :class:`~repro.metrics.registry.MetricHistogram`);
@@ -14,9 +15,8 @@ The subsystem has three layers:
 Enable tracing per system::
 
     from repro import GPUSystem, ModelName, small_system
-    from repro.trace import TraceConfig
 
-    system = GPUSystem(small_system(ModelName.SBRP), trace=TraceConfig())
+    system = GPUSystem(small_system(ModelName.SBRP), trace=True)
     ...  # run kernels
     system.write_trace("trace.json")     # load in ui.perfetto.dev
     print(system.trace_report())         # stall attribution table
@@ -29,7 +29,7 @@ from repro.trace.events import (
 )
 from repro.trace.csvout import counter_timeseries, write_counter_csv
 from repro.trace.perfetto import chrome_trace, dumps, write_chrome_trace
-from repro.trace.tracer import NULL_TRACER, TraceConfig, Tracer
+from repro.trace.tracer import Tracer
 
 _REPORT_EXPORTS = ("load_trace", "profile_tracer", "reconcile", "render_report")
 
@@ -45,10 +45,8 @@ def __getattr__(name: str):
 
 __all__ = [
     "FENCE_CATEGORIES",
-    "NULL_TRACER",
     "PersistTrace",
     "STALL_CATEGORIES",
-    "TraceConfig",
     "Tracer",
     "chrome_trace",
     "counter_timeseries",

@@ -5,9 +5,9 @@ One :class:`Tracer` instance is shared by every component of a
 touches the event queue, the stats registry, or any timing state, so a
 traced run is cycle-identical to an untraced one (a test pins this).
 
-Disabled tracing is the default and costs one attribute load per call
-site (``if tracer.enabled:`` guards every emission); the module-level
-:data:`NULL_TRACER` is the shared disabled instance.
+An untraced system has no tracer: its components hold ``tracer =
+None`` and every emission is guarded by ``if tracer is not None:``, so
+disabled tracing costs one comparison per call site.
 
 Three families of data are collected:
 
@@ -26,35 +26,21 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.metrics.registry import MetricHistogram
 from repro.trace.events import LIFECYCLE_PHASES, PersistTrace
 
 
-@dataclass(frozen=True)
-class TraceConfig:
-    """Knobs of one tracing session."""
-
-    #: Master switch; a disabled tracer is a no-op at every call site.
-    enabled: bool = True
-    #: Ring-buffer capacity of each timeline family (spans / instants /
-    #: counters / lifecycle records).  Aggregates are never bounded.
-    capacity: int = 1_000_000
-
-    def validate(self) -> "TraceConfig":
-        if self.capacity < 1:
-            raise ValueError("trace capacity must be at least 1")
-        return self
+#: Ring-buffer capacity of each timeline family (spans / instants /
+#: counters / lifecycle records).  Aggregates are never bounded.
+CAPACITY = 1_000_000
 
 
 class Tracer:
     """Structured event collector for one simulated system."""
 
     __slots__ = (
-        "enabled",
-        "capacity",
         "spans",
         "instants",
         "counters",
@@ -74,14 +60,11 @@ class Tracer:
         "phase_hist",
     )
 
-    def __init__(self, config: Optional[TraceConfig] = None) -> None:
-        cfg = (config or TraceConfig()).validate()
-        self.enabled = cfg.enabled
-        self.capacity = cfg.capacity
+    def __init__(self) -> None:
         # timeline ring buffers
-        self.spans: Deque[Tuple] = deque(maxlen=cfg.capacity)
-        self.instants: Deque[Tuple] = deque(maxlen=cfg.capacity)
-        self.counters: Deque[Tuple] = deque(maxlen=cfg.capacity)
+        self.spans: Deque[Tuple] = deque(maxlen=CAPACITY)
+        self.instants: Deque[Tuple] = deque(maxlen=CAPACITY)
+        self.counters: Deque[Tuple] = deque(maxlen=CAPACITY)
         #: Exact (count, busy-cycles) per (track, name) span aggregate —
         #: device utilisation survives ring-buffer drops.
         self.span_totals: Dict[Tuple[str, str], List[float]] = {}
@@ -95,7 +78,7 @@ class Tracer:
         # persist lifecycle
         self._persist_ids = itertools.count(1)
         self._open_persists: Dict[Tuple[int, int], PersistTrace] = {}
-        self.persists: Deque[PersistTrace] = deque(maxlen=cfg.capacity)
+        self.persists: Deque[PersistTrace] = deque(maxlen=CAPACITY)
         self.persist_count = 0
         self.coalesced_stores = 0
         self.delay_counts: Dict[str, int] = {}
@@ -114,8 +97,6 @@ class Tracer:
         end: float,
         args: Optional[dict] = None,
     ) -> None:
-        if not self.enabled:
-            return
         self.spans.append((track, name, start, end, args))
         total = self.span_totals.get((track, name))
         if total is None:
@@ -127,13 +108,9 @@ class Tracer:
     def instant(
         self, track: str, name: str, ts: float, args: Optional[dict] = None
     ) -> None:
-        if not self.enabled:
-            return
         self.instants.append((track, name, ts, args))
 
     def counter(self, track: str, name: str, ts: float, value: float) -> None:
-        if not self.enabled:
-            return
         self.counters.append((track, name, ts, value))
 
     # ------------------------------------------------------------------
@@ -141,8 +118,6 @@ class Tracer:
     # ------------------------------------------------------------------
     def warp_begin(self, track: str, ts: float) -> None:
         """A warp was dispatched onto *track* (an SM warp slot)."""
-        if not self.enabled:
-            return
         self._warp_begin[track] = ts
         self._open_warp[track] = ("sched", ts)
         self.warp_launches[track] = self.warp_launches.get(track, 0) + 1
@@ -158,8 +133,6 @@ class Tracer:
         Intervals are contiguous by construction, which is what makes
         the attribution table reconcile exactly with warp residency.
         """
-        if not self.enabled:
-            return
         open_interval = self._open_warp.get(track)
         if open_interval is not None:
             cat, start = open_interval
@@ -171,8 +144,6 @@ class Tracer:
 
     def warp_end(self, track: str, ts: float) -> None:
         """The warp on *track* retired at *ts*."""
-        if not self.enabled:
-            return
         self.warp_phase(track, "sched", ts)
         self._open_warp.pop(track, None)
         begin = self._warp_begin.pop(track, ts)
@@ -188,8 +159,6 @@ class Tracer:
     def persist_store(self, sm_id: int, line_addr: int, ts: float) -> None:
         """A PM store dirtied *line_addr* in *sm_id*'s L1 (or coalesced
         into its live buffered persist)."""
-        if not self.enabled:
-            return
         key = (sm_id, line_addr)
         record = self._open_persists.get(key)
         if record is not None:
@@ -207,8 +176,6 @@ class Tracer:
     def persist_delay(self, sm_id: int, line_addr: int, reason: str) -> None:
         """A drain pass skipped the line's persist for *reason* (one of
         fsm / window / lazy / edm / actr).  Counted per pass."""
-        if not self.enabled:
-            return
         self.delay_counts[reason] = self.delay_counts.get(reason, 0) + 1
         record = self._open_persists.get((sm_id, line_addr))
         if record is not None:
@@ -223,8 +190,6 @@ class Tracer:
         t_ack: float,
     ) -> None:
         """The line's persist was flushed to the persistence domain."""
-        if not self.enabled:
-            return
         record = self._open_persists.pop((sm_id, line_addr), None)
         if record is None:
             # A flush of a line whose store predates tracing: still
@@ -256,11 +221,5 @@ class Tracer:
         )
 
     def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
-        return f"Tracer({state}, {self.event_count()} events)"
+        return f"Tracer({self.event_count()} events)"
 
-
-#: Shared disabled tracer: the default for every untraced system.  It is
-#: never mutated (every emitting method bails on ``enabled``), so one
-#: instance can safely serve all systems.
-NULL_TRACER = Tracer(TraceConfig(enabled=False, capacity=1))

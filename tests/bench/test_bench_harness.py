@@ -1,7 +1,8 @@
 """Benchmark harness: workload presets, runner, figure drivers.
 
 Figure drivers run on a single small app so the suite stays fast; the
-full figures live in benchmarks/.
+full figures are regenerated by ``python -m repro.exec.sweep`` and
+pinned in ``figure_tables.txt``.
 """
 
 import math
@@ -9,10 +10,12 @@ import math
 import pytest
 
 from repro.bench import figure6, figure8, figure10c, workload
+from repro.bench.ablations import ablation_coalescing, ablation_drain_policy
 from repro.bench.report import FigureTable
 from repro.bench.runner import run_scenario, scenario_config
 from repro.bench.workloads import APP_ORDER, SCOPED_APPS, WORKLOADS
 from repro.common.config import ModelName, PMPlacement
+from repro.exec import Executor
 
 
 class TestWorkloads:
@@ -98,3 +101,11 @@ class TestFigureDrivers:
         table = figure10c(preset="quick", apps=["srad"])
         for label in ["2", "6", "10"]:
             assert math.isfinite(table.cell("srad", label))
+
+    def test_ablations_fill_their_tables(self):
+        executor = Executor()
+        drain = ablation_drain_policy("quick", apps=["reduction"], executor=executor)
+        coalescing = ablation_coalescing("quick", apps=["scan"], executor=executor)
+        assert drain.rows and coalescing.rows
+        for row in coalescing.rows:
+            assert row["coalescing"] >= 1.0

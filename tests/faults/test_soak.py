@@ -8,11 +8,12 @@ from dataclasses import replace
 import pytest
 
 from repro.common.config import ModelName, small_system
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, FaultInjectionError
 from repro.exec.jobs import ScenarioJob
 from repro.faults.campaign import soak_cells
 from repro.faults.plans import EXPECT_FAULT_RAISED, FaultWindow, TimelinePlan
 from repro.faults.soak import SOAK_PARAMS, brownout_burst, run_soak_scenario
+from repro.serve.app import ServeKVS
 
 
 def soak_payload(**overrides):
@@ -66,6 +67,28 @@ class TestSoakOutcome:
         assert failure["classification"] == "fault_raised"
         assert result.detail["outcome"] == "fault_raised"
         assert result.detail["matched"]
+
+    def test_raising_recovery_is_a_classified_failure(self, monkeypatch):
+        # The chain reboots onto the faulted machine, so its recovery
+        # can raise; that ends the chain as the oracle's
+        # recovery_raised, not as an uncaught job error.
+        def exhausted(self, system):
+            raise FaultInjectionError("burst exhausted the retry budget")
+
+        monkeypatch.setattr(ServeKVS, "recover", exhausted)
+        result = run_soak_scenario(
+            "serve_kvs",
+            small_system(ModelName.SBRP),
+            dict(SOAK_PARAMS),
+            soak_payload(),
+        )
+        failure = result.detail["failure"]
+        assert failure["stage"] == "oracle"
+        assert failure["classification"] == "recovery_raised"
+        assert result.detail["outcome"] == "inconsistent"
+        (reboot,) = result.detail["reboots"]
+        assert reboot["oracle"] == "recovery_raised"
+        assert result.detail["recovery_cycles"] == []
 
 
 class TestSoakSnapshot:

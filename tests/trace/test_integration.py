@@ -8,7 +8,7 @@ from repro.apps import build_app
 from repro.common.config import SBRPConfig, Scope
 from repro.common.errors import SimulationError
 from repro.persistency.sbrp.model import SBRPModel
-from repro.trace import NULL_TRACER, TraceConfig, Tracer, reconcile
+from repro.trace import Tracer, reconcile
 from repro.trace.perfetto import chrome_trace
 
 
@@ -27,7 +27,7 @@ def run(model, trace):
 
 def test_tracing_disabled_by_default():
     system = GPUSystem(small_system(ModelName.SBRP))
-    assert system.tracer is NULL_TRACER
+    assert system.tracer is None
     with pytest.raises(SimulationError):
         system.trace_report()
 
@@ -36,7 +36,7 @@ def test_traced_run_is_cycle_identical_to_untraced(model):
     _, traced = run(model, True)
     untraced_system, untraced = run(model, False)
     assert traced.cycles == untraced.cycles
-    assert untraced_system.tracer.event_count() == 0
+    assert untraced_system.tracer is None
 
 
 def test_tracer_adds_no_stats_counters(model):
@@ -45,14 +45,26 @@ def test_tracer_adds_no_stats_counters(model):
     assert traced_system.stats.snapshot() == untraced_system.stats.snapshot()
 
 
-def test_trace_argument_forms():
+def _tracer_holders(system):
+    """Every component of *system* that emits trace events."""
+    gpu = system.gpu
+    sub = gpu.subsystem
+    channels = [*sub.gddr, sub.pcie_down, sub.pcie_up]
+    channels += [nvm.read_channel for nvm in sub.nvm]
+    return [gpu, sub, *gpu.sms, *sub.nvm, *channels]
+
+
+def test_untraced_machine_holds_no_tracer(model):
+    system, _ = run(model, False)
+    assert all(c.tracer is None for c in _tracer_holders(system))
+
+
+def test_traced_components_share_one_tracer():
     cfg = small_system(ModelName.SBRP)
-    assert GPUSystem(cfg, trace=TraceConfig(capacity=10)).tracer.capacity == 10
-    tracer = Tracer(TraceConfig())
-    assert GPUSystem(cfg, trace=tracer).tracer is tracer
-    assert GPUSystem(cfg, trace=True).tracer.enabled
-    with pytest.raises(SimulationError):
-        GPUSystem(cfg, trace="yes")
+    system = GPUSystem(cfg, trace=True)
+    assert isinstance(system.tracer, Tracer)
+    assert all(c.tracer is system.tracer for c in _tracer_holders(system))
+    assert GPUSystem(cfg, trace=True).tracer is not system.tracer
 
 
 def test_persist_lifecycle_is_ordered(model):

@@ -1,43 +1,16 @@
-"""Tracer unit semantics: no-op when disabled, exact accounting."""
+"""Tracer unit semantics: exact accounting, bounded ring buffers."""
 
 import copy
 
 import pytest
 
 from repro.metrics.registry import MetricHistogram
-from repro.trace import NULL_TRACER, TraceConfig, Tracer, chrome_trace, render_report
-
-
-def test_disabled_tracer_records_nothing():
-    tracer = Tracer(TraceConfig(enabled=False))
-    tracer.span("sm0", "xfer", 0, 10)
-    tracer.instant("sm0", "mark", 5)
-    tracer.counter("sm0", "pb", 5, 3.0)
-    tracer.warp_begin("sm0.w00", 0)
-    tracer.warp_phase("sm0.w00", "ld", 4)
-    tracer.warp_end("sm0.w00", 9)
-    tracer.persist_store(0, 128, 1)
-    tracer.persist_delay(0, 128, "fsm")
-    tracer.persist_flush(0, 128, 2, 3, 4)
-    assert tracer.event_count() == 0
-    assert tracer.stall_totals == {}
-    assert tracer.persist_count == 0
-    assert tracer.delay_counts == {}
-
-
-def test_null_tracer_is_shared_and_disabled():
-    assert NULL_TRACER.enabled is False
-    NULL_TRACER.span("x", "y", 0, 1)
-    assert NULL_TRACER.event_count() == 0
-
-
-def test_invalid_capacity_rejected():
-    with pytest.raises(ValueError):
-        Tracer(TraceConfig(capacity=0))
+from repro.trace import Tracer, chrome_trace, render_report
+from repro.trace import tracer as tracer_module
 
 
 def test_warp_residency_attribution_is_exact():
-    tracer = Tracer(TraceConfig())
+    tracer = Tracer()
     tracer.warp_begin("sm0.w00", 10)
     tracer.warp_phase("sm0.w00", "ld", 12)     # sched: 2
     tracer.warp_phase("sm0.w00", "st", 20)     # ld: 8
@@ -50,7 +23,7 @@ def test_warp_residency_attribution_is_exact():
 
 
 def test_warp_reuse_accumulates_residency():
-    tracer = Tracer(TraceConfig())
+    tracer = Tracer()
     for start in (0, 100):
         tracer.warp_begin("sm0.w00", start)
         tracer.warp_phase("sm0.w00", "compute", start + 1)
@@ -61,7 +34,7 @@ def test_warp_reuse_accumulates_residency():
 
 
 def test_persist_lifecycle_orders_and_coalesces():
-    tracer = Tracer(TraceConfig())
+    tracer = Tracer()
     tracer.persist_store(0, 256, 5)
     tracer.persist_store(0, 256, 7)   # same line: coalesced
     tracer.persist_store(1, 256, 8)   # other SM: distinct persist
@@ -78,14 +51,15 @@ def test_persist_lifecycle_orders_and_coalesces():
 
 
 def test_persist_flush_without_store_still_records():
-    tracer = Tracer(TraceConfig())
+    tracer = Tracer()
     tracer.persist_flush(0, 512, 10, 30, 40)
     assert tracer.persist_count == 1
     assert tracer.persists[0].t_store == 10
 
 
-def test_span_totals_survive_ring_drop():
-    tracer = Tracer(TraceConfig(capacity=2))
+def test_span_totals_survive_ring_drop(monkeypatch):
+    monkeypatch.setattr(tracer_module, "CAPACITY", 2)
+    tracer = Tracer()
     for i in range(10):
         tracer.span("nvm0", "write", i * 10, i * 10 + 4)
     assert len(tracer.spans) == 2
@@ -96,7 +70,7 @@ def test_span_totals_survive_ring_drop():
 def _flushed_tracer():
     """Three persists whose phase latencies are buffer 2/3/4, drain
     3/100/3 and ack 4/7/1 cycles."""
-    tracer = Tracer(TraceConfig())
+    tracer = Tracer()
     for i, (drain, accept, ack) in enumerate([(2, 5, 9), (3, 103, 110), (4, 7, 8)]):
         tracer.persist_store(0, 128 * i, 0)
         tracer.persist_flush(0, 128 * i, drain, accept, ack)
