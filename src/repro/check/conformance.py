@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import ModelName, small_system
 from repro.exec import MODE_CHECK, Executor, ScenarioJob
-from repro.exec.executor import positive_int
+from repro.exec.executor import non_negative_int, positive_int
 from repro.formal.events import LitmusProgram
 
 from repro.check.corpus import corpus_programs
@@ -224,12 +224,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "simulator vs axiomatic model, with mutation teeth.",
     )
     parser.add_argument(
-        "--programs", type=int, default=500,
+        "--programs", type=non_negative_int, default=500,
         help="fuzzed programs per stock model (default 500)",
     )
     parser.add_argument("--seed", type=int, default=7, help="fuzzer seed")
     parser.add_argument(
-        "--mutant-programs", type=int, default=40,
+        "--mutant-programs", type=non_negative_int, default=40,
         help="fuzzed programs (beyond the corpus) per mutant target",
     )
     parser.add_argument(
@@ -247,11 +247,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="comma-separated mutant names (default: all; 'none' disables)",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=DEFAULT_BATCH,
+        "--batch-size", type=positive_int, default=DEFAULT_BATCH,
         help="programs per job; fixed partition, independent of --workers",
     )
     parser.add_argument(
-        "--crash-points", type=int, default=48,
+        "--crash-points", type=positive_int, default=48,
         help="evenly spaced crash instants per run, imaged only under a "
         "fault injector (fault-free runs image t = 0 and every persist "
         "acceptance, which is exact); must be >= 1 (default 48)",
@@ -263,14 +263,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--list-mutants", action="store_true")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    for flag, value, least in (
-        ("--programs", args.programs, 0),
-        ("--mutant-programs", args.mutant_programs, 0),
-        ("--batch-size", args.batch_size, 1),
-        ("--crash-points", args.crash_points, 1),
-    ):
-        if value < least:
-            parser.error(f"{flag} must be >= {least}, got {value}")
 
     def names(flag: str, text: str, known: Sequence[str]) -> List[str]:
         given = text.split(",")

@@ -7,12 +7,13 @@ subpackage turns them into schedulable work:
   one measurement with a stable content hash (config + app params +
   mode, plus the trace options of a traced job);
 * :mod:`~repro.exec.pool` — :class:`WorkerPool`, process-per-job
-  parallelism with per-job timeout, bounded retry with backoff, and
-  crash isolation;
+  parallelism with per-job timeout and crash isolation; a failed job
+  fails at once, never retried;
 * :mod:`~repro.exec.executor` — :class:`Executor`, the shared front end
   (in-process memo, then the pool or the serial fallback at
   ``workers=1``) the figure drivers submit through; nothing is
-  reused across processes;
+  reused across processes, and :class:`ExecStats` is its one counter
+  set;
 * :mod:`~repro.exec.sweep` — ``python -m repro.exec.sweep`` runs the
   full paper evaluation end-to-end.
 """

@@ -17,13 +17,18 @@ Submission semantics:
   twin whenever the twin is memoised;
 * ``workers=1`` is a pure serial fallback — jobs run in-process with no
   multiprocessing involved, which is also the byte-identical reference
-  path for the parallel scheduler.
+  path for the parallel scheduler;
+* a job that raises, crashes or times out fails at once on either
+  backend, as one :class:`JobFailedError`; nothing is retried.
+
+:class:`ExecStats` is the layer's one counter set.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+import traceback
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -43,7 +48,6 @@ from repro.exec.pool import (
     PoolEvent,
     WorkerPool,
 )
-from repro.metrics.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bench.runner import ScenarioResult
@@ -57,8 +61,7 @@ class JobFailedError(RuntimeError):
         self.outcome = outcome
         detail = outcome.error or "no error detail"
         super().__init__(
-            f"job {job.label} failed ({outcome.status} after "
-            f"{outcome.attempts} attempt(s)):\n{detail}"
+            f"job {job.label} failed ({outcome.status}):\n{detail}"
         )
 
 
@@ -81,26 +84,6 @@ def answered_by(job: ScenarioJob) -> List[ScenarioJob]:
     return [job] if twin is None else [job, twin]
 
 
-def error_class(outcome: JobOutcome) -> Optional[str]:
-    """Original exception class name from a failed outcome's traceback.
-
-    Worker tracebacks end in ``"pkg.mod.SomeError: detail"``; the bare
-    class name is what belongs in a metric key.  Non-error statuses
-    (timeout, crashed) carry prose, not tracebacks — they return None.
-    """
-    if outcome.status != STATUS_ERROR or not outcome.error:
-        return None
-    for line in reversed(outcome.error.strip().splitlines()):
-        line = line.strip()
-        if not line or line.startswith(("File ", "Traceback")):
-            continue
-        qualified = line.split(":", 1)[0].strip()
-        if not qualified or " " in qualified:
-            continue
-        return qualified.rpartition(".")[2]
-    return None
-
-
 def _bounded(kind: Callable[[str], Any], least: float, strict: bool = False):
     """An argparse ``type`` for *kind* values above *least* (or at least
     *least* when not *strict*), so a bad value exits 2, not 1."""
@@ -120,37 +103,17 @@ def _bounded(kind: Callable[[str], Any], least: float, strict: bool = False):
 
 #: ``--workers`` type shared by every CLI driver: an int >= 1.
 positive_int = _bounded(int, 1)
+#: Count type for the CLI drivers' options that may be zero.
+non_negative_int = _bounded(int, 0)
 
 
-def add_pool_args(parser: argparse.ArgumentParser) -> None:
-    """Install the worker-pool retry knobs shared by the CLI drivers."""
+def add_timeout_arg(parser: argparse.ArgumentParser) -> None:
+    """Install the worker-pool ``--timeout`` shared by the CLI drivers."""
     parser.add_argument(
         "--timeout",
         type=_bounded(float, 0, strict=True),
         default=None,
         help="per-job timeout in seconds (parallel mode only)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=_bounded(int, 0),
-        default=1,
-        help="retry budget for crashed/timed-out jobs (default: 1)",
-    )
-    parser.add_argument(
-        "--backoff",
-        type=_bounded(float, 0),
-        default=0.5,
-        help="base retry backoff in seconds, doubling per attempt "
-        "(default: 0.5)",
-    )
-
-
-def pool_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
-    """Executor keyword arguments from :func:`add_pool_args` options."""
-    return dict(
-        timeout=args.timeout,
-        retries=args.retries,
-        backoff=args.backoff,
     )
 
 
@@ -159,11 +122,9 @@ class ExecStats:
     """Counters for one Executor's lifetime."""
 
     submitted: int = 0
-    unique: int = 0
     memo_hits: int = 0
     executed: int = 0
     failed: int = 0
-    retries: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -173,15 +134,12 @@ class ExecStats:
         return 1.0 - self.executed / self.submitted
 
     def summary(self) -> str:
-        line = (
+        return (
             f"{self.submitted} submitted, {self.executed} executed, "
             f"{self.memo_hits} memo hits, "
             f"{self.failed} failed ({100 * self.hit_rate:.0f}% served "
             "without simulation)"
         )
-        if self.retries:
-            line += f", {self.retries} retried"
-        return line
 
 
 class Executor:
@@ -191,19 +149,13 @@ class Executor:
         self,
         workers: int = 1,
         timeout: Optional[float] = None,
-        retries: int = 1,
-        backoff: float = 0.5,
         progress: Optional[Callable[[PoolEvent], None]] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = workers
         self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
         self.progress = progress
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = ExecStats()
         self.failures: List[JobFailedError] = []
         self._memo: Dict[str, "ScenarioResult"] = {}
@@ -236,8 +188,6 @@ class Executor:
 
         jobs = list(jobs)
         self.stats.submitted += len(jobs)
-        metrics = self.metrics
-        metrics.add("exec.submitted", len(jobs))
 
         # Resolve memo hits; collect unique misses in order.
         # runs[i] is the job whose result answers jobs[i].
@@ -252,8 +202,6 @@ class Executor:
                 seen_this_call[run.key] = i
                 misses.append(i)
             runs.append(run)
-        self.stats.unique += len(misses)
-        metrics.add("exec.unique", len(misses))
 
         # Execute the misses.
         outcomes: Dict[int, JobOutcome] = {}
@@ -266,26 +214,11 @@ class Executor:
 
         for i, outcome in outcomes.items():
             job = runs[i]
-            if outcome.attempts > 1:
-                self.stats.retries += outcome.attempts - 1
-            # Derived from the JobOutcome, which both backends produce
-            # identically for clean runs — snapshots stay byte-identical
-            # across worker counts.  Retries only happen on crash/timeout,
-            # so exec.retries stays absent from healthy snapshots too.
-            metrics.add(f"exec.outcome.{outcome.status}")
-            if outcome.attempts > 1:
-                metrics.add("exec.retries", outcome.attempts - 1)
-            cls = error_class(outcome)
-            if cls is not None:
-                metrics.add(f"exec.error.{cls}")
             if outcome.ok:
-                result = ScenarioResult.from_json(outcome.value)
-                self._memo[job.key] = result
+                self._memo[job.key] = ScenarioResult.from_json(outcome.value)
                 self.stats.executed += 1
-                metrics.add("exec.executed")
             else:
                 self.stats.failed += 1
-                metrics.add("exec.failed")
                 failure = JobFailedError(job, outcome)
                 self.failures.append(failure)
                 if not allow_failures:
@@ -311,7 +244,6 @@ class Executor:
             key = run.key
             if key in self._memo or key in pending:
                 self.stats.memo_hits += 1
-                self.metrics.add("exec.memo_hits")
                 return run
         return None
 
@@ -341,25 +273,16 @@ class Executor:
                     done=n, total=total,
                 )
             )
-            start = time.monotonic()
             try:
                 value = execute_job_payload(job.to_json())
             except Exception:
-                import traceback
-
                 outcome = JobOutcome(
                     index=index,
-                    status="error",
+                    status=STATUS_ERROR,
                     error=traceback.format_exc(),
-                    duration=time.monotonic() - start,
                 )
             else:
-                outcome = JobOutcome(
-                    index=index,
-                    status=STATUS_OK,
-                    value=value,
-                    duration=time.monotonic() - start,
-                )
+                outcome = JobOutcome(index=index, status=STATUS_OK, value=value)
             outcomes[index] = outcome
             self._emit(
                 PoolEvent(
@@ -373,12 +296,7 @@ class Executor:
         self, jobs: List[ScenarioJob], indices: List[int]
     ) -> Dict[int, JobOutcome]:
         pool = WorkerPool(
-            workers=self.workers,
-            timeout=self.timeout,
-            retries=self.retries,
-            backoff=self.backoff,
-            progress=self._emit,
-            metrics=self.metrics,
+            workers=self.workers, timeout=self.timeout, progress=self._emit
         )
         pool_outcomes = pool.run(
             [job.to_json() for job in jobs],

@@ -10,8 +10,9 @@ sweep scheduler needs:
   ``concurrent.futures.ProcessPoolExecutor``, whose pool breaks);
 * **per-job timeout**: a hung simulation is terminated without
   poisoning a shared worker;
-* **bounded retry with exponential backoff** for crashes and timeouts
-  (clean exceptions are deterministic here and not retried by default).
+* **fail fast**: a job that raises, crashes or times out ends at once
+  in one outcome.  Every simulation is deterministic, so a second try
+  would end the same way.
 
 Results come back in submission order regardless of completion order.
 """
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import wait as conn_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
-
-from repro.metrics.registry import MetricsRegistry
 
 #: Poll interval of the scheduler loop (seconds).
 _POLL_S = 0.02
@@ -44,11 +43,10 @@ Progress = Callable[["PoolEvent"], None]
 class PoolEvent:
     """One progress notification from the pool."""
 
-    kind: str  # "start" | "done" | "retry"
+    kind: str  # "start" | "done"
     index: int
     label: str
     status: Optional[str] = None  # set for "done"
-    attempt: int = 1
     done: int = 0
     total: int = 0
 
@@ -61,8 +59,6 @@ class JobOutcome:
     status: str
     value: Any = None
     error: Optional[str] = None
-    attempts: int = 1
-    duration: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -70,18 +66,9 @@ class JobOutcome:
 
 
 @dataclass
-class _Pending:
-    index: int
-    attempt: int = 1
-    ready_at: float = 0.0
-
-
-@dataclass
 class _Active:
     index: int
-    attempt: int
     process: Any
-    conn: Any
     started: float
 
 
@@ -104,19 +91,13 @@ class WorkerPool:
         self,
         workers: int = 2,
         timeout: Optional[float] = None,
-        retries: int = 1,
-        backoff: float = 0.5,
         progress: Optional[Progress] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = workers
         self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
         self.progress = progress
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         # fork keeps arbitrary runner callables usable and is the fast
         # path on Linux; elsewhere fall back to spawn (runner must then
         # be an importable top-level function).
@@ -138,19 +119,17 @@ class WorkerPool:
             f"job{i}" for i in range(total)
         ]
         outcomes: List[Optional[JobOutcome]] = [None] * total
-        pending: List[_Pending] = [_Pending(i) for i in range(total)]
         active: Dict[Any, _Active] = {}  # conn -> state
-        done = 0
+        launched = done = 0
 
-        def emit(kind: str, state_index: int, attempt: int, status=None):
+        def emit(kind: str, index: int, status=None):
             if self.progress is not None:
                 self.progress(
                     PoolEvent(
                         kind=kind,
-                        index=state_index,
-                        label=names[state_index],
+                        index=index,
+                        label=names[index],
                         status=status,
-                        attempt=attempt,
                         done=done,
                         total=total,
                     )
@@ -158,74 +137,31 @@ class WorkerPool:
 
         def finish(state: _Active, status: str, value=None, error=None):
             nonlocal done
-            duration = time.monotonic() - state.started
-            retryable = status in (STATUS_CRASHED, STATUS_TIMEOUT)
-            if retryable and state.attempt <= self.retries:
-                delay = self.backoff * (2 ** (state.attempt - 1))
-                pending.append(
-                    _Pending(
-                        state.index,
-                        attempt=state.attempt + 1,
-                        ready_at=time.monotonic() + delay,
-                    )
-                )
-                # Pool-only metrics cover abnormal events exclusively:
-                # clean runs emit none, so serial and pooled snapshots
-                # stay byte-identical.
-                self.metrics.add("exec.pool.retry")
-                self.metrics.add(f"exec.pool.retry_status.{status}")
-                emit("retry", state.index, state.attempt, status)
-                return
             outcomes[state.index] = JobOutcome(
-                index=state.index,
-                status=status,
-                value=value,
-                error=error,
-                attempts=state.attempt,
-                duration=duration,
+                index=state.index, status=status, value=value, error=error
             )
             done += 1
-            emit("done", state.index, state.attempt, status)
+            emit("done", state.index, status)
 
-        while pending or active:
-            now = time.monotonic()
-
-            # Launch ready pending jobs up to the concurrency cap, in
-            # index order so scheduling stays deterministic.
-            pending.sort(key=lambda p: (p.ready_at > now, p.index))
-            while pending and len(active) < self.workers:
-                item = pending[0]
-                if item.ready_at > now:
-                    break
-                pending.pop(0)
+        while launched < total or active:
+            # Launch pending jobs up to the concurrency cap, in index
+            # order so scheduling stays deterministic.
+            while launched < total and len(active) < self.workers:
                 parent_conn, child_conn = self._ctx.Pipe(duplex=False)
                 process = self._ctx.Process(
                     target=_worker_entry,
-                    args=(runner, payloads[item.index], child_conn),
+                    args=(runner, payloads[launched], child_conn),
                     daemon=True,
                 )
                 process.start()
                 child_conn.close()
                 active[parent_conn] = _Active(
-                    index=item.index,
-                    attempt=item.attempt,
+                    index=launched,
                     process=process,
-                    conn=parent_conn,
                     started=time.monotonic(),
                 )
-                emit("start", item.index, item.attempt)
-
-            if not active:
-                # Everything pending is backing off; sleep until the
-                # earliest retry becomes ready.
-                if pending:
-                    time.sleep(
-                        max(
-                            _POLL_S,
-                            min(p.ready_at for p in pending) - now,
-                        )
-                    )
-                continue
+                emit("start", launched)
+                launched += 1
 
             ready = conn_wait(list(active), timeout=_POLL_S)
             for conn in ready:
@@ -289,7 +225,5 @@ class WorkerPool:
                         ),
                     )
 
-        missing = [i for i, o in enumerate(outcomes) if o is None]
-        if missing:  # pragma: no cover - scheduler invariant
-            raise RuntimeError(f"pool lost track of jobs {missing}")
+        # Every launched job was reaped through finish().
         return outcomes  # type: ignore[return-value]

@@ -37,12 +37,7 @@ from repro.bench.figures import (
     figure11,
 )
 from repro.bench.workloads import APP_ORDER, SCOPED_APPS, WORKLOADS
-from repro.exec.executor import (
-    Executor,
-    add_pool_args,
-    pool_kwargs,
-    positive_int,
-)
+from repro.exec.executor import Executor, add_timeout_arg, positive_int
 from repro.exec.pool import PoolEvent
 
 #: Driver registry in presentation order.  Figure 7 only covers the
@@ -69,12 +64,6 @@ def _progress_printer(stream) -> Callable[[PoolEvent], None]:
         if event.kind == "done":
             print(
                 f"  [{event.done}/{event.total}] {event.label}: {event.status}",
-                file=stream,
-            )
-        elif event.kind == "retry":
-            print(
-                f"  retrying {event.label} (attempt {event.attempt} "
-                f"ended in {event.status})",
                 file=stream,
             )
 
@@ -121,7 +110,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="write per-scenario traces here",
     )
-    add_pool_args(parser)
+    add_timeout_arg(parser)
     parser.add_argument(
         "--out",
         default=None,
@@ -134,8 +123,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     executor = Executor(
         workers=args.workers,
+        timeout=args.timeout,
         progress=None if args.quiet else _progress_printer(sys.stderr),
-        **pool_kwargs(args),
     )
 
     started = time.monotonic()

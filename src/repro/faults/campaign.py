@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.check.corpus import EXPECTATIONS
 from repro.common.config import ModelName, PMPlacement, small_system
 from repro.exec import Executor, ScenarioJob
-from repro.exec.executor import add_pool_args, pool_kwargs, positive_int
+from repro.exec.executor import add_timeout_arg, positive_int
 from repro.exec.jobs import MODE_FAULTS, MODE_SOAK
 from repro.faults.oracles import (
     CONSISTENT,
@@ -609,10 +609,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="restrict the full sweep to these named plans",
     )
     parser.add_argument("--workers", type=positive_int, default=1)
-    add_pool_args(parser)
+    add_timeout_arg(parser)
     parser.add_argument(
         "--max-crash-points",
-        type=int,
+        type=positive_int,
         default=None,
         help=f"crash-point cap per cell (default {DEFAULT_MAX_CRASH_POINTS}, "
         f"smoke {SMOKE_MAX_CRASH_POINTS})",
@@ -624,10 +624,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--list-plans", action="store_true")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    if args.max_crash_points is not None and args.max_crash_points < 1:
-        parser.error(
-            f"--max-crash-points must be >= 1, got {args.max_crash_points}"
-        )
 
     if args.list_plans:
         return _list_plans()
@@ -665,8 +661,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     executor = Executor(
         workers=args.workers,
+        timeout=args.timeout,
         progress=None if args.quiet else _progress,
-        **pool_kwargs(args),
     )
     soaks = soak_cells(models, full=not args.smoke)
     results = executor.submit(

@@ -174,6 +174,7 @@ def run_soak_scenario(
     commits = _batch_commits(plan)
 
     offset = 0.0  # global soak-chain time of the current machine's boot
+    total_time: Optional[float] = None  # set when a recovery raises
     downtime = 0.0
     clock = 0.0  # open-loop pricing clock (global cycles)
     committed: Dict[int, int] = {}  # durable ledger: key -> version
@@ -185,9 +186,10 @@ def run_soak_scenario(
     failure: Optional[Dict[str, Any]] = None
     replayed: set = set()
 
-    system = GPUSystem(
-        config, faults=FaultInjector(timeline, offset), metrics=metrics
-    )
+    # The injector of the machine booted last; its counts merge into
+    # ``injected`` when that machine crashes or the chain ends.
+    faults = FaultInjector(timeline, offset)
+    system = GPUSystem(config, faults=faults, metrics=metrics)
     app.setup(system)
 
     index = 0
@@ -217,23 +219,23 @@ def run_soak_scenario(
             # in-flight casualty the recovery protocol must handle.
             t_crash = t0 + crash_fraction * (system.now - t0)
             image = system.crash(at=t_crash)
+            _merge_counts(injected, faults)
             offset += t_crash
+            faults = FaultInjector(timeline, offset)
             classification, error, rebooted, recovery_cycles = recover(
-                app,
-                config,
-                image,
-                faults=FaultInjector(timeline, offset),
-                metrics=metrics,
+                app, config, image, faults=faults, metrics=metrics
             )
             audit: List[Dict[str, int]] = []
-            if rebooted is not None:
+            if rebooted is None:
+                # No machine came up: the chain's time ends at the crash.
+                total_time = offset
+            else:
                 recoveries.append(recovery_cycles)
                 downtime += recovery_cycles
                 clock += recovery_cycles  # clients wait out the reboot
                 metrics.observe("soak.recovery_cycles", recovery_cycles)
                 audit = _audit_committed(rebooted, app, committed)
                 lost.extend(audit)
-                _merge_counts(injected, system.faults)
                 system = rebooted
             reboots.append(
                 {
@@ -266,7 +268,7 @@ def run_soak_scenario(
         committed_requests += len(batch.requests)
         index += 1
 
-    _merge_counts(injected, system.faults)
+    _merge_counts(injected, faults)
     if failure is None:
         try:
             app.check(system, complete=True)
@@ -284,7 +286,8 @@ def run_soak_scenario(
     else:
         outcome = failure["classification"]
 
-    total_time = offset + system.now
+    if total_time is None:
+        total_time = offset + system.now
     availability = 1.0 - downtime / total_time if total_time > 0 else 1.0
     span_s = clock / (CLOCK_MHZ * 1e6)
     goodput = committed_requests / span_s if span_s > 0 else 0.0

@@ -1,8 +1,7 @@
 """The one registry every simulator component records into.
 
 One :class:`MetricsRegistry` instance is shared by every component of a
-:class:`~repro.system.GPUSystem` as its ``stats`` (the execution layer's
-:class:`~repro.exec.executor.Executor` keeps its own).  It holds two
+:class:`~repro.system.GPUSystem` as its ``stats``.  It holds two
 instrument families under dotted names (``l1.read_miss_pm``,
 ``persist.accept_latency`` ...):
 
@@ -21,8 +20,8 @@ event queue or any timing state, so a metered run is cycle-identical to
 an unmetered one and records the same counters (a test pins both).
 
 Everything recorded must be a deterministic function of the simulated
-execution (or of the job set, for the exec layer): snapshots are
-byte-identical across worker counts, which CI relies on.
+execution: snapshots are byte-identical across worker counts, which CI
+relies on.
 """
 
 from __future__ import annotations

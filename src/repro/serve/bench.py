@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.common.config import ModelName, small_system
 from repro.exec import Executor, ScenarioJob
-from repro.exec.executor import add_pool_args, pool_kwargs, positive_int
+from repro.exec.executor import add_timeout_arg, positive_int
 from repro.exec.jobs import MODE_SERVE
 from repro.serve.txn import POLICIES, POLICY_ADAPTIVE
 
@@ -155,11 +155,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress"
     )
-    add_pool_args(parser)
+    add_timeout_arg(parser)
     args = parser.parse_args(argv)
 
     jobs = suite_jobs(smoke=args.smoke)
-    executor = Executor(workers=args.workers, **pool_kwargs(args))
+    executor = Executor(workers=args.workers, timeout=args.timeout)
     results = executor.submit(jobs)
     doc = build_report(jobs, results, smoke=args.smoke)
 

@@ -117,14 +117,20 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["--smoke", "--crash-points", points, "--quiet"])
         assert exc.value.code == 2
-        assert "--crash-points must be >= 1" in capsys.readouterr().err
+        assert (
+            f"argument --crash-points: must be >= 1, got {points}"
+            in capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["--batch-size", "0"], "--batch-size must be >= 1, got 0"),
-            (["--mutant-programs", "-2"], "--mutant-programs must be >= 0, got -2"),
-            (["--programs", "-1"], "--programs must be >= 0, got -1"),
+            (["--batch-size", "0"], "argument --batch-size: must be >= 1, got 0"),
+            (
+                ["--mutant-programs", "-2"],
+                "argument --mutant-programs: must be >= 0, got -2",
+            ),
+            (["--programs", "-1"], "argument --programs: must be >= 0, got -1"),
             (["--models", "sbrp,tso"], "--models: unknown tso; have gpm, epoch, sbrp"),
             (["--mutants", "bogus"], "--mutants: unknown bogus; have ack_without_flush"),
             # A repeated target would be run and counted twice.

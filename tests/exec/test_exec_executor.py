@@ -1,6 +1,8 @@
 """Executor semantics: dedupe, memo identity, parallel parity, failures."""
 
 import dataclasses
+import os
+import signal
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.exec import (
     ScenarioJob,
     execute_job_payload,
 )
+from repro.exec import executor as executor_module
 
 #: Tiny configs keep every executor test sub-second per simulation.
 _CFG = small_system(ModelName.SBRP, PMPlacement.NEAR)
@@ -154,9 +157,25 @@ class TestFailures:
         assert results[0] is None and results[1] is not None
         assert "KeyError" in str(ex.failures[0])
 
+    def test_pooled_crash_raises_on_first_submit(self, monkeypatch):
+        """A killed worker fails its job at once: one process, one
+        ``crashed`` outcome, raised from the first ``submit``."""
+        monkeypatch.setattr(executor_module, "execute_job_payload", _die)
+        events = []
+        ex = Executor(workers=2, progress=events.append)
+        with pytest.raises(JobFailedError) as excinfo:
+            ex.submit([_job()])
+        assert excinfo.value.outcome.status == "crashed"
+        assert [e.kind for e in events] == ["start", "done"]
+        assert ex.stats.failed == 1 and ex.stats.executed == 0
+
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             Executor(workers=0)
+
+
+def _die(payload):
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestProgress:

@@ -1,4 +1,4 @@
-"""WorkerPool failure paths: raises, timeouts, killed workers, retries.
+"""WorkerPool failure paths: raises, timeouts, killed workers.
 
 Runner functions live at module level so they stay importable under any
 multiprocessing start method.
@@ -7,7 +7,6 @@ multiprocessing start method.
 import os
 import signal
 import time
-from pathlib import Path
 
 import pytest
 
@@ -41,18 +40,11 @@ def _hang(payload):
     return {"value": "never"}
 
 
-def _die(payload):
+def _log_and_die(payload):
+    # The log survives the worker's death: one line per process started.
+    with open(payload["log"], "a") as fh:
+        fh.write("started\n")
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _die_once(payload):
-    # Crashes on the first attempt only: the sentinel file survives the
-    # worker's death, so the retry succeeds.
-    sentinel = Path(payload["sentinel"])
-    if not sentinel.exists():
-        sentinel.write_text("attempted")
-        os.kill(os.getpid(), signal.SIGKILL)
-    return {"value": "recovered"}
 
 
 class TestHappyPath:
@@ -94,14 +86,8 @@ class TestFailurePaths:
         assert "kaboom from worker" in failed.error
         assert "Traceback" in failed.error
 
-    def test_errors_not_retried_by_default(self):
-        outcomes = WorkerPool(workers=1, retries=3).run(
-            [{"x": 1, "boom": True}], _explode
-        )
-        assert outcomes[0].attempts == 1
-
     def test_timeout_kills_hung_job(self):
-        pool = WorkerPool(workers=2, timeout=0.5, retries=0)
+        pool = WorkerPool(workers=2, timeout=0.5)
         payloads = [{"x": 1}, {"hang": True}]
         outcomes = pool.run(payloads, _mixed_hang)
         assert outcomes[0].ok
@@ -110,24 +96,19 @@ class TestFailurePaths:
 
     def test_killed_worker_marks_job_crashed_without_killing_sweep(self):
         payloads = [{"x": 1}, {"die": True}, {"x": 3}]
-        outcomes = WorkerPool(workers=2, retries=0).run(payloads, _mixed_die)
+        outcomes = WorkerPool(workers=2).run(payloads, _mixed_die)
         assert outcomes[0].ok and outcomes[2].ok
         assert outcomes[1].status == STATUS_CRASHED
         assert "worker" in outcomes[1].error
 
-    def test_crash_is_retried_with_backoff(self, tmp_path):
-        sentinel = tmp_path / "sentinel"
-        pool = WorkerPool(workers=1, retries=2, backoff=0.05)
-        outcomes = pool.run([{"sentinel": str(sentinel)}], _die_once)
-        assert outcomes[0].ok
-        assert outcomes[0].attempts == 2
-        assert outcomes[0].value == {"value": "recovered"}
-
-    def test_retry_budget_exhausts(self):
-        pool = WorkerPool(workers=1, retries=1, backoff=0.01)
-        outcomes = pool.run([{"die": True}], _mixed_die)
-        assert outcomes[0].status == STATUS_CRASHED
-        assert outcomes[0].attempts == 2  # initial + one retry
+    def test_crash_fails_at_once(self, tmp_path):
+        log = tmp_path / "starts.log"
+        events = []
+        pool = WorkerPool(workers=2, progress=events.append)
+        outcomes = pool.run([{"log": str(log)}], _log_and_die)
+        assert [o.status for o in outcomes] == [STATUS_CRASHED]
+        assert log.read_text() == "started\n"  # no second process
+        assert [e.kind for e in events] == ["start", "done"]
 
 
 def _mixed_hang(payload):
@@ -154,15 +135,6 @@ class TestProgress:
         assert {e.label for e in done} == {"a", "b", "c"}
         assert all(isinstance(e, PoolEvent) for e in events)
         assert max(e.done for e in done) == 3
-
-    def test_retry_emits_event(self, tmp_path):
-        events = []
-        sentinel = tmp_path / "sentinel"
-        pool = WorkerPool(
-            workers=1, retries=2, backoff=0.05, progress=events.append
-        )
-        pool.run([{"sentinel": str(sentinel)}], _die_once)
-        assert any(e.kind == "retry" for e in events)
 
 
 class TestValidation:

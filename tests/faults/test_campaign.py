@@ -120,7 +120,10 @@ class TestRepro:
         with pytest.raises(SystemExit) as info:
             main(preset + ["--max-crash-points", value])
         assert info.value.code == 2
-        assert "--max-crash-points must be >= 1" in capsys.readouterr().err
+        assert (
+            f"argument --max-crash-points: must be >= 1, got {value}"
+            in capsys.readouterr().err
+        )
 
     def test_list_plans(self, capsys):
         assert main(["--list-plans"]) == 0

@@ -89,6 +89,9 @@ class TestSoakOutcome:
         (reboot,) = result.detail["reboots"]
         assert reboot["oracle"] == "recovery_raised"
         assert result.detail["recovery_cycles"] == []
+        # The chain's machine time ends at the crash instant: the
+        # crashed machine's run is counted once.
+        assert result.stats["soak.machine_cycles"] == reboot["global_time"]
 
 
 class TestSoakSnapshot:

@@ -3,14 +3,13 @@
 * metered runs are **cycle-identical** to unmetered runs and record
   **the same counters** — the registry is a pure observer whose only
   metered extra is its histograms;
-* exec-layer snapshots are **byte-identical** across worker counts —
-  only deterministic quantities are recorded.
+* the exec layer's one counter set, :class:`ExecStats`, is **identical**
+  across worker counts, failures included.
 """
 
 from repro import GPUSystem, ModelName, PMPlacement, small_system
 from repro.apps import build_app
-from repro.exec import Executor, ScenarioJob
-from repro.metrics import MetricsRegistry
+from repro.exec import ExecStats, Executor, ScenarioJob
 from repro.perfcore.grid import SERVE_PARAMS, SIM_PARAMS
 from repro.serve.runner import run_serve_scenario
 
@@ -121,13 +120,31 @@ def _jobs():
     return [job, other, job]  # duplicate exercises the memo counters
 
 
-class TestWorkerCountByteIdentity:
-    def test_snapshot_identical_serial_vs_pool(self):
-        serial = MetricsRegistry()
-        pooled = MetricsRegistry()
-        Executor(workers=1, metrics=serial).submit(_jobs())
-        Executor(workers=2, metrics=pooled).submit(_jobs())
-        assert serial.build_snapshot() == pooled.build_snapshot()
-        assert serial.get("exec.submitted") == 3
-        assert serial.get("exec.memo_hits") == 1
-        assert serial.get("exec.executed") == 2
+def _bad_job():
+    # An unknown app parameter: the app's constructor raises TypeError
+    # inside the worker.
+    config = small_system(ModelName.SBRP, PMPlacement.NEAR)
+    return ScenarioJob(
+        app="reduction", config=config, app_params={"no_such_param": 1}
+    )
+
+
+class TestWorkerCountIdentity:
+    def test_stats_identical_serial_vs_pool(self):
+        serial = Executor(workers=1)
+        pooled = Executor(workers=2)
+        serial.submit(_jobs())
+        pooled.submit(_jobs())
+        assert serial.stats == pooled.stats == ExecStats(
+            submitted=3, memo_hits=1, executed=2
+        )
+
+    def test_failure_identical_serial_vs_pool(self):
+        serial = Executor(workers=1)
+        pooled = Executor(workers=2)
+        for executor in (serial, pooled):
+            assert executor.submit([_bad_job()], allow_failures=True) == [None]
+            (failure,) = executor.failures
+            assert failure.outcome.status == "error"
+            assert "TypeError" in failure.outcome.error
+        assert serial.stats == pooled.stats == ExecStats(submitted=1, failed=1)
