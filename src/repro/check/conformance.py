@@ -3,9 +3,12 @@
 Runs the directed corpus plus a seeded fuzzed stream through every
 target — each unmodified persistency model, and each SBRP mutant — as
 batched :class:`~repro.exec.jobs.ScenarioJob`\\ s on the shared
-Executor.  The batch partition is fixed up front (independent of the
-worker count) and shrinking runs serially in the driver process, so the
-JSON report is byte-identical for any ``--workers``.
+Executor.  Batches are program-major: a job checks its programs one at
+a time under every target, so each program's allowed sets are derived
+once (the oracle keeps the last program's).  The batch partition is
+fixed up front (independent of the worker count) and shrinking runs
+serially in the driver process, so the JSON report is byte-identical
+for any ``--workers``.
 
 Exit status 1 when an unmodified model produced any oracle violation,
 or when a shipped mutant went uncaught — either means the conformance
@@ -44,20 +47,22 @@ def _chunk(items: List[Any], size: int) -> List[List[Any]]:
 
 def _make_job(
     programs: List[LitmusProgram],
-    model: ModelName,
+    models: Sequence[ModelName],
+    mutants: Sequence[str],
     variants: List[Variant],
     crash_points: int,
-    mutant: Optional[str],
 ) -> ScenarioJob:
+    """One batch: every program under every stock model, then under
+    every SBRP mutant (see :func:`repro.check.runner.run_check_batch`)."""
     return ScenarioJob(
         app="conformance",
-        config=small_system(model),
+        config=small_system(ModelName.SBRP),
         mode=MODE_CHECK,
         verify=False,
         check={
             "programs": [p.to_json() for p in programs],
-            "model": model.value,
-            "mutant": mutant,
+            "models": [model.value for model in models],
+            "mutants": list(mutants),
             "variants": [v.to_json() for v in variants],
             "crash_points": crash_points,
         },
@@ -154,29 +159,29 @@ def build_report(
     mutant_pool = corpus + fuzzed[:mutant_programs]
     programs_by_name = {p.name: p for p in mutant_pool}
 
-    # One fixed job list up front: stock targets over the full set,
-    # mutant targets over the corpus plus a fuzzed prefix.
-    jobs: List[ScenarioJob] = []
-    spans: List[Tuple[str, Optional[str]]] = []  # (model, mutant) per job
-    for model in models:
-        for batch in _chunk(stock_programs, batch_size):
-            jobs.append(_make_job(batch, model, variants, crash_points, None))
-            spans.append((model.value, None))
-    for mutant in mutants:
-        for batch in _chunk(mutant_pool, batch_size):
-            jobs.append(
-                _make_job(batch, ModelName.SBRP, variants, crash_points, mutant)
-            )
-            spans.append((ModelName.SBRP.value, mutant))
+    # One fixed job list up front.  Stock targets run over the full
+    # set, mutant targets over the corpus plus a fuzzed prefix: the
+    # mutant pool is a prefix of the stock set, so its batches carry the
+    # mutants too and the batches after it do not.
+    pooled = len(mutant_pool) if mutants else 0
+    jobs = [
+        _make_job(batch, models, mutants, variants, crash_points)
+        for batch in _chunk(stock_programs[:pooled], batch_size)
+    ] + [
+        _make_job(batch, models, (), variants, crash_points)
+        for batch in _chunk(stock_programs[pooled:], batch_size)
+    ]
 
     results = executor.submit(jobs)
 
+    # Each job's reports are program-major; regroup them per target,
+    # each target's programs in set order.
     by_target: Dict[Tuple[str, Optional[str]], List[Dict[str, Any]]] = {}
-    for (model_name, mutant), result in zip(spans, results):
+    for result in results:
         assert result is not None and result.detail is not None
-        by_target.setdefault((model_name, mutant), []).extend(
-            result.detail["programs"]
-        )
+        for program_report in result.detail["programs"]:
+            target = (program_report["model"], program_report["mutant"])
+            by_target.setdefault(target, []).append(program_report)
 
     report: Dict[str, Any] = {
         "seed": seed,

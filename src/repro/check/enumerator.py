@@ -18,7 +18,8 @@ instant can reveal a new one.
 Variants that build the same machine share one run: the SBRP-only knobs
 (drain policy, window, scope demotion) are dropped under GPM and Epoch,
 and reversal leaves a block of one thread as it was, so :func:`observe`
-simulates each distinct (config, warp slots) pair once per call.
+simulates each distinct (model-filtered knobs, warp slots) pair once
+per call.
 """
 
 from __future__ import annotations
@@ -49,22 +50,40 @@ class Variant:
     demote_block_scope: bool = False
     reverse_threads: bool = False
 
+    def knobs(self, model: ModelName) -> Tuple[Any, ...]:
+        """The overrides that reach a *model* machine: the SBRP-only
+        knobs (drain policy, window, scope demotion) are dropped under
+        GPM and Epoch, which never read them."""
+        sbrp = model is ModelName.SBRP
+        return (
+            self.drain_policy if sbrp else None,
+            self.window if sbrp else None,
+            self.demote_block_scope and sbrp,
+            self.wpq_entries,
+            self.nvm_bw_scale,
+        )
+
     def configure(self, config: SystemConfig) -> SystemConfig:
         """*config* (a program's :func:`base_config`) perturbed."""
-        sbrp = config.sbrp
-        if config.model is ModelName.SBRP:  # only the SBRP model reads these
-            if self.drain_policy is not None:
-                sbrp = replace(sbrp, drain_policy=DrainPolicy(self.drain_policy))
-            if self.window is not None:
-                sbrp = replace(sbrp, window=self.window)
-            if self.demote_block_scope:
-                sbrp = replace(sbrp, demote_block_scope=True)
-        memory = config.memory
-        if self.wpq_entries is not None:
-            memory = replace(memory, wpq_entries=self.wpq_entries)
-        if self.nvm_bw_scale is not None:
-            memory = replace(memory, nvm_bw_scale=self.nvm_bw_scale)
-        return replace(config, sbrp=sbrp, memory=memory)
+        drain, window, demote, wpq, bw_scale = self.knobs(config.model)
+        sbrp: Dict[str, Any] = {}
+        if drain is not None:
+            sbrp["drain_policy"] = DrainPolicy(drain)
+        if window is not None:
+            sbrp["window"] = window
+        if demote:
+            sbrp["demote_block_scope"] = True
+        memory: Dict[str, Any] = {}
+        if wpq is not None:
+            memory["wpq_entries"] = wpq
+        if bw_scale is not None:
+            memory["nvm_bw_scale"] = bw_scale
+        changes: Dict[str, Any] = {}
+        if sbrp:
+            changes["sbrp"] = replace(config.sbrp, **sbrp)
+        if memory:
+            changes["memory"] = replace(config.memory, **memory)
+        return replace(config, **changes) if changes else config
 
     def thread_order(self, program: LitmusProgram) -> Optional[Sequence[int]]:
         if not self.reverse_threads:
@@ -124,23 +143,24 @@ def observe(
 ) -> List[Union[SimulationObservation, Exception]]:
     """Simulator runs of *program*, one result per variant: the
     observation, or the exception that ended the run.  Variants that
-    build the same machine (config and warp slots) share one run.
-    *crash_points* is passed to :func:`simulate_program`, which images
-    those evenly spaced instants only under a fault injector; a value
-    below 1 raises :class:`ConfigError`."""
+    build the same machine share one run (the same object): a run is
+    keyed on the variant's :meth:`~Variant.knobs` under *model* and the
+    warp slots, and only a new key builds its config.  *crash_points*
+    is passed to :func:`simulate_program`, which images those evenly
+    spaced instants only under a fault injector; a value below 1 raises
+    :class:`ConfigError`."""
     base = base_config(program, model)
-    runs: Dict[Tuple[SystemConfig, Any], Any] = {}
+    runs: Dict[Tuple[Any, ...], Any] = {}
     results = []
     for variant in variants:
-        config = variant.configure(base)
         order = variant.thread_order(program)
-        run = (config, warp_slots(program, order))
+        run = (variant.knobs(model), warp_slots(program, order))
         if run not in runs:
             try:
                 runs[run] = simulate_program(
                     program,
                     model=model,
-                    config=config,
+                    config=variant.configure(base),
                     crash_points=crash_points,
                     model_factory=model_factory,
                     thread_order=order,

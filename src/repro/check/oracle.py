@@ -133,12 +133,16 @@ def check_observation(
     allowed: Set[NormImage],
     variant_name: str,
     memo: AllowedMemo,
+    observed: Optional[Set[NormImage]] = None,
 ) -> List[Dict[str, Any]]:
     """All three oracle checks against one simulator run; *memo* is
-    shared by every run of the same program."""
+    shared by every run of the same program.  Each normalised crash
+    image is also added to *observed*, when given (coverage)."""
     violations: List[Dict[str, Any]] = []
     for time, image in observation.images:
         norm = normalize(image)
+        if observed is not None:
+            observed.add(norm)
         if norm not in allowed:
             violations.append(
                 {
@@ -216,6 +220,9 @@ def check_program(
     observations = observe(
         program, model, variants, crash_points=crash_points, model_factory=model_factory
     )
+    # Variants that shared a run share its observation: each distinct
+    # one is judged once, and its violations relabelled per variant.
+    judged: Dict[int, List[Dict[str, Any]]] = {}
     for variant, obs in zip(variants, observations):
         if isinstance(obs, Exception):
             failure = {
@@ -226,14 +233,16 @@ def check_program(
             variant_reports.append({"variant": variant.name, "violations": [failure]})
             continue
         sim_cycles += obs.end
-        observed.update(normalize(image) for image in obs.image_dicts())
+        violations = judged.get(id(obs))
+        if violations is None:
+            violations = judged[id(obs)] = check_observation(
+                program, obs, allowed, variant.name, memo, observed
+            )
         variant_reports.append(
             {
                 "variant": variant.name,
                 "end": obs.end,
-                "violations": check_observation(
-                    program, obs, allowed, variant.name, memo
-                ),
+                "violations": [dict(v, variant=variant.name) for v in violations],
             }
         )
     never_observed = sorted(allowed - observed)

@@ -179,10 +179,11 @@ class Executor:
     ) -> List[Optional["ScenarioResult"]]:
         """Run *jobs*, returning results in submission order.
 
-        A failed job raises :class:`JobFailedError` (the first failure,
-        with the worker's original traceback) unless *allow_failures* is
-        true, in which case its slot holds ``None`` and the error is
-        appended to :attr:`failures`.
+        Every failure is appended to :attr:`failures`.  The first one is
+        raised as :class:`JobFailedError` (with the worker's original
+        traceback) unless *allow_failures* is true, in which case a
+        failed job's slot holds ``None``.  Either way every job that ran
+        cleanly is memoised and counted first.
         """
         from repro.bench.runner import ScenarioResult
 
@@ -212,6 +213,9 @@ class Executor:
             else:
                 outcomes = self._run_pool(todo, misses)
 
+        # Every outcome is memoised or counted before the first failure
+        # is raised: jobs that already ran are never simulated again.
+        failures: List[JobFailedError] = []
         for i, outcome in outcomes.items():
             job = runs[i]
             if outcome.ok:
@@ -219,10 +223,10 @@ class Executor:
                 self.stats.executed += 1
             else:
                 self.stats.failed += 1
-                failure = JobFailedError(job, outcome)
-                self.failures.append(failure)
-                if not allow_failures:
-                    raise failure
+                failures.append(JobFailedError(job, outcome))
+        self.failures.extend(failures)
+        if failures and not allow_failures:
+            raise failures[0]
 
         results: List[Optional["ScenarioResult"]] = []
         for job, run in zip(jobs, runs):

@@ -80,7 +80,7 @@ class ScenarioJob:
     #: for — and only valid in — :data:`MODE_FAULTS`.
     fault: Optional[Mapping[str, Any]] = None
     #: Conformance batch payload (serialized programs + variants +
-    #: target model / mutant, see :mod:`repro.check.runner`); required
+    #: stock models + SBRP mutants, see :mod:`repro.check.runner`); required
     #: for — and only valid in — :data:`MODE_CHECK`.
     check: Optional[Mapping[str, Any]] = None
     #: Soak payload (``timeline`` = serialized TimelinePlan, plus
@@ -170,8 +170,8 @@ class ScenarioJob:
             name += f"[{self.mode}]"
         if self.fault is not None and self.fault.get("kind"):
             name += f"[{self.fault['kind']}]"
-        if self.check is not None and self.check.get("mutant"):
-            name += f"[{self.check['mutant']}]"
+        if self.check is not None and self.check.get("mutants"):
+            name += f"[{'+'.join(self.check['mutants'])}]"
         if self.soak is not None:
             timeline = self.soak.get("timeline") or {}
             kinds = sorted({w["kind"] for w in timeline.get("windows", ())})

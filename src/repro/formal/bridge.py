@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.common.config import ModelName, SystemConfig, small_system
 from repro.common.errors import ConfigError
 from repro.formal.events import EventKind, LitmusProgram
@@ -76,15 +78,15 @@ def warp_slots(
     """Thread ids of each block (blocks in sorted order) in warp-slot
     order.  *thread_order* lists thread ids in issue-slot order; threads
     it omits follow it, by id."""
-    order = list(thread_order or ())
-
-    def rank(tid: int) -> int:
-        return order.index(tid) if tid in order else len(order) + tid
-
-    return tuple(
-        tuple(sorted((t.tid for t in program.threads if t.block == b), key=rank))
-        for b in sorted({t.block for t in program.threads})
-    )
+    threads = program.threads
+    order = range(len(threads))
+    if thread_order:
+        first = [tid for tid in dict.fromkeys(thread_order) if tid in order]
+        order = first + [tid for tid in order if tid not in first]
+    blocks: Dict[int, List[int]] = {}
+    for tid in order:
+        blocks.setdefault(threads[tid].block, []).append(tid)
+    return tuple(tuple(blocks[b]) for b in sorted(blocks))
 
 
 def simulate_program(
@@ -119,9 +121,8 @@ def simulate_program(
         config = base_config(program, model)
     system = GPUSystem(config, faults=faults, model_factory=model_factory)
 
-    locations = sorted(
-        {e.loc for e in program.events() if e.loc is not None}
-    )
+    events = program.events()
+    locations = sorted({e.loc for e in events if e.loc is not None})
     pm_region = system.pm_create("litmus.pm", LOC_STRIDE * max(1, len(locations)))
     vol_region = system.malloc(LOC_STRIDE * max(1, len(locations)))
     addr: Dict[str, int] = {}
@@ -133,21 +134,23 @@ def simulate_program(
     # value each acquire spun up on.  Generated programs keep values
     # unique per location, so the mapping is unambiguous there.
     release_of_value: Dict[Tuple[str, int], int] = {}
-    for rel in program.releases():
-        release_of_value.setdefault((rel.loc, rel.value), rel.eid)
+    for e in events:
+        if e.kind is EventKind.PREL:
+            release_of_value.setdefault((e.loc, e.value), e.eid)
 
     observation = SimulationObservation()
     slots = [
         [program.threads[tid] for tid in block]
         for block in warp_slots(program, thread_order)
     ]
+    # Lane 0 of each thread's warp executes it; one mask serves all.
+    leader = np.arange(config.gpu.warp_size) == 0
 
     def kernel(w):
         mine = slots[w.block_id % len(slots)]
         if w.warp_in_block >= len(mine):
             return
         thread = mine[w.warp_in_block]
-        leader = w.lane == 0
         for event in thread.events:
             if event.kind in (EventKind.W, EventKind.WV):
                 yield w.st(addr[event.loc], event.value, mask=leader)
@@ -184,35 +187,36 @@ def simulate_program(
     # only where a line can tear, and it stops tearing once it leaves
     # the WPQ window.
     subsystem = system.gpu.subsystem
-    times = set(subsystem.persist_log.boundary_times(end=end))
-    times.add(0.0)
+    times = {0.0, *subsystem.persist_log.boundary_times(end=end)}
     if subsystem.tearing_faults is not None:
         times.update(end * i / crash_points for i in range(crash_points + 1))
-    wanted = {t for t, _ in observation.dfence_images.values()} | {end}
+    wanted = {t for t, _ in observation.dfence_images.values()}
+    wanted.add(end)
     instants = sorted(times | wanted)
-    pm = {loc: a for loc, a in addr.items() if loc.startswith("p")}
-    pm_addrs = set(pm.values())
+    # An image is keyed by its PM locations' values, in location order;
+    # a named dict is built only for a kept image and for the dFence
+    # and final instants.
+    pm_locs = [loc for loc in addr if loc.startswith("p")]
+    pm_addrs = [addr[loc] for loc in pm_locs]
+    zeros = [0] * len(pm_addrs)
     seen: Set[Tuple[int, ...]] = set()
-    named_at: Dict[float, Dict[str, int]] = {}
+    key_at: Dict[float, Tuple[int, ...]] = {}
     key: Optional[Tuple[int, ...]] = None
     for t, (image, landed) in zip(instants, subsystem.crash_images(instants)):
-        if key is None or landed is None or any(
-            not pm_addrs.isdisjoint(r.words) for r in landed
-        ):
-            named = {loc: image.get(a, 0) for loc, a in pm.items()}
-            key = tuple(named.values())
+        if key is None or landed is None or landed:
+            key = tuple(map(image.get, pm_addrs, zeros))
         if t in times and key not in seen:
             seen.add(key)
-            observation.images.append((t, named))
+            observation.images.append((t, dict(zip(pm_locs, key))))
         if t in wanted:
-            named_at[t] = named
+            key_at[t] = key
 
-    observation.final_image = dict(named_at[end])
+    observation.final_image = dict(zip(pm_locs, key_at[end]))
     # A dFence's durability obligation binds at its completion instant:
     # everything the issuing thread persisted before it must already be
     # durable *then* (later images only grow).
     observation.dfence_images = {
-        eid: (t, dict(named_at[t]))
+        eid: (t, dict(zip(pm_locs, key_at[t])))
         for eid, (t, _) in observation.dfence_images.items()
     }
     return observation

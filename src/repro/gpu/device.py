@@ -26,6 +26,7 @@ from repro.gpu.engine import Engine
 from repro.gpu.sm import SM
 from repro.gpu.warp import Warp, WarpCtx, WarpState
 from repro.metrics.registry import MetricsRegistry
+from repro.persistency import build_model
 from repro.trace.tracer import Tracer
 
 KernelFn = Callable[..., Any]
@@ -66,9 +67,7 @@ class GPU:
         watchdog_events: Optional[int] = None,
         model_factory: Optional[Callable[..., Any]] = None,
     ) -> None:
-        from repro.persistency import build_model  # local import: cycle guard
-
-        config.validate()
+        # *config* is validated by the GPUSystem that builds this GPU.
         self.config = config
         self.stats = stats if stats is not None else MetricsRegistry(metered=False)
         self.backing = backing if backing is not None else BackingStore()
@@ -170,55 +169,49 @@ class GPU:
         """Host-side synchronize-and-persist: drain every SM's buffered
         persists to the persistence domain (event-driven, so SMs drain
         concurrently).  Returns the completion time."""
-        for sm in self.sms:
-            self.model.begin_drain(sm, self.engine.now)
-        self.engine.run(
-            until=lambda: all(
-                self.model.drained(sm, self.engine.now) for sm in self.sms
-            )
-        )
-        undrained = [
-            sm.sm_id
-            for sm in self.sms
-            if not self.model.drained(sm, self.engine.now)
-        ]
+        engine, model, sms = self.engine, self.model, self.sms
+        for sm in sms:
+            model.begin_drain(sm, engine.now)
+        drained = model.drained
+        engine.run(until=lambda: all(drained(sm, engine.now) for sm in sms))
+        undrained = [sm.sm_id for sm in sms if not drained(sm, engine.now)]
         if undrained:
             raise SimulationError(
                 f"drain stalled on SMs {undrained}: no events left but "
                 "persists remain buffered"
             )
-        for sm in self.sms:
-            self.model.finish_drain(sm)
-        return self.engine.now
+        for sm in sms:
+            model.finish_drain(sm)
+        return engine.now
 
     # ------------------------------------------------------------------
     # block dispatch
     # ------------------------------------------------------------------
     def _fill_sm(self, sm, now: float) -> None:
         """Dispatch queued blocks onto free warp slots of *sm*."""
-        assert self._launch_ctx is not None
+        launch = self._launch_ctx
+        assert launch is not None
+        kernel, args, kwargs = launch["kernel"], launch["args"], launch["kwargs"]
         gpu_cfg = self.config.gpu
         warps_per_block = gpu_cfg.warps_per_block
-        while self._pending_blocks:
+        pending = self._pending_blocks
+        while pending:
             used = len(sm.warps)
             if used + warps_per_block > gpu_cfg.max_warps_per_sm:
                 break
-            block_id = self._pending_blocks.popleft()
+            block_id = pending.popleft()
             key = next(self._block_keys)
             self._live_blocks[key] = _Block(key, block_id, warps_per_block)
             base_slot = self._free_slot_base(sm, warps_per_block)
             for w in range(warps_per_block):
                 ctx = WarpCtx(
-                    block_id=block_id,
-                    warp_in_block=w,
-                    warp_size=gpu_cfg.warp_size,
-                    block_size=gpu_cfg.threads_per_block,
-                    grid_blocks=self._launch_ctx["grid_blocks"],
+                    block_id,
+                    w,
+                    gpu_cfg.warp_size,
+                    gpu_cfg.threads_per_block,
+                    launch["grid_blocks"],
                 )
-                gen = self._launch_ctx["kernel"](
-                    ctx, *self._launch_ctx["args"], **self._launch_ctx["kwargs"]
-                )
-                warp = Warp(base_slot + w, ctx, gen, key)
+                warp = Warp(base_slot + w, ctx, kernel(ctx, *args, **kwargs), key)
                 sm.add_warp(warp, now)
             self.stats.add("kernel.blocks_dispatched")
 

@@ -5,59 +5,53 @@ every ``yield`` hands one of these operations to the SM, which simulates
 its timing and (for loads, acquires, atomics) sends the result back into
 the generator.
 
-Addresses and values are per-lane numpy arrays; ``mask`` selects the
-active lanes (SIMT predication).  Scalar ops (``PAcq``/``PRel``) take a
+Addresses and values are per-lane lists of Python ints, converted once
+when the op is built (a scalar is repeated across the lanes, a numpy
+lane vector is unpacked with ``tolist``); ``mask`` is a per-lane list of
+truth values selecting the active lanes (SIMT predication), or ``None``
+when every lane is active.  Scalar ops (``PAcq``/``PRel``) take a
 single address because in every paper workload a single leader lane
 performs the release/acquire.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.common.config import Scope
 
 
-def _as_array(values: Sequence[int] | np.ndarray | int, lanes: int) -> np.ndarray:
+def _as_lanes(values: Sequence[int] | np.ndarray | int, lanes: int) -> List[int]:
+    """Per-lane ints of *values*: a lane vector, or a scalar repeated."""
     if type(values) is np.ndarray:  # hot path: already a lane array
         if values.shape != (lanes,):
             raise ValueError(
                 f"expected {lanes} lane values, got shape {values.shape}"
             )
-        return values if values.dtype == np.int64 else values.astype(np.int64)
-    if type(values) is int or np.isscalar(values):
-        return np.full(lanes, values, dtype=np.int64)
+        if values.dtype != np.int64:
+            values = values.astype(np.int64)
+        return values.tolist()
+    if type(values) is int:
+        return [values] * lanes
+    if np.isscalar(values):
+        return [int(values)] * lanes
     arr = np.asarray(values, dtype=np.int64)
     if arr.shape != (lanes,):
         raise ValueError(f"expected {lanes} lane values, got shape {arr.shape}")
-    return arr
+    return arr.tolist()
 
 
-#: Shared all-lanes-active masks (mask=None default), one per warp size.
-#: Read-only so accidental in-place mutation fails loudly instead of
-#: corrupting every other op's mask.
-_FULL_MASKS: dict = {}
-
-
-def _full_mask(lanes: int) -> np.ndarray:
-    mask = _FULL_MASKS.get(lanes)
+def _as_mask(mask: Optional[Sequence[bool]], lanes: int) -> Optional[List[bool]]:
+    """Per-lane activity of *mask*; ``None`` (every lane) stays ``None``."""
     if mask is None:
-        mask = np.ones(lanes, dtype=bool)
-        mask.setflags(write=False)
-        _FULL_MASKS[lanes] = mask
-    return mask
-
-
-def _as_mask(mask: Optional[Sequence[bool]], lanes: int) -> np.ndarray:
-    if mask is None:
-        return _full_mask(lanes)
+        return None
     arr = np.asarray(mask, dtype=bool)
     if arr.shape != (lanes,):
         raise ValueError(f"expected {lanes} mask lanes, got shape {arr.shape}")
-    return arr
+    return arr.tolist()
 
 
 @dataclass(slots=True)
@@ -81,8 +75,8 @@ class Compute(Op):
 class Ld(Op):
     """Per-lane loads; the SM sends back an int64 array of lane values."""
 
-    addrs: np.ndarray
-    mask: np.ndarray
+    addrs: List[int]
+    mask: Optional[List[bool]]
 
 
 @dataclass(slots=True)
@@ -94,9 +88,9 @@ class St(Op):
     model resumes from the lines it had left rather than re-splitting.
     """
 
-    addrs: np.ndarray
-    values: np.ndarray
-    mask: np.ndarray
+    addrs: List[int]
+    values: List[int]
+    mask: Optional[List[bool]]
     pm_lines: Optional[dict] = None
     vol_words: Optional[dict] = None
     vol_lines: Optional[set] = None
@@ -107,9 +101,9 @@ class AtomicAdd(Op):
     """Per-lane atomic fetch-and-add performed at the L2 point of
     coherence; returns the per-lane old values."""
 
-    addrs: np.ndarray
-    values: np.ndarray
-    mask: np.ndarray
+    addrs: List[int]
+    values: List[int]
+    mask: Optional[List[bool]]
 
 
 @dataclass(slots=True)

@@ -7,8 +7,8 @@ dirty-PM eviction — the integration points of the paper's Section 6
 hardware.
 
 The per-instruction path is written for host speed without changing
-the event graph: lane loops iterate plain ``list``s
-(``ndarray.tolist()``) rather than numpy scalars, op dispatch is a
+the event graph: lane loops iterate the plain ``list``s each op carries
+(see :mod:`repro.gpu.ops`) rather than numpy scalars, op dispatch is a
 type-keyed dict, the scheduler's slot-ordered warp list is cached
 between occupancy changes, the pick/execute/re-kick chain runs in one
 fused ``_on_issue`` frame, and hot stats names are precomputed.
@@ -17,8 +17,10 @@ fused ``_on_issue`` frame, and hot stats names are precomputed.
 from __future__ import annotations
 
 import weakref
+from functools import reduce
 from heapq import heappush
-from itertools import repeat
+from itertools import compress, repeat
+from operator import or_
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
@@ -28,7 +30,6 @@ from repro.memory.address_space import PM_BASE
 from repro.memory.backing import WORD_SIZE, check_word_aligned
 from repro.memory.cache import L1Cache
 from repro.gpu.ops import (
-    _FULL_MASKS,
     AtomicAdd,
     BlockBarrier,
     Compute,
@@ -64,11 +65,10 @@ _READ_HIT = ("l1.read_hit_vol", "l1.read_hit_pm")
 _READ_MISS = ("l1.read_miss_vol", "l1.read_miss_pm")
 _READY = WarpState.READY
 
-#: C-level OR-fold over a lane-address vector.  The OR of all addresses
-#: has a low bit set iff *some* address is word-misaligned (WORD_SIZE is
-#: a power of two), so one reduction replaces a per-lane `% WORD_SIZE`
-#: scan in the aligned-load fast path.
-_or_reduce = np.bitwise_or.reduce
+#: The OR of all lane addresses has a low bit set iff *some* address is
+#: word-misaligned (WORD_SIZE is a power of two), so one C-level fold
+#: (``reduce(or_, addrs)``) replaces a per-lane `% WORD_SIZE` scan in
+#: the aligned-load fast path.
 _ALIGN_MASK = WORD_SIZE - 1
 
 
@@ -387,23 +387,20 @@ class SM:
     # loads
     # ------------------------------------------------------------------
     def _process_load(self, warp: Warp, op: Ld, now: float) -> None:
-        addrs = op.addrs.tolist()
+        addrs = op.addrs
         line_size = self.line_size
-        mask_arr = op.mask
-        if mask_arr is _FULL_MASKS.get(len(addrs)):
-            # Ops built with the default mask carry the interned
-            # full-mask array: skip the tolist + membership scans.
-            mask = None
+        mask = op.mask
+        if mask is None or False not in mask:
+            # Every lane active (ops built with the default mask carry
+            # None): skip the membership scans.
             active_addrs = addrs
+        elif True in mask:
+            active_addrs = [a for a, m in zip(addrs, mask) if m]
         else:
-            mask = mask_arr.tolist()
-            if False not in mask:
-                active_addrs = addrs
-            elif True in mask:
-                active_addrs = [a for a, m in zip(addrs, mask) if m]
-            else:
-                self._complete(warp, now, now + 1, np.zeros_like(op.addrs))
-                return
+            self._complete(
+                warp, now, now + 1, np.zeros(len(addrs), dtype=np.int64)
+            )
+            return
         # dict.fromkeys preserves first-encounter order: lines are
         # accessed in lane order, first touch first.  Single-line loads
         # (coalesced: min and max fall in the same line) skip the
@@ -445,7 +442,7 @@ class SM:
             if done_at > latest:
                 latest = done_at
         vget = self.backing.visible.get
-        if active_addrs is addrs and not int(_or_reduce(op.addrs)) & _ALIGN_MASK:
+        if active_addrs is addrs and not reduce(or_, addrs) & _ALIGN_MASK:
             # Full mask, all aligned: comprehension-only value phase.
             # (A misaligned lane must raise, so that case takes the
             # general per-lane path below.)
@@ -480,11 +477,10 @@ class SM:
                 self._complete(warp, now, latest, np.array(values, dtype=np.int64))
                 return
         values = [0] * len(addrs)
-        if mask is None:
-            mask = mask_arr.tolist()
-        for i, active in enumerate(mask):
-            if not active:
-                continue
+        lanes = range(len(addrs))
+        if mask is not None:
+            lanes = compress(lanes, mask)  # active lanes, C-level
+        for i in lanes:
             addr = addrs[i]
             if addr >= PM_BASE:
                 line_addr = addr - addr % line_size
@@ -547,15 +543,10 @@ class SM:
 
     def _split_store(self, op: St) -> None:
         line_size = self.line_size
-        addrs = op.addrs.tolist()
-        values = op.values.tolist()
-        mask_arr = op.mask
-        if mask_arr is _FULL_MASKS.get(len(addrs)):
-            mask = ()
-            full = True
-        else:
-            mask = mask_arr.tolist()
-            full = False not in mask
+        addrs = op.addrs
+        values = op.values
+        mask = op.mask
+        full = mask is None or False not in mask
         if full:
             # All lanes active: uniform-space fast paths.  Dicts and
             # sets are built in lane order, as the per-lane loop
@@ -590,11 +581,10 @@ class SM:
         pm_lines = {}
         vol_words: Dict[int, int] = {}
         vol_lines = set()
-        if full:  # mixed-space full store: every lane is active
-            mask = repeat(True)
-        for addr, value, active in zip(addrs, values, mask):
-            if not active:
-                continue
+        lanes = zip(addrs, values)
+        if mask is not None:
+            lanes = compress(lanes, mask)  # active lanes, C-level
+        for addr, value in lanes:
             if addr >= PM_BASE:
                 line_addr = addr - addr % line_size
                 line = pm_lines.get(line_addr)
@@ -613,19 +603,15 @@ class SM:
     # atomics
     # ------------------------------------------------------------------
     def _process_atomic(self, warp: Warp, op: AtomicAdd, now: float) -> None:
-        addrs = op.addrs.tolist()
-        values = op.values.tolist()
+        addrs = op.addrs
+        values = op.values
         olds = [0] * len(addrs)
         unique = set()
         visible = self.backing.visible
-        mask_arr = op.mask
-        if mask_arr is _FULL_MASKS.get(len(addrs)):
-            mask = (True,) * len(addrs)
-        else:
-            mask = mask_arr.tolist()
-        for i, active in enumerate(mask):
-            if not active:
-                continue
+        lanes = range(len(addrs))
+        if op.mask is not None:
+            lanes = compress(lanes, op.mask)  # active lanes, C-level
+        for i in lanes:
             addr = addrs[i]
             if addr >= PM_BASE:
                 raise SimulationError(

@@ -8,7 +8,8 @@ global thread ids, and constructors for every warp-level operation.
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator, Optional, Sequence
+from functools import cached_property
+from typing import Any, Dict, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -25,9 +26,24 @@ from repro.gpu.ops import (
     PRel,
     St,
     ThreadFence,
-    _as_array,
+    _as_lanes,
     _as_mask,
 )
+
+
+#: Shared read-only lane-id vectors, one per warp size: every warp's
+#: ``lane`` is the same array, so a warp costs no numpy allocation until
+#: its kernel derives something from it.
+_LANES: Dict[int, np.ndarray] = {}
+
+
+def _lane_ids(warp_size: int) -> np.ndarray:
+    lane = _LANES.get(warp_size)
+    if lane is None:
+        lane = np.arange(warp_size, dtype=np.int64)
+        lane.setflags(write=False)
+        _LANES[warp_size] = lane
+    return lane
 
 
 class WarpState(enum.Enum):
@@ -63,9 +79,17 @@ class WarpCtx:
         self.warp_size = warp_size
         self.block_size = block_size
         self.grid_blocks = grid_blocks
-        self.lane = np.arange(warp_size, dtype=np.int64)
-        #: Global thread id of each lane.
-        self.tid = block_id * block_size + warp_in_block * warp_size + self.lane
+        #: Lane id of each lane (shared, read-only).
+        self.lane = _lane_ids(warp_size)
+
+    @cached_property
+    def tid(self) -> np.ndarray:
+        """Global thread id of each lane (built on first use)."""
+        return (
+            self.block_id * self.block_size
+            + self.warp_in_block * self.warp_size
+            + self.lane
+        )
 
     @property
     def nthreads(self) -> int:
@@ -86,7 +110,7 @@ class WarpCtx:
     def ld(
         self, addrs: Sequence[int] | np.ndarray | int, mask: Optional[Sequence[bool]] = None
     ) -> Ld:
-        return Ld(_as_array(addrs, self.warp_size), _as_mask(mask, self.warp_size))
+        return Ld(_as_lanes(addrs, self.warp_size), _as_mask(mask, self.warp_size))
 
     def st(
         self,
@@ -95,8 +119,8 @@ class WarpCtx:
         mask: Optional[Sequence[bool]] = None,
     ) -> St:
         return St(
-            _as_array(addrs, self.warp_size),
-            _as_array(values, self.warp_size),
+            _as_lanes(addrs, self.warp_size),
+            _as_lanes(values, self.warp_size),
             _as_mask(mask, self.warp_size),
         )
 
@@ -107,8 +131,8 @@ class WarpCtx:
         mask: Optional[Sequence[bool]] = None,
     ) -> AtomicAdd:
         return AtomicAdd(
-            _as_array(addrs, self.warp_size),
-            _as_array(values, self.warp_size),
+            _as_lanes(addrs, self.warp_size),
+            _as_lanes(values, self.warp_size),
             _as_mask(mask, self.warp_size),
         )
 

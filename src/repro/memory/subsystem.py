@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.common.config import GPUConfig, MemoryConfig, PMPlacement
@@ -26,6 +27,9 @@ from repro.trace.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
+
+#: Sort key of the acceptance order: acceptance time, then issue sequence.
+_ACCEPTANCE_ORDER = attrgetter("accept_time", "seq")
 
 #: Hot-path stat names, indexed by ``is_pm`` (no per-access f-strings).
 _L2_READ_HIT = ("l2.read_hit_vol", "l2.read_hit_pm")
@@ -58,7 +62,7 @@ class PersistLog:
     def records_until(self, time: float) -> List[PersistRecord]:
         """Persists accepted by *time*, in acceptance order."""
         accepted = [r for r in self._records if r.accept_time <= time]
-        accepted.sort(key=lambda r: (r.accept_time, r.seq))
+        accepted.sort(key=_ACCEPTANCE_ORDER)
         return accepted
 
     def boundary_times(self, end: Optional[float] = None) -> List[float]:
@@ -91,26 +95,35 @@ class MemorySubsystem:
         self.faults = faults
         self.line_size = gpu.line_size
         self.l2 = TagCache("l2", gpu.l2_size, gpu.line_size, stats=stats)
+        # Derived cycle constants, computed once per machine: the
+        # routing and persist paths read them on every transaction.
+        self._l2_latency = gpu.l2_latency
+        self._pcie_latency = memory.pcie_latency
+        self._parts = parts = memory.num_partitions
+        self._far = memory.placement is PMPlacement.FAR
+        self._eadr = memory.eadr
 
-        parts = memory.num_partitions
         per_part = 1.0 / parts
+        gddr_latency = memory.gddr_latency
+        gddr_bw = gbps_to_bytes_per_cycle(memory.gddr_bw_gbps) * per_part
         self.gddr = [
-            BandwidthChannel(
-                f"gddr{i}",
-                memory.gddr_latency,
-                gbps_to_bytes_per_cycle(memory.gddr_bw_gbps) * per_part,
-                stats,
-                tracer,
-            )
+            BandwidthChannel(f"gddr{i}", gddr_latency, gddr_bw, stats, tracer)
             for i in range(parts)
         ]
         scale = memory.nvm_bw_scale
+        nvm_read_bw = (
+            gbps_to_bytes_per_cycle(memory.nvm_read_bw_gbps * scale) * per_part
+        )
+        nvm_write_bw = (
+            gbps_to_bytes_per_cycle(memory.nvm_write_bw_gbps * scale) * per_part
+        )
+        nvm_latency = memory.nvm_latency
         self.nvm = [
             NVMController(
                 f"nvm{i}",
-                gbps_to_bytes_per_cycle(memory.nvm_read_bw_gbps * scale) * per_part,
-                gbps_to_bytes_per_cycle(memory.nvm_write_bw_gbps * scale) * per_part,
-                memory.nvm_latency,
+                nvm_read_bw,
+                nvm_write_bw,
+                nvm_latency,
                 memory.wpq_entries,
                 stats,
                 tracer,
@@ -119,19 +132,12 @@ class MemorySubsystem:
         ]
         # PCIe is full duplex: independent down (GPU->host) and up
         # (host->GPU) channels, each at the link bandwidth.
+        pcie_bw = gbps_to_bytes_per_cycle(memory.pcie_bw_gbps)
         self.pcie_down = BandwidthChannel(
-            "pcie",
-            memory.pcie_latency,
-            gbps_to_bytes_per_cycle(memory.pcie_bw_gbps),
-            stats,
-            tracer,
+            "pcie", self._pcie_latency, pcie_bw, stats, tracer
         )
         self.pcie_up = BandwidthChannel(
-            "pcie_up",
-            memory.pcie_latency,
-            gbps_to_bytes_per_cycle(memory.pcie_bw_gbps),
-            stats,
-            tracer,
+            "pcie_up", self._pcie_latency, pcie_bw, stats, tracer
         )
         self.persist_log = PersistLog()
         self._persist_seq = 0
@@ -149,18 +155,14 @@ class MemorySubsystem:
     # routing helpers
     # ------------------------------------------------------------------
     def _partition(self, line_addr: int) -> int:
-        return (line_addr // self.line_size) % self.config.num_partitions
-
-    @property
-    def _far(self) -> bool:
-        return self.config.placement is PMPlacement.FAR
+        return (line_addr // self.line_size) % self._parts
 
     # ------------------------------------------------------------------
     # read path (L1 miss fills)
     # ------------------------------------------------------------------
     def fetch_line(self, now: float, line_addr: int, is_pm: bool) -> float:
         """Time at which a missing line's data arrives at the SM."""
-        after_l2 = now + self.gpu.l2_latency
+        after_l2 = now + self._l2_latency
         if self.l2.access(line_addr, now):
             self.stats.add(_L2_READ_HIT[is_pm])
             return after_l2
@@ -179,7 +181,7 @@ class MemorySubsystem:
     # ------------------------------------------------------------------
     def write_volatile(self, now: float, line_addr: int, nbytes: int) -> float:
         """Timing of a write-through volatile store (fire-and-forget)."""
-        after_l2 = now + self.gpu.l2_latency
+        after_l2 = now + self._l2_latency
         if self.l2.access(line_addr, now):
             self.stats.add("l2.write_hit_vol")
             return after_l2
@@ -217,22 +219,22 @@ class MemorySubsystem:
         seq = self._persist_seq
         injected = self.faults is not None
         delay = self.faults.persist_delay(seq, now=now) if injected else 0.0
-        after_l2 = now + self.gpu.l2_latency
+        after_l2 = now + self._l2_latency
         self.l2.access(line_addr, now)
         part = self._partition(line_addr)
         if self._far:
             at_host = self.pcie_down.transfer(after_l2, nbytes)
-            if self.config.eadr:
+            if self._eadr:
                 # eADR: durable once resident in the battery-backed host
                 # LLC; the NVM write drains in the background.
                 accept = at_host
                 self.nvm[part].write(at_host + delay, nbytes)
             else:
                 accept = self.nvm[part].write(at_host + delay, nbytes)
-            ack = accept + self.config.pcie_latency
+            ack = accept + self._pcie_latency
         else:
             accept = self.nvm[part].write(after_l2 + delay, nbytes)
-            ack = accept + self.gpu.l2_latency
+            ack = accept + self._l2_latency
         durable_at = accept
         if injected:
             durable_at = self.faults.transform_accept(seq, accept)

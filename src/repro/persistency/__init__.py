@@ -14,22 +14,22 @@ evaluation are provided:
   scoped, buffered release persistency with the Section 6 hardware.
 """
 
+from repro.common.config import ModelName
 from repro.persistency.base import Outcome, PersistencyModel
 from repro.persistency.epoch import EpochModel
 from repro.persistency.gpm import GPMModel
 from repro.persistency.sbrp import SBRPModel
 
+_MODEL_CLASSES = {
+    ModelName.GPM: GPMModel,
+    ModelName.EPOCH: EpochModel,
+    ModelName.SBRP: SBRPModel,
+}
+
 
 def build_model(config, stats):
     """Instantiate the persistency model named by *config.model*."""
-    from repro.common.config import ModelName
-
-    classes = {
-        ModelName.GPM: GPMModel,
-        ModelName.EPOCH: EpochModel,
-        ModelName.SBRP: SBRPModel,
-    }
-    return classes[config.model](config, stats)
+    return _MODEL_CLASSES[config.model](config, stats)
 
 
 __all__ = [

@@ -4,12 +4,15 @@ import json
 
 import pytest
 
-from repro.check.conformance import main
+from repro.check import oracle
+from repro.check.conformance import STOCK_MODELS, build_report, main
+from repro.check.corpus import corpus_programs
 from repro.check.enumerator import SMOKE_VARIANTS
 from repro.check.fuzzer import generate_stream
+from repro.check.mutants import mutant_names
 from repro.common.config import ModelName, small_system
 from repro.common.errors import ConfigError
-from repro.exec import MODE_CHECK, ScenarioJob
+from repro.exec import MODE_CHECK, Executor, ScenarioJob
 
 
 def make_check_job(mutant=None):
@@ -21,8 +24,8 @@ def make_check_job(mutant=None):
         verify=False,
         check={
             "programs": [p.to_json() for p in programs],
-            "model": "sbrp",
-            "mutant": mutant,
+            "models": ["sbrp"],
+            "mutants": [mutant] if mutant else [],
             "variants": [v.to_json() for v in SMOKE_VARIANTS[:1]],
             "crash_points": 16,
         },
@@ -60,6 +63,38 @@ class TestCheckJobs:
         assert result.stats["check.programs"] == 2
         assert result.stats["check.violations"] == 0
         assert len(result.detail["programs"]) == 2
+
+
+class TestProgramMajor:
+    def test_allowed_sets_derived_once_per_program(self, monkeypatch):
+        """Each batch checks a program under every target in a row, so
+        its unconstrained allowed set is derived once, not per target."""
+        derived = []
+        original = oracle.allowed_unconstrained
+
+        def counting(program, *args):
+            derived.append(program.name)
+            return original(program, *args)
+
+        monkeypatch.setattr(oracle, "allowed_unconstrained", counting)
+        monkeypatch.setattr(oracle, "_last", (None, set(), {}))
+        report = build_report(
+            programs=3,
+            seed=5,
+            mutant_programs=1,
+            batch_size=4,
+            crash_points=48,
+            variants=list(SMOKE_VARIANTS[:1]),
+            models=list(STOCK_MODELS),
+            mutants=mutant_names()[:2],
+            executor=Executor(workers=1),
+            shrink=False,
+        )
+        names = [p.name for p in corpus_programs() + generate_stream(5, 3)]
+        assert derived == names
+        assert report["models"]["sbrp"]["programs"] == len(names)
+        for mutant in mutant_names()[:2]:
+            assert report["mutants"][mutant]["programs"] == len(names) - 2
 
 
 class TestCli:

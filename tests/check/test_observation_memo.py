@@ -122,6 +122,55 @@ def test_smoke_variants_share_machines(constructions, name, model, machines):
     ]
 
 
+@pytest.fixture
+def judgements(monkeypatch):
+    """Counts ``check_observation`` calls made by ``check_program``."""
+    judged = []
+    original = oracle.check_observation
+
+    def counting(*args, **kwargs):
+        judged.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "check_observation", counting)
+    return judged
+
+
+@pytest.mark.parametrize(
+    "name, model, variants, machines",
+    [
+        ("block_release_consumer", ModelName.GPM, SMOKE_VARIANTS, 3),
+        ("device_release_consumer", ModelName.SBRP, SMOKE_VARIANTS, 3),
+        ("block_release_consumer", ModelName.SBRP, SMOKE_VARIANTS, 4),
+        ("mp_ofence_split", ModelName.GPM, VARIANTS, 2),
+    ],
+)
+def test_each_machine_is_judged_once(
+    constructions, judgements, name, model, variants, machines
+):
+    report = check_program(program(name), model, list(variants))
+    assert len(report["variants"]) == len(variants)
+    assert len(constructions) == machines
+    assert len(judgements) == machines
+
+
+def test_shared_run_violations_carry_each_variant_name():
+    """A mutant's violations on a shared run are judged once and
+    reported under every variant that shared it, each with its name."""
+    # One thread per block: ``reversed`` builds the ``base`` machine.
+    report = check_program(
+        program("dfence_split"),
+        ModelName.SBRP,
+        list(SMOKE_VARIANTS),
+        mutant="ack_without_flush",
+    )
+    by_name = {v["variant"]: v["violations"] for v in report["variants"]}
+    assert by_name["base"]
+    for name, violations in by_name.items():
+        assert all(v["variant"] == name for v in violations)
+    assert [dict(v, variant="base") for v in by_name["reversed"]] == by_name["base"]
+
+
 @pytest.mark.parametrize("model", list(ModelName))
 @pytest.mark.parametrize(
     "name", ["block_release_consumer", "device_release_consumer", "dfence_split"]

@@ -79,6 +79,18 @@ class TestFailureAccounting:
         assert message.rstrip().splitlines()[-1].startswith("TypeError:")
         assert excinfo.value.job is job
 
+    def test_raise_keeps_the_jobs_that_ran(self, workers):
+        """The first failure is raised only after every clean outcome
+        of the call is memoised and counted: resubmitting it is a hit."""
+        ex = Executor(workers=workers)
+        bad, good = _bad_job(), _job()
+        with pytest.raises(JobFailedError) as excinfo:
+            ex.submit([bad, good])
+        assert excinfo.value.job is bad
+        assert ex.stats == ExecStats(submitted=2, executed=1, failed=1)
+        assert ex.submit([good])[0] is not None
+        assert ex.stats == ExecStats(submitted=3, memo_hits=1, executed=1, failed=1)
+
 
 class TestPooledTimeout:
     def test_hung_job_fails_as_timeout(self, monkeypatch):
