@@ -15,12 +15,11 @@ the class up in :data:`MUTANTS` and passes a factory to
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Type
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Type
 
 from repro.common.config import Scope, SystemConfig
 from repro.common.errors import ConfigError
 from repro.metrics.registry import MetricsRegistry
-from repro.persistency.base import Outcome
 from repro.persistency.sbrp.model import SBRPModel
 from repro.persistency.sbrp.pbuffer import EntryKind
 
@@ -42,7 +41,7 @@ class PrelEagerFlagMutant(SBRPModel):
 
     def prel(
         self, sm: "SM", warp: "Warp", addr: int, value: int, scope: Scope, now: float
-    ) -> Outcome:
+    ) -> Optional[float]:
         scope = self._effective_scope(scope)
         if scope is not Scope.BLOCK:
             return super().prel(sm, warp, addr, value, scope, now)
@@ -57,7 +56,7 @@ class PrelEagerFlagMutant(SBRPModel):
         self._publish(sm, addr, value, now)
         self.stats.add("mutant.eager_flag_persists")
         self._schedule_pump(sm)
-        return Outcome.complete(now + 2)
+        return now + 2
 
 
 class PrelNoOdmMutant(SBRPModel):
@@ -71,7 +70,7 @@ class PrelNoOdmMutant(SBRPModel):
 
     def prel(
         self, sm: "SM", warp: "Warp", addr: int, value: int, scope: Scope, now: float
-    ) -> Outcome:
+    ) -> Optional[float]:
         st = self.states[sm.sm_id]
         if st.pb.is_full():
             return self._stall_for_space(sm, st, warp)
@@ -81,7 +80,7 @@ class PrelNoOdmMutant(SBRPModel):
         self._publish(sm, addr, value, now)
         self.stats.add("mutant.no_odm_releases")
         self._schedule_pump(sm)
-        return Outcome.complete(now + 2)
+        return now + 2
 
 
 class PbLifoDrainMutant(SBRPModel):
@@ -154,9 +153,9 @@ class OfenceNoopMutant(SBRPModel):
     congestion the po-later persist is accepted first.
     """
 
-    def ofence(self, sm: "SM", warp: "Warp", now: float) -> Outcome:
+    def ofence(self, sm: "SM", warp: "Warp", now: float) -> Optional[float]:
         self.stats.add("mutant.ofence_noops")
-        return Outcome.complete(now + 1)
+        return now + 1
 
 
 #: name -> mutant class.  Names are the cross-process currency: job

@@ -228,8 +228,6 @@ class FaultInjector:
         return out
 
     def _tear(self, record: "PersistRecord") -> "PersistRecord":
-        from dataclasses import replace
-
         if not record.words:
             raise TornPersistError(
                 f"persist #{record.seq} has no words to tear"
@@ -242,7 +240,7 @@ class FaultInjector:
             kept = kept[:-1]
         self._bump("torn_records")
         self._bump("torn_words_dropped", len(addrs) - len(kept))
-        return replace(record, words={a: record.words[a] for a in kept})
+        return record._replace(words={a: record.words[a] for a in kept})
 
 
 def build_injector(plan: Optional[FaultPlan]) -> Optional[FaultInjector]:

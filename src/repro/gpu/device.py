@@ -168,12 +168,20 @@ class GPU:
     def sync(self) -> float:
         """Host-side synchronize-and-persist: drain every SM's buffered
         persists to the persistence domain (event-driven, so SMs drain
-        concurrently).  Returns the completion time."""
+        concurrently).  Returns the completion time.
+
+        The run stops in the event after which every SM is first
+        drained: the model raises the engine's stop flag there (see
+        :meth:`~repro.persistency.base.PersistencyModel.begin_drain`),
+        so no per-event predicate runs.  A machine already drained
+        here pops no event."""
         engine, model, sms = self.engine, self.model, self.sms
         for sm in sms:
             model.begin_drain(sm, engine.now)
         drained = model.drained
-        engine.run(until=lambda: all(drained(sm, engine.now) for sm in sms))
+        if all(drained(sm, engine.now) for sm in sms):
+            engine._stop = True
+        engine.run()
         undrained = [sm.sm_id for sm in sms if not drained(sm, engine.now)]
         if undrained:
             raise SimulationError(

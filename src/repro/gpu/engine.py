@@ -85,10 +85,12 @@ class Engine:
         self._seq = 0
         self.events_processed = 0
         self._idle_events = 0
-        #: Stop flag: an event may set this to break the run loop at the
-        #: point an ``until`` predicate turning true would — before the
-        #: next pop.  ``GPU.on_warp_done`` raises it when a launch's last
-        #: block retires, sparing a predicate call per event.
+        #: Stop flag: an event sets this to break the run loop before
+        #: the next pop; :meth:`run` clears it on exit.  ``GPU.on_warp_done``
+        #: raises it when a launch's last block retires, and the
+        #: persistency models raise it in the event that finishes a
+        #: ``GPU.sync`` drain.  Raised before :meth:`run`, it makes the
+        #: run pop nothing.
         self._stop = False
 
     def schedule(self, time: float, fn: EventFn) -> None:
@@ -113,9 +115,9 @@ class Engine:
             depths.update(self.watchdog_diagnostics())
         return LivelockError(self.now, self._idle_events, depths)
 
-    def run(self, until: Callable[[], bool] | None = None) -> float:
-        """Process events until the queue drains, *until()* is true or
-        an event raises the stop flag.
+    def run(self) -> float:
+        """Process events until the queue drains or the stop flag is
+        raised.
 
         Returns the final simulated time.  Raises
         :class:`SimulationError` when the cycle budget is exhausted and
@@ -129,10 +131,9 @@ class Engine:
         queue = self._queue
         fifo = self._fifo
         events_processed = self.events_processed
-        self._stop = False
         try:
             while queue or fifo:
-                if self._stop or (until is not None and until()):
+                if self._stop:
                     break
                 # Lexicographic min of the two sorted fronts == heap order.
                 if not queue or (fifo and fifo[0] < queue[0]):
@@ -160,6 +161,7 @@ class Engine:
                 fn(self.now)
         finally:
             self.events_processed = events_processed
+            self._stop = False
         stats.set("engine.events_processed", float(events_processed))
         stats.set("engine.now", self.now)
         return self.now

@@ -330,11 +330,12 @@ class SM:
     # ------------------------------------------------------------------
     # op dispatch
     # ------------------------------------------------------------------
-    def _model_call(self, warp: Warp, op: Op, outcome, now: float) -> None:
-        if outcome.done:
-            self._complete(warp, now, outcome.at)
-        else:
+    def _model_call(self, warp: Warp, op: Op, at: Optional[float], now: float) -> None:
+        # A hook returns its completion time, or None to block the warp.
+        if at is None:
             self._block(warp, op)
+        else:
+            self._complete(warp, now, at)
 
     def _proc_ofence(self, warp: Warp, op: OFence, now: float) -> None:
         self._model_call(warp, op, self.model.ofence(self, warp, now), now)
@@ -343,12 +344,12 @@ class SM:
         self._model_call(warp, op, self.model.dfence(self, warp, now), now)
 
     def _proc_prel(self, warp: Warp, op: PRel, now: float) -> None:
-        outcome = self.model.prel(self, warp, op.addr, op.value, op.scope, now)
-        self._model_call(warp, op, outcome, now)
+        at = self.model.prel(self, warp, op.addr, op.value, op.scope, now)
+        self._model_call(warp, op, at, now)
 
     def _proc_threadfence(self, warp: Warp, op: ThreadFence, now: float) -> None:
-        outcome = self.model.threadfence(self, warp, op.scope, now)
-        self._model_call(warp, op, outcome, now)
+        at = self.model.threadfence(self, warp, op.scope, now)
+        self._model_call(warp, op, at, now)
 
     def _proc_barrier(self, warp: Warp, op: BlockBarrier, now: float) -> None:
         self._process_barrier(warp, now)
@@ -377,11 +378,11 @@ class SM:
                     self.warp_track(warp), "sched", warp.ready_time
                 )
             return
-        outcome = self.model.pacq(self, warp, addr, op.scope, value, now)
-        if not outcome.done:
+        at = self.model.pacq(self, warp, addr, op.scope, value, now)
+        if at is None:
             self._block(warp, op)
             return
-        self._complete(warp, now, outcome.at, value)
+        self._complete(warp, now, at, value)
 
     # ------------------------------------------------------------------
     # loads
@@ -432,8 +433,7 @@ class SM:
                 counters[_READ_MISS[is_pm]] += 1.0
                 victim = l1.victim_for(line_addr)
                 if victim.valid and victim.dirty and victim.is_pm:
-                    outcome = model.evict_dirty_pm(self, warp, victim, now)
-                    if not outcome.done:
+                    if model.evict_dirty_pm(self, warp, victim, now) is None:
                         self._block(warp, op)
                         return
                 done_at = self.subsystem.fetch_line(now, line_addr, is_pm)
@@ -531,14 +531,14 @@ class SM:
         while pm_lines:
             line_addr = next(iter(pm_lines))
             words = pm_lines[line_addr]
-            outcome = self.model.pm_store(self, warp, line_addr, words, now)
-            if not outcome.done:
+            at = self.model.pm_store(self, warp, line_addr, words, now)
+            if at is None:
                 self._block(warp, op)
                 return
             del pm_lines[line_addr]
             self._stats_add("store.pm_lines")
-            if outcome.at > latest:
-                latest = outcome.at
+            if at > latest:
+                latest = at
         self._complete(warp, now, latest)
 
     def _split_store(self, op: St) -> None:

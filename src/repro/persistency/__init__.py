@@ -15,7 +15,7 @@ evaluation are provided:
 """
 
 from repro.common.config import ModelName
-from repro.persistency.base import Outcome, PersistencyModel
+from repro.persistency.base import PersistencyModel
 from repro.persistency.epoch import EpochModel
 from repro.persistency.gpm import GPMModel
 from repro.persistency.sbrp import SBRPModel
@@ -35,7 +35,6 @@ def build_model(config, stats):
 __all__ = [
     "EpochModel",
     "GPMModel",
-    "Outcome",
     "PersistencyModel",
     "SBRPModel",
     "build_model",

@@ -1,12 +1,13 @@
 """Persistency-model interface and shared machinery.
 
 The SM calls these hooks on every operation that touches persistent
-state.  A hook returns an :class:`Outcome`:
+state.  A hook returns a plain value:
 
-* ``Outcome.complete(at)`` — the operation finishes at time ``at``; the
-  warp becomes ready then.
-* ``Outcome.blocked()`` — the model stalls the warp and promises to call
-  ``sm.wake_warp(slot, retry=...)`` later.
+* a number ``at`` — the operation finishes at time ``at``; the warp
+  becomes ready then.
+* ``None`` — the model stalls the warp and promises to call
+  ``sm.wake_warp`` (retry the op) or ``sm.complete_blocked`` (resume
+  past it) later.
 
 Shared helpers implement the one mechanism every model needs: flushing a
 dirty L1 line into the persistence domain (write words to the visible
@@ -16,8 +17,7 @@ image + send the line to the memory subsystem).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.common.config import Scope, SystemConfig
 from repro.metrics.registry import MetricsRegistry
@@ -27,22 +27,6 @@ from repro.memory.devices import WriteAck
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.sm import SM
     from repro.gpu.warp import Warp
-
-
-@dataclass(frozen=True, slots=True)
-class Outcome:
-    """Result of a persistency-model hook."""
-
-    done: bool
-    at: float = 0.0
-
-    @classmethod
-    def complete(cls, at: float) -> "Outcome":
-        return cls(True, at)
-
-    @classmethod
-    def blocked(cls) -> "Outcome":
-        return cls(False)
 
 
 class PersistencyModel(abc.ABC):
@@ -69,46 +53,55 @@ class PersistencyModel(abc.ABC):
         line_addr: int,
         words: Mapping[int, int],
         now: float,
-    ) -> Outcome:
+    ) -> Optional[float]:
         """Handle one PM-line's worth of a warp store."""
 
     @abc.abstractmethod
-    def ofence(self, sm: "SM", warp: "Warp", now: float) -> Outcome:
+    def ofence(self, sm: "SM", warp: "Warp", now: float) -> Optional[float]:
         """Intra-thread ordering fence (Box 2)."""
 
     @abc.abstractmethod
-    def dfence(self, sm: "SM", warp: "Warp", now: float) -> Outcome:
+    def dfence(self, sm: "SM", warp: "Warp", now: float) -> Optional[float]:
         """Durability fence: stall until prior persists are durable."""
 
     @abc.abstractmethod
     def pacq(
         self, sm: "SM", warp: "Warp", addr: int, scope: Scope, value: int, now: float
-    ) -> Outcome:
+    ) -> Optional[float]:
         """Persist acquire.  *value* is the flag value already loaded;
         zero means "not yet released" and carries no obligations."""
 
     @abc.abstractmethod
     def prel(
         self, sm: "SM", warp: "Warp", addr: int, value: int, scope: Scope, now: float
-    ) -> Outcome:
+    ) -> Optional[float]:
         """Persist release of *value* to *addr*.  The model decides when
         the flag becomes visible (it must publish via
         :meth:`publish_flag` once its ordering obligations are met)."""
 
     @abc.abstractmethod
-    def threadfence(self, sm: "SM", warp: "Warp", scope: Scope, now: float) -> Outcome:
+    def threadfence(
+        self, sm: "SM", warp: "Warp", scope: Scope, now: float
+    ) -> Optional[float]:
         """Conventional scoped fence (orders volatile and PM writes)."""
 
     @abc.abstractmethod
     def evict_dirty_pm(
         self, sm: "SM", warp: "Warp", line: CacheLine, now: float
-    ) -> Outcome:
+    ) -> Optional[float]:
         """A read/write wants to replace a dirty PM line (capacity)."""
 
     @abc.abstractmethod
     def begin_drain(self, sm: "SM", now: float) -> None:
         """Kernel end: start flushing every buffered persist.  The drain
-        proceeds event-driven so all SMs drain concurrently."""
+        proceeds event-driven so all SMs drain concurrently.
+
+        ``GPU.sync`` calls this for every SM, then runs the engine until
+        its stop flag.  The model must raise that flag
+        (``sm.engine._stop = True``) in the event after which
+        :meth:`drained` first holds for every SM, and in no other
+        event; ``GPU.sync`` raises it itself when every SM is drained
+        before the run."""
 
     @abc.abstractmethod
     def drained(self, sm: "SM", now: float) -> bool:
@@ -145,10 +138,7 @@ class PersistencyModel(abc.ABC):
             line.dirty_words = {}
             self.stats.add(sm.stat_pm_flushes)
             self.stats.add("faults.dropped_flushes")
-            return WriteAck(
-                accept_time=now + 1,
-                ack_time=now + self.config.gpu.l2_latency,
-            )
+            return WriteAck(now + 1, now + self.config.gpu.l2_latency)
         ack = sm.subsystem.persist_line(now, sm.sm_id, line.tag, words)
         if sm.tracer is not None:
             # Lifecycle: drain issued now; durable at acceptance; the

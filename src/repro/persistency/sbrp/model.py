@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set
 
 from repro.common.bitmask import WarpMask
 from repro.common.config import DrainPolicy, Scope, SystemConfig
@@ -33,7 +33,7 @@ from repro.common.errors import PersistencyError
 from repro.metrics.registry import MetricsRegistry
 from repro.memory.address_space import is_pm_addr
 from repro.memory.cache import CacheLine
-from repro.persistency.base import Outcome, PersistencyModel
+from repro.persistency.base import PersistencyModel
 from repro.persistency.sbrp.pbuffer import EntryKind, PBEntry
 from repro.persistency.sbrp.state import ActrZeroAction, SBRPState
 
@@ -56,6 +56,8 @@ class SBRPModel(PersistencyModel):
         # chain for the per-entry _policy_allows test.
         self._drain_policy = config.sbrp.drain_policy
         self._window = config.sbrp.window
+        #: Ids of the SMs a ``GPU.sync`` drain still waits for.
+        self._draining: Set[int] = set()
 
     def init_sm(self, sm: "SM") -> None:
         self.states[sm.sm_id] = SBRPState(
@@ -74,7 +76,7 @@ class SBRPModel(PersistencyModel):
         line_addr: int,
         words: Mapping[int, int],
         now: float,
-    ) -> Outcome:
+    ) -> Optional[float]:
         st = self.states[sm.sm_id]
         bit = st.warp_bit(warp.slot)
         line = sm.l1.lookup(line_addr, now)
@@ -93,21 +95,20 @@ class SBRPModel(PersistencyModel):
                         if sm.tracer is not None:
                             sm.tracer.persist_delay(sm.sm_id, line_addr, "edm")
                         self._schedule_pump(sm)
-                        return Outcome.blocked()
+                        return None
                     line.write_words(words)
                     st.pb.merge(entry, bit)
                     self.stats.add("sbrp.stores_coalesced")
                     self.stats.add("l1.write_hit_pm")
                     if sm.tracer is not None:
                         sm.tracer.persist_store(sm.sm_id, line_addr, now)
-                    return Outcome.complete(now + 1)
+                    return now + 1
             self.stats.add("l1.write_hit_pm")
             return self._attach_persist(sm, st, warp, line, line_addr, words, now)
         victim = sm.l1.victim_for(line_addr)
         if victim.valid and victim.dirty and victim.is_pm:
-            outcome = self.evict_dirty_pm(sm, warp, victim, now)
-            if not outcome.done:
-                return outcome
+            if self.evict_dirty_pm(sm, warp, victim, now) is None:
+                return None
         sm.l1.fill(victim, line_addr, is_pm=True, now=now)
         self.stats.add("l1.write_miss_pm")
         return self._attach_persist(sm, st, warp, victim, line_addr, words, now)
@@ -121,7 +122,7 @@ class SBRPModel(PersistencyModel):
         line_addr: int,
         words: Mapping[int, int],
         now: float,
-    ) -> Outcome:
+    ) -> Optional[float]:
         if st.pb.is_full():
             return self._stall_for_space(sm, st, warp)
         entry = st.pb.append(EntryKind.PERSIST, st.warp_bit(warp.slot), line_addr)
@@ -136,14 +137,14 @@ class SBRPModel(PersistencyModel):
             sm.tracer.persist_store(sm.sm_id, line_addr, now)
             self._trace_pb(sm, st, now)
         self._schedule_pump(sm)
-        return Outcome.complete(now + 1)
+        return now + 1
 
-    def _stall_for_space(self, sm: "SM", st: SBRPState, warp: "Warp") -> Outcome:
+    def _stall_for_space(self, sm: "SM", st: SBRPState, warp: "Warp") -> None:
         st.space_waiters.append(warp)
         st.edm.set(warp.slot)
         self.stats.add("sbrp.pb_full_stalls")
         self._schedule_pump(sm)
-        return Outcome.blocked()
+        return None
 
     def _trace_pb(self, sm: "SM", st: SBRPState, now: float) -> None:
         """Emit PB-occupancy / ACTR counter samples (tracing only)."""
@@ -154,7 +155,7 @@ class SBRPModel(PersistencyModel):
     # ==================================================================
     # fences
     # ==================================================================
-    def ofence(self, sm: "SM", warp: "Warp", now: float) -> Outcome:
+    def ofence(self, sm: "SM", warp: "Warp", now: float) -> Optional[float]:
         st = self.states[sm.sm_id]
         bit = st.warp_bit(warp.slot)
         tail = st.pb.tail()
@@ -163,16 +164,16 @@ class SBRPModel(PersistencyModel):
             st.pb.merge(tail, bit)
             st.note_order_point(warp.slot, tail)
             self.stats.add("sbrp.ofence_coalesced")
-            return Outcome.complete(now + 1)
+            return now + 1
         if st.pb.is_full():
             return self._stall_for_space(sm, st, warp)
         entry = st.pb.append(EntryKind.OFENCE, bit)
         st.note_order_point(warp.slot, entry)
         self.stats.add("sbrp.ofences")
         self._schedule_pump(sm)
-        return Outcome.complete(now + 1)
+        return now + 1
 
-    def dfence(self, sm: "SM", warp: "Warp", now: float) -> Outcome:
+    def dfence(self, sm: "SM", warp: "Warp", now: float) -> Optional[float]:
         st = self.states[sm.sm_id]
         if st.pb.is_full():
             return self._stall_for_space(sm, st, warp)
@@ -184,9 +185,11 @@ class SBRPModel(PersistencyModel):
         st.force_until_seq = max(st.force_until_seq, entry.seq)
         self.stats.add("sbrp.dfences")
         self._schedule_pump(sm)
-        return Outcome.blocked()
+        return None
 
-    def threadfence(self, sm: "SM", warp: "Warp", scope: Scope, now: float) -> Outcome:
+    def threadfence(
+        self, sm: "SM", warp: "Warp", scope: Scope, now: float
+    ) -> Optional[float]:
         # Conventional fences order PM writes too (Section 5.2).  Block
         # scope stays within the SM; wider scopes require durability-like
         # draining plus invalidation, which dFence provides.
@@ -205,10 +208,10 @@ class SBRPModel(PersistencyModel):
 
     def pacq(
         self, sm: "SM", warp: "Warp", addr: int, scope: Scope, value: int, now: float
-    ) -> Outcome:
+    ) -> Optional[float]:
         scope = self._effective_scope(scope)
         if value == 0:
-            return Outcome.complete(now + self.config.gpu.l1_hit_latency)
+            return now + self.config.gpu.l1_hit_latency
         st = self.states[sm.sm_id]
         if st.pb.is_full():
             return self._stall_for_space(sm, st, warp)
@@ -218,16 +221,16 @@ class SBRPModel(PersistencyModel):
         self._schedule_pump(sm)
         if scope is Scope.BLOCK:
             self.stats.add("sbrp.pacq_block")
-            return Outcome.complete(now + self.config.gpu.l1_hit_latency)
+            return now + self.config.gpu.l1_hit_latency
         # Device scope: drop clean PM lines so later reads see other
         # threadblocks' released data.
         sm.l1.invalidate_clean_pm()
         self.stats.add("sbrp.pacq_device")
-        return Outcome.complete(now + self.config.gpu.l2_latency)
+        return now + self.config.gpu.l2_latency
 
     def prel(
         self, sm: "SM", warp: "Warp", addr: int, value: int, scope: Scope, now: float
-    ) -> Outcome:
+    ) -> Optional[float]:
         scope = self._effective_scope(scope)
         st = self.states[sm.sm_id]
         if st.pb.is_full():
@@ -250,13 +253,13 @@ class SBRPModel(PersistencyModel):
             self.publish_flag(sm, addr, value)
             self.stats.add("sbrp.prel_block")
             self._schedule_pump(sm)
-            return Outcome.complete(now + 2)
+            return now + 2
         entry.waiting_warp = warp
         st.odm.set(warp.slot)
         st.force_until_seq = max(st.force_until_seq, entry.seq)
         self.stats.add("sbrp.prel_device")
         self._schedule_pump(sm)
-        return Outcome.blocked()
+        return None
 
     def _publish(self, sm: "SM", addr: int, value: int, now: float) -> None:
         self.publish_flag(sm, addr, value)
@@ -284,14 +287,14 @@ class SBRPModel(PersistencyModel):
     # ==================================================================
     def evict_dirty_pm(
         self, sm: "SM", warp: "Warp", line: CacheLine, now: float
-    ) -> Outcome:
+    ) -> Optional[float]:
         st = self.states[sm.sm_id]
         entry = st.pb.get(line.pb_index) if line.pb_index is not None else None
         if entry is None:
             # Defensive: a dirty PM line should always have a live entry.
             self.flush_line(sm, line, now)
             sm.l1.drop_line(line)
-            return Outcome.complete(now + 1)
+            return now + 1
         # The bypass is illegal when an ordering entry precedes the
         # victim's entry in the PB, or when the victim's warp has
         # unacknowledged ordered-before persists in flight (FSM hit):
@@ -307,7 +310,7 @@ class SBRPModel(PersistencyModel):
             if sm.tracer is not None:
                 sm.tracer.persist_delay(sm.sm_id, entry.line_addr, "actr")
             self._schedule_pump(sm)
-            return Outcome.blocked()
+            return None
         # No ordering entry precedes it: flush out of FIFO order.
         st.pb.tombstone(entry)
         ack = self.flush_line(sm, line, now)
@@ -317,7 +320,7 @@ class SBRPModel(PersistencyModel):
         self._schedule_ack(sm, st, ack.accept_time, ack.ack_time, entry.waiters)
         self.stats.add("sbrp.evict_bypass")
         self._wake_space_waiters(sm, st, now)
-        return Outcome.complete(now + 1)
+        return now + 1
 
     # ==================================================================
     # the drain pump
@@ -333,7 +336,10 @@ class SBRPModel(PersistencyModel):
             # the SM weakly so the machine is no reference cycle.
             def cb(t, _sm_ref=weakref.ref(sm)):
                 _sm = _sm_ref()
-                _sm.model._pump(_sm, t)
+                model = _sm.model
+                model._pump(_sm, t)
+                if model._draining:
+                    model._note_drained(_sm)
 
             st.pump_cb = cb
         sm.engine.schedule(sm.engine.now, cb)
@@ -563,6 +569,8 @@ class SBRPModel(PersistencyModel):
                 st.fsm.reset()
                 self._resolve_actr_zero(sm, st, t)
             self._schedule_pump(sm)
+            if self._draining:
+                self._note_drained(sm)
 
         sm.engine.schedule(accept_time, on_accept)
         # A lost ack (fault injection) never arrives: the ACTR stays
@@ -604,11 +612,25 @@ class SBRPModel(PersistencyModel):
                     "warp was still blocked at kernel end"
                 )
         st.force_until_seq = float("inf")
+        if self.drained(sm, now):
+            self._draining.discard(sm.sm_id)
+        else:
+            self._draining.add(sm.sm_id)
         self._schedule_pump(sm)
 
     def drained(self, sm: "SM", now: float) -> bool:
         st = self.states[sm.sm_id]
         return st.pb.live_count() == 0 and st.actr == 0
+
+    def _note_drained(self, sm: "SM") -> None:
+        """After a pump or an ack during a drain: only those events
+        empty the PB or the ACTR, so the one that drains the last SM
+        raises the engine's stop flag.  A drained SM stays drained (it
+        has no warps and nothing left to flush)."""
+        if sm.sm_id in self._draining and self.drained(sm, sm.engine.now):
+            self._draining.discard(sm.sm_id)
+            if not self._draining:
+                sm.engine._stop = True
 
     def finish_drain(self, sm: "SM") -> None:
         """Reset per-SM state for the next kernel launch."""

@@ -46,14 +46,36 @@ def test_clock_never_regresses():
     assert times == sorted(times)
 
 
-def test_until_predicate_stops_early():
+def _stopping(engine, fn):
+    """An event that runs *fn* and raises the engine's stop flag."""
+
+    def event(t):
+        fn(t)
+        engine._stop = True
+
+    return event
+
+
+def test_stop_flag_stops_early():
+    engine = Engine()
+    seen = []
+    engine.schedule(1, _stopping(engine, lambda t: seen.append(1)))
+    engine.schedule(2, lambda t: seen.append(2))
+    engine.run()
+    assert seen == [1]
+    assert engine.pending() == 1
+
+
+def test_stop_flag_raised_before_run_pops_nothing_and_is_cleared():
     engine = Engine()
     seen = []
     engine.schedule(1, lambda t: seen.append(1))
-    engine.schedule(2, lambda t: seen.append(2))
-    engine.run(until=lambda: len(seen) >= 1)
+    engine._stop = True
+    engine.run()
+    assert seen == [] and engine.events_processed == 0
+    assert engine._stop is False
+    engine.run()
     assert seen == [1]
-    assert engine.pending() == 1
 
 
 def test_cycle_budget_raises():
@@ -201,9 +223,9 @@ class TestBudgetBoundary:
         assert engine.now == 99
 
 
-class TestUntilWatchdogInterplay:
-    def test_until_checked_before_watchdog_counts(self):
-        """A satisfied predicate stops the run before the spinner can
+class TestStopWatchdogInterplay:
+    def test_stop_checked_before_watchdog_counts(self):
+        """A raised stop flag ends the run before the spinner can
         accumulate enough idle events to trip the watchdog."""
         engine = Engine(watchdog_events=10)
         seen = []
@@ -211,13 +233,15 @@ class TestUntilWatchdogInterplay:
         def respawn(t):
             seen.append(t)
             engine.schedule(t + 1, respawn)
+            if len(seen) >= 5:
+                engine._stop = True
 
         engine.schedule(0, respawn)
-        engine.run(until=lambda: len(seen) >= 5)
+        engine.run()
         assert len(seen) == 5
         assert engine.pending() == 1
 
-    def test_watchdog_fires_when_until_never_satisfied(self):
+    def test_watchdog_fires_when_stop_never_raised(self):
         from repro.common.errors import LivelockError
 
         engine = Engine(watchdog_events=10)
@@ -227,10 +251,10 @@ class TestUntilWatchdogInterplay:
 
         engine.schedule(0, respawn)
         with pytest.raises(LivelockError):
-            engine.run(until=lambda: False)
+            engine.run()
 
     def test_resumed_run_keeps_idle_count(self):
-        """Stopping via until() does not reset the watchdog — idle
+        """Stopping via the flag does not reset the watchdog — idle
         events accumulate across run() calls until note_progress()."""
         from repro.common.errors import LivelockError
 
@@ -240,9 +264,11 @@ class TestUntilWatchdogInterplay:
         def respawn(t):
             count[0] += 1
             engine.schedule(t + 1, respawn)
+            if count[0] == 6:
+                engine._stop = True
 
         engine.schedule(0, respawn)
-        engine.run(until=lambda: count[0] >= 6)
+        engine.run()
         with pytest.raises(LivelockError):
             engine.run()
         assert count[0] <= 11  # 6 before the pause + at most 5 after
@@ -266,9 +292,9 @@ class TestReset:
     def test_reset_discards_pending_events(self):
         engine = Engine()
         seen = []
-        engine.schedule(1, lambda t: seen.append(1))
+        engine.schedule(1, _stopping(engine, lambda t: seen.append(1)))
         engine.schedule(2, lambda t: seen.append(2))
-        engine.run(until=lambda: bool(seen))
+        engine.run()
         engine.reset()
         assert engine.run() == 0.0
         assert seen == [1]
