@@ -10,7 +10,7 @@ program content, under any model or mutant; reports must not change.
 
 import pytest
 
-from repro.check import oracle
+from repro.check import enumerator, oracle
 from repro.check.corpus import corpus_programs
 from repro.check.enumerator import SMOKE_VARIANTS, VARIANTS, observe
 from repro.check.oracle import (
@@ -22,6 +22,7 @@ from repro.check.oracle import (
 from repro.check.mutants import mutant_names
 from repro.common.config import ModelName
 from repro.common.errors import ConfigError
+from repro.formal import bridge
 from repro.formal.bridge import simulate_program
 from repro.formal.events import LitmusProgram
 from repro.system import GPUSystem
@@ -152,6 +153,33 @@ def test_each_machine_is_judged_once(
     assert len(report["variants"]) == len(variants)
     assert len(constructions) == machines
     assert len(judgements) == machines
+
+
+def test_observe_derives_the_program_setup_once(monkeypatch):
+    """One ``observe`` call validates the program and derives its
+    layout, release map, warp slots and leader mask once for all its
+    runs; the next call derives them again."""
+    derived = []
+
+    class CountingSetup(bridge.ProgramSetup):
+        def __init__(self, program):
+            derived.append(program.name)
+            super().__init__(program)
+
+    monkeypatch.setattr(bridge, "ProgramSetup", CountingSetup)
+    monkeypatch.setattr(enumerator, "ProgramSetup", CountingSetup)
+    prog = program("block_release_consumer")
+    observations = observe(prog, ModelName.SBRP, list(SMOKE_VARIANTS))
+    assert len({id(obs) for obs in observations}) == 4  # four machines
+    assert derived == [prog.name]
+    observe(prog, ModelName.SBRP, list(SMOKE_VARIANTS))
+    assert derived == [prog.name] * 2
+
+
+def test_setup_of_another_program_is_rejected():
+    setup = bridge.ProgramSetup(program("mp_ofence_split"))
+    with pytest.raises(ConfigError):
+        simulate_program(program("dfence_split"), setup=setup)
 
 
 def test_shared_run_violations_carry_each_variant_name():

@@ -90,6 +90,17 @@ class TestTornPersists:
         for before, after in zip(records, torn):
             assert len(after.words) < len(before.words)
 
+    def test_torn_record_loses_only_words(self):
+        record = PersistRecord(7, 3, 896, {896 + 4 * i: i + 1 for i in range(4)}, 123.0)
+        injector = FaultInjector(TornPersistPlan(span_cycles=50.0))
+        (torn,) = injector.torn_records([record], 150.0)
+        assert type(torn) is PersistRecord
+        assert (torn.seq, torn.sm_id, torn.line_addr, torn.accept_time) == (
+            7, 3, 896, 123.0,
+        )
+        assert torn.words.items() < record.words.items()
+        assert record.words == {896 + 4 * i: i + 1 for i in range(4)}
+
     def test_empty_record_raises_typed_error(self):
         injector = FaultInjector(TornPersistPlan())
         with pytest.raises(TornPersistError):
