@@ -12,10 +12,11 @@ that recur across figures simulate once.  The selected drivers run in
 registry order, each once, whatever order ``--figures`` names them in:
 Figure 6's recovering PM-near runs then answer Figures 7, 8, 10 and 11.
 ``--out`` writes only the tables, so two invocations that agree on the
-data produce byte-identical files regardless of workers.  This is the
-one way to regenerate the figures: ``--preset quick --out
-figure_tables.txt`` rewrites the committed quick-preset tables, which
-CI diffs against a fresh sweep.
+data produce byte-identical files regardless of workers.  The committed
+quick-preset tables, ``figure_tables.txt``, are the ``figure_tables``
+pin: :func:`tables` produces them, and ``python -m
+repro.perfcore.goldens figure_tables`` checks (or, with
+``--regenerate``, rewrites) the file.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Collection, Dict, List, Optional
 
 from repro.bench.ablations import ablation_coalescing, ablation_drain_policy
 from repro.bench.figures import (
@@ -68,6 +69,37 @@ def _progress_printer(stream) -> Callable[[PoolEvent], None]:
             )
 
     return emit
+
+
+def tables(
+    executor: Executor,
+    preset: str = "quick",
+    figures: Collection[str] = tuple(FIGURES),
+    apps: Optional[List[str]] = None,
+    trace_dir: Optional[str] = None,
+) -> str:
+    """The selected figures' tables as text, in registry order: what
+    ``--out`` writes."""
+    rendered = []
+    for name, driver in FIGURES.items():
+        if name not in figures:
+            continue
+        selected = apps
+        if name in _SCOPED_ONLY:
+            pool = apps if apps is not None else APP_ORDER
+            selected = [a for a in pool if a in SCOPED_APPS]
+            if not selected:
+                print(
+                    f"-- skipping figure {name}: no scoped apps selected",
+                    file=sys.stderr,
+                )
+                continue
+        kwargs = dict(preset=preset, apps=selected, executor=executor)
+        if trace_dir is not None and name not in _NO_TRACE_DIR:
+            kwargs["trace_dir"] = trace_dir
+        print(f"-- running {driver.__name__} --", file=sys.stderr)
+        rendered.append(driver(**kwargs))
+    return "\n\n".join(table.to_ascii() for table in rendered) + "\n"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -128,28 +160,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     started = time.monotonic()
-    tables = []
-    for name, driver in FIGURES.items():
-        if name not in args.figures:
-            continue
-        apps = args.apps
-        if name in _SCOPED_ONLY:
-            pool = apps if apps is not None else APP_ORDER
-            apps = [a for a in pool if a in SCOPED_APPS]
-            if not apps:
-                print(
-                    f"-- skipping figure {name}: no scoped apps selected",
-                    file=sys.stderr,
-                )
-                continue
-        kwargs = dict(preset=args.preset, apps=apps, executor=executor)
-        if args.trace_dir is not None and name not in _NO_TRACE_DIR:
-            kwargs["trace_dir"] = args.trace_dir
-        print(f"-- running {driver.__name__} --", file=sys.stderr)
-        tables.append(driver(**kwargs))
-
+    body = tables(
+        executor,
+        preset=args.preset,
+        figures=args.figures,
+        apps=args.apps,
+        trace_dir=args.trace_dir,
+    )
     elapsed = time.monotonic() - started
-    body = "\n\n".join(table.to_ascii() for table in tables) + "\n"
     print(body)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:

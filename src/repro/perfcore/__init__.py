@@ -1,4 +1,4 @@
-"""Pinned fingerprints of the timing core's observable behaviour.
+"""The behaviour pins and the one tool that checks or re-pins them.
 
 Every downstream oracle — conformance, fault campaigns, serving, soak —
 assumes exact cycle reproducibility, so the grid of scenarios here is
@@ -14,11 +14,15 @@ Layout:
 ``grid``
     The scenario grid (models x apps x litmus corpus x fault plans x
     serve/soak) and the per-cell runner.
+``issue_order`` / ``allowed_images``
+    The producers of the scheduler issue-order pin and of the axiomatic
+    model's allowed-image pin.
 ``goldens``
-    The CLI: ``python -m repro.perfcore.goldens`` runs every grid cell
-    once and diffs it against ``tests/perfcore/grid_pins.json``
-    (``--regenerate`` re-pins).  Reports are byte-identical across
-    ``--workers`` counts.
+    The pin manifest (``PINS``: grid, issue order, allowed images, the
+    smoke and mini conformance reports, the quick figure tables) and
+    its CLI: ``python -m repro.perfcore.goldens [PIN ...] [--workers N
+    ...]`` checks each pin byte for byte at every listed worker count
+    (``--regenerate`` re-pins).
 """
 
 from repro.perfcore.fingerprint import (

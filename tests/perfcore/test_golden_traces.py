@@ -20,18 +20,16 @@ from __future__ import annotations
 
 import heapq
 import json
-from pathlib import Path
 
 import pytest
 
 import repro.gpu.device as device
 from repro.gpu.engine import Engine
+from repro.perfcore import goldens
 from repro.perfcore.fingerprint import sim_fingerprint
 from repro.perfcore.grid import build_grid
 
-PINS = json.loads(
-    Path(__file__).with_name("grid_pins.json").read_text(encoding="utf-8")
-)
+PINS = json.loads(goldens.PINS["grid"].file.read_text(encoding="utf-8"))
 SIM_CELLS = {
     cell.name[len("sim."):]: cell for cell in build_grid() if cell.kind == "sim"
 }
