@@ -37,8 +37,8 @@ class ScenarioResult:
     #: Mode-specific structured payload (the fault campaign stores its
     #: per-crash-point classification here).  Must be plain JSON.
     detail: Optional[Dict[str, Any]] = None
-    #: Metrics snapshot (``GPUSystem.metrics_snapshot()``) when the
-    #: scenario ran metered; None otherwise.
+    #: Counter snapshot of the run's registry (serve and soak runs);
+    #: None otherwise.
     metrics: Optional[Dict[str, Any]] = None
 
     def stat(self, name: str, default: float = 0.0) -> float:
@@ -125,7 +125,6 @@ def run_scenario(
     trace: bool = False,
     trace_dir: Optional[str] = None,
     trace_tag: Optional[str] = None,
-    metrics: bool = False,
     recover: bool = False,
 ) -> ScenarioResult:
     """Run one app to completion under *config* and collect metrics.
@@ -135,9 +134,7 @@ def run_scenario(
     writes ``{stem}.trace.json`` (Chrome/Perfetto) and
     ``{stem}.counters.csv`` into that directory, with the stem from
     :func:`scenario_stem`; *trace_tag* adds a human-readable marker for
-    sweep points that share a config label.  ``metrics=True`` meters
-    the system's :class:`~repro.metrics.registry.MetricsRegistry`
-    (histograms on) and attaches its snapshot to the result.
+    sweep points that share a config label.
 
     ``recover=True`` then crashes the finished run at the paper's
     Figure 11 worst case and records the recovery kernel's cycles, run
@@ -145,7 +142,7 @@ def run_scenario(
     field is what the plain run reports.
     """
     traced = trace or trace_dir is not None
-    system = GPUSystem(config, trace=traced, metrics=metrics)
+    system = GPUSystem(config, trace=traced)
     app = build_app(app_name, **(app_params or {}))
     app.setup(system)
     outcome = app.run(system)
@@ -176,5 +173,4 @@ def run_scenario(
         cycles=outcome.cycles,
         stats=stats,
         profile=profile,
-        metrics=system.metrics_snapshot() if metrics else None,
     )

@@ -87,14 +87,9 @@ class ScenarioJob:
     #: ``crash_every_batches`` / ``crash_fraction``); required for —
     #: and only valid in — :data:`MODE_SOAK`.
     soak: Optional[Mapping[str, Any]] = None
-    #: Run the scenario on a metered registry and attach its snapshot
-    #: to the result.  Metered runs are cycle-identical to plain runs, but the flag still feeds the spec
-    #: (only when set, preserving pre-existing hashes) because the
-    #: result payload differs.
-    metrics: bool = False
     #: Also crash the finished run at the Figure 11 worst case and
     #: record the recovery cycles (only valid in :data:`MODE_SCENARIO`;
-    #: in the spec only when set, as ``metrics`` is).
+    #: in the spec only when set, preserving pre-existing hashes).
     recover: bool = False
 
     def __post_init__(self) -> None:
@@ -143,8 +138,6 @@ class ScenarioJob:
             spec["check"] = dict(self.check)
         if self.soak is not None:
             spec["soak"] = dict(self.soak)
-        if self.metrics:
-            spec["metrics"] = True
         if self.recover:
             spec["recover"] = True
         return spec
@@ -197,7 +190,6 @@ class ScenarioJob:
             "fault": dict(self.fault) if self.fault is not None else None,
             "check": dict(self.check) if self.check is not None else None,
             "soak": dict(self.soak) if self.soak is not None else None,
-            "metrics": self.metrics,
             "recover": self.recover,
         }
 
@@ -215,7 +207,6 @@ class ScenarioJob:
             fault=data.get("fault"),
             check=data.get("check"),
             soak=data.get("soak"),
-            metrics=data.get("metrics", False),
             recover=data.get("recover", False),
         )
 
@@ -292,7 +283,6 @@ class ScenarioJob:
             trace=self.trace,
             trace_dir=self.trace_dir,
             trace_tag=self.trace_tag,
-            metrics=self.metrics,
             recover=self.recover,
         )
 

@@ -9,7 +9,7 @@ chains as its ``soak`` cells.
 
 * **one reboot per crash, judged by the oracle** — every crash image
   is rebooted once, through :func:`repro.crash.recover` (reopen,
-  recovery kernel, sync, invariant check), onto the metered machine
+  recovery kernel, sync, invariant check), onto the machine
   that keeps running under the fault timeline.  The chain continues on
   that machine only if the oracle calls it consistent, so a single bad
   image fails the soak even if later batches would have papered over
@@ -57,7 +57,7 @@ from repro.faults.plans import (
     TimelinePlan,
 )
 from repro.faults.runner import OUTCOME_INCONSISTENT, matches
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import MetricHistogram, MetricsRegistry
 from repro.serve.app import VALUE_STEP, encode_value
 from repro.system import GPUSystem
 
@@ -71,9 +71,6 @@ SOAK_PARAMS: Dict[str, Any] = dict(
     batch_requests=24,
     rate_per_kcycle=40.0,
 )
-
-#: Histogram of request commit latencies under fault, cycles.
-LATENCY_METRIC = "soak.latency_cycles"
 
 
 def brownout_burst(expect: str = EXPECT_CONSISTENT) -> TimelinePlan:
@@ -167,6 +164,8 @@ def run_soak_scenario(
     # One registry is every machine's stats: the chain's snapshot
     # counts all of its machines.
     metrics = MetricsRegistry()
+    latencies = MetricHistogram()  # committed-request latency, cycles
+    recovery_hist = MetricHistogram()
 
     app = build_app(app_name, **params)
     plan = app.plan
@@ -233,7 +232,7 @@ def run_soak_scenario(
                 recoveries.append(recovery_cycles)
                 downtime += recovery_cycles
                 clock += recovery_cycles  # clients wait out the reboot
-                metrics.observe("soak.recovery_cycles", recovery_cycles)
+                recovery_hist.observe(recovery_cycles)
                 audit = _audit_committed(rebooted, app, committed)
                 lost.extend(audit)
                 system = rebooted
@@ -263,7 +262,7 @@ def run_soak_scenario(
         start = max(clock, offset + float(batch.ready_time))
         clock = start + kernel_cycles
         for req in batch.requests:
-            metrics.observe(LATENCY_METRIC, clock - (offset + float(req.arrival)))
+            latencies.observe(clock - (offset + float(req.arrival)))
         committed.update(commits[index])
         committed_requests += len(batch.requests)
         index += 1
@@ -291,8 +290,8 @@ def run_soak_scenario(
     availability = 1.0 - downtime / total_time if total_time > 0 else 1.0
     span_s = clock / (CLOCK_MHZ * 1e6)
     goodput = committed_requests / span_s if span_s > 0 else 0.0
-    latency = metrics.histogram(LATENCY_METRIC).summary()
-    recovery_summary = metrics.histogram("soak.recovery_cycles").summary()
+    latency = latencies.summary()
+    recovery_summary = recovery_hist.summary()
 
     stats: Dict[str, float] = {
         "soak.availability": availability,
@@ -327,5 +326,5 @@ def run_soak_scenario(
         cycles=total_time,
         stats=stats,
         detail=detail,
-        metrics=system.metrics_snapshot(),
+        metrics=metrics.snapshot(),
     )

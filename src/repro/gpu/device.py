@@ -69,7 +69,7 @@ class GPU:
     ) -> None:
         # *config* is validated by the GPUSystem that builds this GPU.
         self.config = config
-        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
+        self.stats = stats if stats is not None else MetricsRegistry()
         self.backing = backing if backing is not None else BackingStore()
         self.tracer = tracer
         self.engine = Engine(

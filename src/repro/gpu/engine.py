@@ -27,11 +27,6 @@ from repro.metrics.registry import MetricsRegistry
 
 EventFn = Callable[[float], None]
 
-#: Queue-depth sampling stride on a metered registry: one histogram
-#: observation every this-many events keeps the cost invisible while the
-#: sample set stays a deterministic function of the event sequence.
-_QUEUE_SAMPLE_MASK = 4095
-
 #: Default watchdog bound: events processed without a single progress
 #: signal before the run is declared livelocked.  Generous — real
 #: workloads flush a persist or retire a warp far more often than this —
@@ -70,7 +65,7 @@ class Engine:
     ) -> None:
         self.now: float = 0.0
         self.max_cycles = max_cycles
-        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
+        self.stats = stats if stats is not None else MetricsRegistry()
         #: Events without progress before :class:`LivelockError`;
         #: ``0`` disables the watchdog.
         self.watchdog_events = (
@@ -126,7 +121,6 @@ class Engine:
         loop in a kernel (or an injected fault that wedged the machine).
         """
         stats = self.stats
-        metered = stats.metered
         watchdog = self.watchdog_events
         queue = self._queue
         fifo = self._fifo
@@ -154,10 +148,6 @@ class Engine:
                     self._idle_events = idle_events
                     if idle_events > watchdog:
                         raise self._livelock()
-                if metered and not events_processed & _QUEUE_SAMPLE_MASK:
-                    stats.observe(
-                        "engine.queue_depth", float(len(queue) + len(fifo))
-                    )
                 fn(self.now)
         finally:
             self.events_processed = events_processed

@@ -139,9 +139,6 @@ class SM:
         for slot in [s for s, w in self.warps.items() if w.block_key == block_key]:
             del self.warps[slot]
 
-    def active_warps(self) -> int:
-        return sum(1 for w in self.warps.values() if w.state is not WarpState.DONE)
-
     # ------------------------------------------------------------------
     # issue machinery
     # ------------------------------------------------------------------
@@ -304,8 +301,6 @@ class SM:
         warp.state = WarpState.DONE
         if self.tracer is not None:
             self.tracer.warp_end(self.warp_track(warp), now)
-        if self.stats.metered:
-            self.stats.observe("sm.active_warps", float(self.active_warps()))
         self.gpu.on_warp_done(self, warp, now)
 
     def _complete(

@@ -101,7 +101,7 @@ class L1Cache:
         #: allocated line: sweeps that collect from the map sort by it
         #: to return lines in way-scan order.
         self._pos: Dict[int, int] = {}
-        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
+        self.stats = stats if stats is not None else MetricsRegistry()
 
     # ------------------------------------------------------------------
     # addressing helpers
@@ -242,7 +242,7 @@ class TagCache:
         #: Set index -> {line address: last use}, created on the set's
         #: first allocating access.
         self._sets: Dict[int, Dict[int, float]] = {}
-        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
+        self.stats = stats if stats is not None else MetricsRegistry()
 
     def access(self, line_addr: int, now: float, allocate: bool = True) -> bool:
         """Touch *line_addr*; return True on hit.  Misses allocate with

@@ -55,7 +55,7 @@ class BandwidthChannel:
         self.latency = latency
         self.bytes_per_cycle = bytes_per_cycle
         self.next_free = 0.0
-        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
+        self.stats = stats if stats is not None else MetricsRegistry()
         self.tracer = tracer
         # Hot path: precomputed stat names (no per-transfer f-strings).
         self._stat_bytes = f"{name}.bytes"
@@ -100,7 +100,7 @@ class NVMController:
     ) -> None:
         self.name = name
         self.tracer = tracer
-        self.stats = stats if stats is not None else MetricsRegistry(metered=False)
+        self.stats = stats if stats is not None else MetricsRegistry()
         self.read_channel = BandwidthChannel(
             f"{name}.read", latency, read_bytes_per_cycle, self.stats, self.tracer
         )
@@ -141,8 +141,6 @@ class NVMController:
         if len(self._wpq) >= entries:
             accept = self._wpq[len(self._wpq) - entries]
             self.stats.add(self._stat_wpq_stall, accept - now)
-            if self.stats.metered:
-                self.stats.observe("nvm.wpq_stall_cycles", accept - now)
         else:
             accept = now
         drain = nbytes / bytes_per_cycle
@@ -151,8 +149,6 @@ class NVMController:
         self._wpq.append(drain_end)
         self.stats.add(self._stat_bytes_written, nbytes)
         self.stats.add(self._stat_writes)
-        if self.stats.metered:
-            self.stats.observe("nvm.wpq_depth", float(len(self._wpq)))
         if self.tracer is not None:
             self.tracer.span(self.name, "write", accept, drain_end)
             self.tracer.counter(self.name, "wpq", now, float(len(self._wpq)))

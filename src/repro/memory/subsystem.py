@@ -12,7 +12,6 @@ instant yields a well-defined durable PM image.
 
 from __future__ import annotations
 
-import math
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -243,10 +242,6 @@ class MemorySubsystem:
         )
         self.stats.add("persist.lines")
         self.stats.add("persist.bytes", nbytes)
-        if self.stats.metered:
-            self.stats.observe("persist.accept_latency", accept - now)
-            if math.isfinite(ack):
-                self.stats.observe("persist.ack_latency", ack - accept)
         return WriteAck(accept, ack)
 
     # ------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""The simulator's one instrumentation registry: always-on counters and
-metered histograms.
+"""The simulator's counter registry and the fixed-bucket histogram.
 
-See :mod:`repro.metrics.registry` for the observer-discipline contract
-(metered runs are cycle-identical to unmetered ones and record the same
-counters).
+:class:`MetricsRegistry` is every machine's ``stats``: counters that
+always count.  :class:`MetricHistogram` backs the tracer's per-phase
+persist-lifecycle histograms and the serve/soak latency percentiles.
+See :mod:`repro.metrics.registry` for the observer-discipline contract.
 """
 
 from repro.metrics.registry import (

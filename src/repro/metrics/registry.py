@@ -1,34 +1,30 @@
 """The one registry every simulator component records into.
 
 One :class:`MetricsRegistry` instance is shared by every component of a
-:class:`~repro.system.GPUSystem` as its ``stats``.  It holds two
-instrument families under dotted names (``l1.read_miss_pm``,
-``persist.accept_latency`` ...):
+:class:`~repro.system.GPUSystem` as its ``stats``.  It holds counters
+under dotted names (``l1.read_miss_pm``, ``persist.lines`` ...) that
+always count: a plain ``defaultdict(float)`` the hot paths increment
+inline through ``_counters``.  The benchmark harness extracts figures
+from them, tests assert on them, and they are what
+``ScenarioResult.stats`` holds.
 
-* **counters** always count.  They are a plain ``defaultdict(float)``
-  the hot paths increment inline through ``_counters``; the benchmark
-  harness extracts figures from them, tests assert on them, and they are
-  what ``ScenarioResult.stats`` holds;
-* **histograms** record only when the registry is ``metered``:
-  distributions over *deterministic* bucket bounds (PB occupancy, WPQ
-  depth, persist accept/ack latency), with p50/p95/p99 estimation by
-  linear interpolation inside the bucket.  Call sites guard emission
-  with one ``if stats.metered:`` check.
+Distributions (PB occupancy, ACTR, WPQ depth, persist lifecycle
+latencies) are the tracer's, on a machine built with ``trace=True``:
+its counter tracks and its per-phase :class:`MetricHistogram`
+instances.  The serve and soak runners compute request-latency
+percentiles from a local :class:`MetricHistogram` too.
 
 Like the tracer the registry is a pure *observer*: no method touches the
-event queue or any timing state, so a metered run is cycle-identical to
-an unmetered one and records the same counters (a test pins both).
-
-Everything recorded must be a deterministic function of the simulated
-execution: snapshots are byte-identical across worker counts, which CI
-relies on.
+event queue or any timing state.  Everything recorded must be a
+deterministic function of the simulated execution: snapshots are
+byte-identical across worker counts, which CI relies on.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default histogram bucket upper bounds: powers of two spanning the
 #: quantities the simulator observes (occupancies of a few entries up to
@@ -117,18 +113,13 @@ class MetricHistogram:
 
 
 class MetricsRegistry:
-    """Counters and histograms under dotted names."""
+    """Counters under dotted names."""
 
-    __slots__ = ("metered", "_counters", "_hists")
+    __slots__ = ("_counters",)
 
-    def __init__(self, metered: bool = True) -> None:
-        self.metered = metered
+    def __init__(self) -> None:
         self._counters: Dict[str, float] = defaultdict(float)
-        self._hists: Dict[str, MetricHistogram] = {}
 
-    # ------------------------------------------------------------------
-    # instruments
-    # ------------------------------------------------------------------
     def add(self, name: str, amount: float = 1.0) -> None:
         """Increment counter *name* by *amount* (creating it at zero)."""
         self._counters[name] += amount
@@ -137,32 +128,6 @@ class MetricsRegistry:
         """Overwrite counter *name*."""
         self._counters[name] = value
 
-    def observe(self, name: str, value: float) -> None:
-        """Record *value* into histogram *name* (default bounds) when
-        the registry is metered."""
-        if not self.metered:
-            return
-        hist = self._hists.get(name)
-        if hist is None:
-            hist = self._hists[name] = MetricHistogram()
-        hist.observe(value)
-
-    def histogram(
-        self, name: str, bounds: Optional[Sequence[float]] = None
-    ) -> MetricHistogram:
-        """The named histogram, created with *bounds* on first use.
-
-        Unlike :meth:`observe` this works on an unmetered registry too
-        (it only builds the container).
-        """
-        hist = self._hists.get(name)
-        if hist is None:
-            hist = self._hists[name] = MetricHistogram(bounds)
-        return hist
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     def get(self, name: str, default: float = 0.0) -> float:
         return self._counters.get(name, default)
 
@@ -170,26 +135,8 @@ class MetricsRegistry:
         """A detached copy of the counters."""
         return dict(self._counters)
 
-    def histograms(self) -> Dict[str, MetricHistogram]:
-        return dict(self._hists)
-
-    def build_snapshot(self) -> Dict[str, Any]:
-        """One plain-JSON dict of everything observed, sorted by name.
-
-        Histograms export their scalar summary
-        (count/sum/min/max/mean/p50/p95/p99), not raw buckets: the digest
-        is what regression gates and the grid pins consume.
-        """
-        return {
-            "counters": dict(sorted(self._counters.items())),
-            "histograms": {
-                name: hist.summary() for name, hist in sorted(self._hists.items())
-            },
-        }
-
     def __len__(self) -> int:
-        return len(self._counters) + len(self._hists)
+        return len(self._counters)
 
     def __repr__(self) -> str:
-        state = "metered" if self.metered else "unmetered"
-        return f"MetricsRegistry({state}, {len(self)} instruments)"
+        return f"MetricsRegistry({len(self)} counters)"

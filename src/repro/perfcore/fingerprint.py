@@ -3,8 +3,7 @@
 Each function runs one scenario and reduces the run to a plain-JSON
 dict whose equality with its pin *is* the no-behaviour-change claim.
 Everything observable goes in — simulated cycles, engine event counts,
-the full stats-counter map, a hash of the metrics snapshot and of the
-durable crash image, and (for litmus programs) the complete simulator
+the full stats-counter map, a hash of the durable crash image, and (for litmus programs) the complete simulator
 observation the conformance oracle consumes.
 
 Fingerprints are deterministic: no wall-clock, no unseeded randomness,
@@ -46,17 +45,14 @@ def sim_fingerprint(
     """Run *app* under *model*; fingerprint everything.
 
     The run is one cold ``setup`` + ``run`` of the app on a fresh
-    ``small_system`` machine (FAR placement) with live metrics on,
-    followed by ``sync()`` and a crash, so the durable image and the
-    metrics snapshot participate in the equivalence check, not just
-    timing.
+    ``small_system`` machine (FAR placement), followed by ``sync()``
+    and a crash, so the durable image and every stats counter
+    participate in the equivalence check, not just timing.
     """
     from repro.apps import build_app
     from repro.system import GPUSystem
 
-    system = GPUSystem(
-        small_system(ModelName(model), PMPlacement.FAR), metrics=True
-    )
+    system = GPUSystem(small_system(ModelName(model), PMPlacement.FAR))
     app_obj = build_app(app, **dict(params))
     try:
         app_obj.setup(system)
@@ -72,7 +68,6 @@ def sim_fingerprint(
         "crash_image_sha256": sha256_of(
             {str(addr): value for addr, value in sorted(image.pm.items())}
         ),
-        "metrics_snapshot_sha256": sha256_of(system.metrics_snapshot()),
     }
 
 
@@ -183,8 +178,8 @@ def fault_fingerprint(
 def _scenario_reduction(result: Any) -> Dict[str, Any]:
     """Reduce a ScenarioResult to its behavioural core.  The ``label``
     is deliberately excluded (it names the config, not what the run
-    did); cycles, every stat, the structured detail and the full
-    metrics snapshot are pinned."""
+    did); cycles, every stat, the structured detail and the run's
+    counter snapshot are pinned."""
     return {
         "cycles": result.cycles,
         "stats": dict(sorted(result.stats.items())),

@@ -110,8 +110,6 @@ class EpochModel(PersistencyModel):
             dropped += sm.l1.invalidate_all()
         self.stats.add("epoch.lines_invalidated", dropped)
         self.stats.add("epoch.barriers")
-        if self.stats.metered:
-            self.stats.observe("epoch.barrier_wait", latest - now)
         return latest
 
     def ofence(self, sm: "SM", warp: "Warp", now: float) -> float:

@@ -131,8 +131,6 @@ class SBRPModel(PersistencyModel):
         line.is_pm = True
         line.write_words(words)
         self.stats.add("sbrp.persist_entries")
-        if self.stats.metered:
-            self.stats.observe("sbrp.pb_occupancy", float(st.pb.live_count()))
         if sm.tracer is not None:
             sm.tracer.persist_store(sm.sm_id, line_addr, now)
             self._trace_pb(sm, st, now)
@@ -558,8 +556,6 @@ class SBRPModel(PersistencyModel):
                 return
             sm.engine.note_progress()
             st.retire_ack(ack_time)
-            if self.stats.metered:
-                self.stats.observe("sbrp.actr", float(st.actr))
             if sm.tracer is not None:
                 sm.tracer.counter(f"sm{sm.sm_id}", "actr", t, float(st.actr))
             for waiter in waiters:

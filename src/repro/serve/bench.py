@@ -4,8 +4,9 @@
 the crash-isolated :class:`~repro.exec.Executor` as ``mode="serve"``
 jobs — one cell per (persistency model, persist-path policy) — and
 writes a sorted-key JSON report of each cell's throughput, latency
-percentiles (p50/p95/p99 from the :mod:`repro.metrics` histograms) and
-worst-case recovery-under-load time.  Every stat is a deterministic
+percentiles (p50/p95/p99 from a request-latency
+:class:`~repro.metrics.registry.MetricHistogram`) and worst-case
+recovery-under-load time.  Every stat is a deterministic
 function of (app params, system config), so the report is byte-identical
 across ``--workers`` counts — CI pins that with a two-run ``cmp``.
 

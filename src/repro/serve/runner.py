@@ -10,8 +10,9 @@ machine, then prices the stream against its open-loop arrival times:
   is in-order), so ``start = max(prev_finish, ready)`` and
   ``finish = start + kernel_cycles`` on a host-side virtual clock;
 * a request's latency is ``finish(batch) - arrival`` — queueing delay
-  plus service time, recorded into a :mod:`repro.metrics` histogram
-  whose deterministic p50/p95/p99 land in the result stats;
+  plus service time, recorded into a local
+  :class:`~repro.metrics.registry.MetricHistogram` whose deterministic
+  p50/p95/p99 land in the result stats;
 * throughput is requests per simulated second over the stream's span;
 * recovery time reuses :class:`~repro.crash.CrashHarness`'s worst-case
   crash point (the paper's Figure 11 scenario) on the served run itself
@@ -32,11 +33,8 @@ from repro.bench.runner import ScenarioResult
 from repro.common.config import SystemConfig
 from repro.common.units import CLOCK_MHZ
 from repro.crash import CrashHarness
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import MetricHistogram
 from repro.system import GPUSystem
-
-#: Histogram of request latencies, cycles.
-LATENCY_METRIC = "serve.latency_cycles"
 
 
 def run_serve_scenario(
@@ -47,8 +45,7 @@ def run_serve_scenario(
 ) -> ScenarioResult:
     """Serve one request stream and report its SLO numbers."""
     params = dict(app_params or {})
-    metrics = MetricsRegistry()
-    system = GPUSystem(config, metrics=metrics)
+    system = GPUSystem(config)
     app = build_app(app_name, **params)
     app.setup(system)
     outcome = app.run(system)
@@ -65,6 +62,7 @@ def run_serve_scenario(
         batch_cycles[index] = batch_cycles.get(index, 0.0) + kernel.cycles
     finish = 0.0
     batch_rows = []
+    latencies = MetricHistogram()  # request latency, cycles
     for batch in plan.batches:
         start = max(finish, float(batch.ready_time))
         finish = start + batch_cycles[batch.index]
@@ -79,9 +77,9 @@ def run_serve_scenario(
             }
         )
         for req in batch.requests:
-            metrics.observe(LATENCY_METRIC, finish - req.arrival)
+            latencies.observe(finish - req.arrival)
 
-    latency = metrics.histogram(LATENCY_METRIC).summary()
+    latency = latencies.summary()
     span_s = finish / (CLOCK_MHZ * 1e6)
     n_requests = len(plan.requests)
     throughput = n_requests / span_s if span_s > 0 else 0.0
@@ -118,5 +116,5 @@ def run_serve_scenario(
         cycles=outcome.cycles,
         stats=stats,
         detail=detail,
-        metrics=system.metrics_snapshot(),
+        metrics=system.stats.snapshot(),
     )

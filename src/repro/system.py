@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.config import SystemConfig
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
 from repro.memory.address_space import AddressSpace, Allocation
 from repro.memory.backing import check_word_aligned
 from repro.memory.namespace import NamespaceEntry, NamespaceTable
@@ -63,12 +63,18 @@ class GPUSystem:
         faults: Optional[Any] = None,
         watchdog_events: Optional[int] = None,
         model_factory: Optional[Any] = None,
-        metrics: "MetricsRegistry | bool | None" = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config.validate()
-        #: The one registry every component records into; metered
-        #: (histograms on) when constructed with ``metrics=``.
-        self.stats = self._resolve_metrics(metrics)
+        if metrics is not None and not isinstance(metrics, MetricsRegistry):
+            raise ConfigError(
+                f"metrics= takes a MetricsRegistry, not {metrics!r}; "
+                "counters always count (system.stats), and distributions "
+                "come from GPUSystem(cfg, trace=True)"
+            )
+        #: The one counter registry every component records into; a
+        #: passed ``metrics=`` registry is used as is.
+        self.stats = metrics if metrics is not None else MetricsRegistry()
         self.space = AddressSpace(alignment=config.gpu.line_size)
         self.namespace = NamespaceTable(self.space)
         #: The structured tracer, or None on an untraced machine.
@@ -89,20 +95,6 @@ class GPUSystem:
         if pm_image is not None:
             self.gpu.backing.load_pm_image(pm_image.pm)
             self.namespace.restore(pm_image.namespace, self.space)
-
-    @staticmethod
-    def _resolve_metrics(
-        metrics: "MetricsRegistry | bool | None",
-    ) -> MetricsRegistry:
-        """Accept a MetricsRegistry or a bool; default: unmetered.  A
-        passed-in registry becomes the system's ``stats``."""
-        if metrics is None or metrics is False:
-            return MetricsRegistry(metered=False)
-        if metrics is True:
-            return MetricsRegistry()
-        if isinstance(metrics, MetricsRegistry):
-            return metrics
-        raise SimulationError(f"unsupported metrics argument: {metrics!r}")
 
     # ------------------------------------------------------------------
     # memory management
@@ -238,10 +230,6 @@ class GPUSystem:
     # ------------------------------------------------------------------
     def stat(self, name: str, default: float = 0.0) -> float:
         return self.stats.get(name, default)
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """Counters and histogram summaries of the system's registry."""
-        return self.stats.build_snapshot()
 
     def write_trace(self, path: str) -> None:
         """Export the run's trace as Chrome/Perfetto ``trace.json``."""

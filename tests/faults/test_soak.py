@@ -109,7 +109,7 @@ class TestSoakSnapshot:
             dict(payload["soak"]),
         )
         assert result.stats["soak.crashes"] >= 1
-        counters = result.metrics["counters"]
+        counters = result.metrics
         assert counters["persist.lines"] > 0
         assert counters["persist.bytes"] == 128 * counters["persist.lines"]
 

@@ -29,6 +29,7 @@ from repro.check.corpus import corpus_programs
 from repro.check.enumerator import SMOKE_VARIANTS
 from repro.check.oracle import check_program
 from repro.crash import CrashHarness
+from repro.metrics import MetricsRegistry
 from repro.faults import PowerCutPlan, run_fault_scenario
 from repro.serve.app import build_serve_app
 
@@ -84,18 +85,17 @@ class TestMachineLifetime:
 
         assert cyclic_repro_garbage(scenario) == Counter()
 
-    def test_traced_and_metered_gpkvs_sim(self, model):
+    def test_traced_gpkvs_sim(self, model):
         def scenario():
-            system = _gpkvs(model, trace=True, metrics=True)
+            system = _gpkvs(model, trace=True)
             system.sync()
-            system.metrics_snapshot()
             system.trace_report()
 
         assert cyclic_repro_garbage(scenario) == Counter()
 
     def test_two_serve_batches(self, model):
         def scenario():
-            system = GPUSystem(small_system(model), metrics=True)
+            system = GPUSystem(small_system(model), metrics=MetricsRegistry())
             app = build_serve_app(**SERVE)
             app.setup(system)
             app.serve_batch(system, 0)

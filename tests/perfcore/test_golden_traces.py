@@ -1,8 +1,8 @@
 """Golden traces: 3 models x 3 apps, under both event-queue disciplines.
 
 The golden of each sim cell is its pin in ``grid_pins.json``: cycle
-count, engine event count, every stats counter, and hashes of the crash
-image and metrics snapshot.  Each cell runs twice:
+count, engine event count, every stats counter, and a hash of the crash
+image.  Each cell runs twice:
 
 * ``fast`` — the shipped :class:`~repro.gpu.engine.Engine`, whose
   same-cycle events bypass the heap through a FIFO (and which ``SM``
@@ -40,7 +40,6 @@ PINNED_FIELDS = (
     "events",
     "stats",
     "crash_image_sha256",
-    "metrics_snapshot_sha256",
 )
 
 

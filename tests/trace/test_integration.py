@@ -79,13 +79,29 @@ def test_persist_lifecycle_is_ordered(model):
     assert not tracer._open_persists
 
 
-def test_sbrp_traces_pb_occupancy_and_delays():
-    system, _ = run(ModelName.SBRP, True)
+def test_sbrp_traces_pb_occupancy_and_delays(model):
+    """The tracer carries every distribution the counters do not: PB
+    occupancy and ACTR under SBRP, WPQ depth under every model, and one
+    drain and one ack latency per persisted line."""
+    system = GPUSystem(small_system(model), trace=True)
+    app = build_app("reduction", blocks=2)
+    app.setup(system)
+    app.run(system)
+    system.sync()
     tracer = system.tracer
-    tracks = {track for track, name, _, _ in tracer.counters if name == "pb_occupancy"}
-    assert tracks, "SBRP runs must emit PB occupancy counters"
-    # dFence forces drains within the run: buffer-phase latencies exist.
-    assert tracer.phase_hist["buffer"].count == tracer.persist_count
+
+    def tracks(counter):
+        return {track for track, name, _, _ in tracer.counters if name == counter}
+
+    if model is ModelName.SBRP:
+        assert tracks("pb_occupancy"), "SBRP runs must emit PB occupancy counters"
+        assert tracks("actr"), "SBRP runs must emit ACTR counters"
+    assert tracks("wpq") == {nvm.name for nvm in system.gpu.subsystem.nvm}
+    lines = system.stat("persist.lines")
+    assert lines > 0
+    assert tracer.phase_hist["buffer"].count == tracer.persist_count == lines
+    assert tracer.phase_hist["drain"].count == lines
+    assert tracer.phase_hist["ack"].count == lines
 
 
 def test_stall_attribution_reconciles(model):
