@@ -19,7 +19,8 @@ Layout:
     model's allowed-image pin.
 ``goldens``
     The pin manifest (``PINS``: grid, issue order, allowed images, the
-    smoke and mini conformance reports, the quick figure tables) and
+    smoke and mini conformance reports, the smoke serving report, the
+    quick figure tables) and
     its CLI: ``python -m repro.perfcore.goldens [PIN ...] [--workers N
     ...]`` checks each pin byte for byte at every listed worker count
     (``--regenerate`` re-pins).

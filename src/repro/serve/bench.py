@@ -8,7 +8,8 @@ percentiles (p50/p95/p99 from a request-latency
 :class:`~repro.metrics.registry.MetricHistogram`) and worst-case
 recovery-under-load time.  Every stat is a deterministic
 function of (app params, system config), so the report is byte-identical
-across ``--workers`` counts — CI pins that with a two-run ``cmp``.
+across ``--workers`` counts; the smoke report is the ``serve_smoke`` pin
+of :mod:`repro.perfcore.goldens`, checked at one and two workers.
 
 The summary block reports the paper-style ablation ratio per model:
 adaptive path selection versus each forced-path baseline (a test asserts
