@@ -15,8 +15,9 @@ SMALL = dict(n_requests=96, n_keys=64, capacity=160, batch_requests=32)
 class TestDeterminism:
     def test_same_spec_same_digest(self):
         a = plan_workload(WorkloadSpec(seed=11, **SMALL))
-        b = plan_workload(WorkloadSpec(seed=11, **SMALL))
-        assert a.digest() == b.digest()
+        # Recompute past the memo: determinism, not sharing.
+        b = plan_workload.__wrapped__(WorkloadSpec(seed=11, **SMALL))
+        assert a is not b and a.digest() == b.digest()
 
     def test_seed_changes_stream(self):
         a = plan_workload(WorkloadSpec(seed=11, **SMALL))
