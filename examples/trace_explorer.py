@@ -5,11 +5,9 @@ with tracing enabled, then:
 
 * writes ``trace.json`` — open it at https://ui.perfetto.dev (or
   chrome://tracing) to see per-warp residency tracks, persist
-  lifecycles, and PB-occupancy counters;
-* writes ``counters.csv`` — PB occupancy / ACTR / WPQ depth resampled
-  onto a regular cycle grid for plotting;
-* prints the ASCII profile — per-warp stall attribution, persist-phase
-  latencies, and device utilisation.
+  lifecycles, and PB-occupancy / ACTR / WPQ-depth counter tracks;
+* prints the ASCII profile of that file — per-warp stall attribution,
+  persist-phase latencies, and device utilisation.
 
 Run:  python examples/trace_explorer.py [output-dir]
 """
@@ -20,6 +18,7 @@ from pathlib import Path
 from repro.bench.runner import run_scenario, scenario_config, scenario_stem
 from repro.bench.workloads import workload
 from repro.common.config import ModelName, PMPlacement
+from repro.trace import load_trace, render_report
 
 
 def main() -> None:
@@ -32,14 +31,13 @@ def main() -> None:
         params,
         trace_dir=str(out),
     )
-    stem = out / scenario_stem("reduction", config, params)
+    path = out / f"{scenario_stem('reduction', config, params)}.trace.json"
     print(f"reduction @ {config.label}: {result.cycles:.0f} cycles")
-    print(f"wrote {stem}.trace.json (load at https://ui.perfetto.dev)")
-    print(f"wrote {stem}.counters.csv")
+    print(f"wrote {path} (load at https://ui.perfetto.dev)")
     print()
-    print(result.profile)
+    print(render_report(load_trace(path)))
     print()
-    print(f"re-render any time with: python -m repro.trace.report {stem}.trace.json")
+    print(f"re-render any time with: python -m repro.trace.report {path}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional
 
 from repro.apps import build_app
@@ -31,9 +31,6 @@ class ScenarioResult:
     label: str
     cycles: float
     stats: Mapping[str, float]
-    #: ASCII profile (stall attribution + persist lifecycle) when the
-    #: scenario ran with tracing enabled; None otherwise.
-    profile: Optional[str] = field(default=None, compare=False)
     #: Mode-specific structured payload (the fault campaign stores its
     #: per-crash-point classification here).  Must be plain JSON.
     detail: Optional[Dict[str, Any]] = None
@@ -51,7 +48,6 @@ class ScenarioResult:
             "label": self.label,
             "cycles": self.cycles,
             "stats": dict(self.stats),
-            "profile": self.profile,
             "detail": self.detail,
             "metrics": self.metrics,
         }
@@ -63,7 +59,6 @@ class ScenarioResult:
             label=data["label"],
             cycles=float(data["cycles"]),
             stats={k: float(v) for k, v in data["stats"].items()},
-            profile=data.get("profile"),
             detail=data.get("detail"),
             metrics=data.get("metrics"),
         )
@@ -122,27 +117,24 @@ def run_scenario(
     config: SystemConfig,
     app_params: Optional[dict] = None,
     verify: bool = True,
-    trace: bool = False,
     trace_dir: Optional[str] = None,
     trace_tag: Optional[str] = None,
     recover: bool = False,
 ) -> ScenarioResult:
     """Run one app to completion under *config* and collect metrics.
 
-    With ``trace=True`` (implied by ``trace_dir``) the run is traced and
-    the result carries an ASCII profile.  ``trace_dir`` additionally
-    writes ``{stem}.trace.json`` (Chrome/Perfetto) and
-    ``{stem}.counters.csv`` into that directory, with the stem from
-    :func:`scenario_stem`; *trace_tag* adds a human-readable marker for
-    sweep points that share a config label.
+    The run is traced iff *trace_dir* is set: it then writes one file,
+    ``{stem}.trace.json`` (Chrome/Perfetto, readable by
+    ``python -m repro.trace.report``), into that directory, with the
+    stem from :func:`scenario_stem`; *trace_tag* adds a human-readable
+    marker for sweep points that share a config label.
 
     ``recover=True`` then crashes the finished run at the paper's
     Figure 11 worst case and records the recovery kernel's cycles, run
     on a fresh machine, as the :data:`RECOVERY_STAT` stat; every other
     field is what the plain run reports.
     """
-    traced = trace or trace_dir is not None
-    system = GPUSystem(config, trace=traced)
+    system = GPUSystem(config, trace=trace_dir is not None)
     app = build_app(app_name, **(app_params or {}))
     app.setup(system)
     outcome = app.run(system)
@@ -150,17 +142,9 @@ def run_scenario(
         system.sync()
     if verify:
         app.check(system, complete=True)
-    profile: Optional[str] = None
-    if traced:
-        profile = system.trace_report()
-        if trace_dir is not None:
-            os.makedirs(trace_dir, exist_ok=True)
-            stem = os.path.join(
-                trace_dir,
-                scenario_stem(app_name, config, app_params, trace_tag),
-            )
-            system.write_trace(stem + ".trace.json")
-            system.write_trace_csv(stem + ".counters.csv")
+    if trace_dir is not None:
+        stem = scenario_stem(app_name, config, app_params, trace_tag)
+        system.write_trace(os.path.join(trace_dir, stem + ".trace.json"))
     stats = system.stats.snapshot()
     if recover:
         harness = CrashHarness(
@@ -172,5 +156,4 @@ def run_scenario(
         label=config.label,
         cycles=outcome.cycles,
         stats=stats,
-        profile=profile,
     )

@@ -8,12 +8,13 @@ boundaries) and hashes stably (so the executor can memoise results).
 
 Two hashes matter:
 
-* :attr:`ScenarioJob.spec_hash` covers only the scenario specification.
-  It names trace artifacts, so it leaves the trace options out.
+* :attr:`ScenarioJob.spec_hash` covers only the scenario specification,
+  not the trace options.  (Trace files are named by
+  :func:`~repro.bench.runner.scenario_stem`.)
 * :attr:`ScenarioJob.key` is the executor's memo identity: the spec
-  hash for an untraced job, and a hash of the whole job, trace options
-  included, for a traced one.  A traced job is so never answered by an
-  untraced run (which wrote no trace files), while an untraced job's
+  hash, or for a job with a ``trace_dir`` a hash of the whole job,
+  trace options included.  A traced job is so never answered by an
+  untraced run (which wrote no trace file), while an untraced job's
   ``trace_tag`` (which only names trace files) changes nothing.
 """
 
@@ -70,9 +71,8 @@ class ScenarioJob:
     verify: bool = True
     mode: str = MODE_SCENARIO
     #: Trace options are part of a traced job's :attr:`key` but never of
-    #: :attr:`spec`: a traced run's profile and trace files are side
-    #: effects an untraced run of the same scenario does not produce.
-    trace: bool = False
+    #: :attr:`spec`: the run is traced iff ``trace_dir`` is set, and its
+    #: trace file is a side effect an untraced run does not produce.
     trace_dir: Optional[str] = None
     trace_tag: Optional[str] = None
     #: Serialized fault plan (``FaultPlan.to_json()``) plus optional
@@ -144,14 +144,14 @@ class ScenarioJob:
 
     @property
     def spec_hash(self) -> str:
-        """Content hash of the scenario spec (names trace files)."""
+        """Content hash of the scenario spec."""
         return stable_hash(self.spec)
 
     @property
     def key(self) -> str:
         """Memo identity: the spec hash, or for a traced job a content
         hash of the whole job."""
-        if self.trace or self.trace_dir is not None:
+        if self.trace_dir is not None:
             return stable_hash(self.to_json())
         return self.spec_hash
 
@@ -184,7 +184,6 @@ class ScenarioJob:
             "config": self.config.to_dict(),
             "verify": self.verify,
             "mode": self.mode,
-            "trace": self.trace,
             "trace_dir": self.trace_dir,
             "trace_tag": self.trace_tag,
             "fault": dict(self.fault) if self.fault is not None else None,
@@ -201,7 +200,6 @@ class ScenarioJob:
             config=SystemConfig.from_dict(data["config"]),
             verify=data.get("verify", True),
             mode=data.get("mode", MODE_SCENARIO),
-            trace=data.get("trace", False),
             trace_dir=data.get("trace_dir"),
             trace_tag=data.get("trace_tag"),
             fault=data.get("fault"),
@@ -280,7 +278,6 @@ class ScenarioJob:
             self.config,
             dict(self.app_params),
             verify=self.verify,
-            trace=self.trace,
             trace_dir=self.trace_dir,
             trace_tag=self.trace_tag,
             recover=self.recover,

@@ -58,7 +58,6 @@ from repro.faults.plans import (
 )
 from repro.faults.runner import OUTCOME_INCONSISTENT, matches
 from repro.metrics.registry import MetricHistogram, MetricsRegistry
-from repro.serve.app import VALUE_STEP, encode_value
 from repro.system import GPUSystem
 
 #: Serving-stream sizes of the campaign's soak cells (the serve bench's
@@ -121,14 +120,12 @@ def _audit_committed(
     lost: List[Dict[str, int]] = []
     if not committed:
         return lost
-    vals = system.read_words(app.tbl_val, app.params.capacity)
+    versions = app.row_versions(
+        system.read_words(app.tbl_val, app.params.capacity)
+    )
     for key in sorted(committed):
         version = committed[key]
-        delta = int(vals[key]) - int(encode_value(key, 0))
-        if delta >= 0 and delta % VALUE_STEP == 0:
-            recovered = delta // VALUE_STEP
-        else:
-            recovered = -1  # not a valid value for this key at all
+        recovered = int(versions[key])
         if recovered < version:
             lost.append(
                 {"key": int(key), "committed": int(version), "recovered": recovered}

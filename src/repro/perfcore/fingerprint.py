@@ -14,19 +14,9 @@ instead of aborting the sweep.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, List, Mapping
 
-from repro.common.config import ModelName, PMPlacement, small_system
-
-def canonical_json(payload: Any) -> str:
-    """Compact, sorted-key JSON — the hashable canonical form."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def sha256_of(payload: Any) -> str:
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+from repro.common.config import ModelName, PMPlacement, small_system, stable_hash
 
 
 def _image_items(image: Mapping[str, int]) -> List[List[Any]]:
@@ -65,7 +55,7 @@ def sim_fingerprint(
         "cycles": system.total_cycles(),
         "events": int(system.stat("engine.events_processed")),
         "stats": dict(sorted(system.stats.snapshot().items())),
-        "crash_image_sha256": sha256_of(
+        "crash_image_sha256": stable_hash(
             {str(addr): value for addr, value in sorted(image.pm.items())}
         ),
     }
@@ -168,7 +158,7 @@ def fault_fingerprint(
         "stats": dict(sorted(result.stats.items())),
         "outcome": detail["outcome"],
         "point_counts": detail["point_counts"],
-        "detail_sha256": sha256_of(detail),
+        "detail_sha256": stable_hash(detail),
     }
 
 
@@ -183,8 +173,8 @@ def _scenario_reduction(result: Any) -> Dict[str, Any]:
     return {
         "cycles": result.cycles,
         "stats": dict(sorted(result.stats.items())),
-        "detail_sha256": sha256_of(result.detail),
-        "metrics_sha256": sha256_of(result.metrics),
+        "detail_sha256": stable_hash(result.detail),
+        "metrics_sha256": stable_hash(result.metrics),
     }
 
 

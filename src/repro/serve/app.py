@@ -499,6 +499,14 @@ class ServeKVS(App):
     # ------------------------------------------------------------------
     # checking
     # ------------------------------------------------------------------
+    def row_versions(self, vals: np.ndarray) -> np.ndarray:
+        """Each slot's version decoded from its value word in *vals* (the
+        ``tbl_val`` column, one word per slot); -1 where the word is no
+        version of the slot's key."""
+        delta = vals - encode_value(np.arange(len(vals)), 0)
+        valid = (delta >= 0) & (delta % VALUE_STEP == 0)
+        return np.where(valid, delta // VALUE_STEP, -1)
+
     def check(self, system: GPUSystem, complete: bool = True) -> None:
         p = self.params
         pw = p.payload_large
@@ -531,12 +539,8 @@ class ServeKVS(App):
         )
         # Value = some committed version of its key, no newer than the
         # last planned write.
-        delta = vals - encode_value(slots, 0)
-        version = delta // VALUE_STEP
-        value_ok = (
-            (delta % VALUE_STEP == 0) & (delta >= 0) & (version <= final)
-        )
-        bad = present & ~value_ok
+        version = self.row_versions(vals)
+        bad = present & ((version < 0) | (version > final))
         self.require(
             not bad.any(),
             f"serve_kvs: {int(bad.sum())} rows hold an impossible value, "

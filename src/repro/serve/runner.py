@@ -52,20 +52,15 @@ def run_serve_scenario(
     system.sync()
     app.check(system, complete=True)
 
-    # Price the stream on the open-loop virtual clock.  A batch may
-    # commit in stages ("serve.batch3.wt" + "serve.batch3"), so group
-    # kernel cycles by the batch index encoded in the launch name.
+    # Price the stream on the open-loop virtual clock: each batch is
+    # one launch, so batches and kernels pair by position.
     plan = app.plan
-    batch_cycles: Dict[int, float] = {}
-    for kernel in outcome.kernels:
-        index = int(kernel.name.split(".")[1].removeprefix("batch"))
-        batch_cycles[index] = batch_cycles.get(index, 0.0) + kernel.cycles
     finish = 0.0
     batch_rows = []
     latencies = MetricHistogram()  # request latency, cycles
-    for batch in plan.batches:
+    for batch, kernel in zip(plan.batches, outcome.kernels, strict=True):
         start = max(finish, float(batch.ready_time))
-        finish = start + batch_cycles[batch.index]
+        finish = start + kernel.cycles
         batch_rows.append(
             {
                 "batch": batch.index,
@@ -73,7 +68,7 @@ def run_serve_scenario(
                 "ready": batch.ready_time,
                 "start": start,
                 "finish": finish,
-                "kernel_cycles": batch_cycles[batch.index],
+                "kernel_cycles": kernel.cycles,
             }
         )
         for req in batch.requests:

@@ -241,16 +241,6 @@ class GPUSystem:
             )
         write_chrome_trace(self.tracer, path, config=self.config, cycles=self.now)
 
-    def write_trace_csv(self, path: str, interval: Optional[float] = None) -> None:
-        """Export counter tracks (PB occupancy, ACTR, WPQ depth) as CSV."""
-        from repro.trace.csvout import write_counter_csv
-
-        if self.tracer is None:
-            raise SimulationError(
-                "tracing is disabled; construct with GPUSystem(cfg, trace=True)"
-            )
-        write_counter_csv(self.tracer, path, interval=interval)
-
     def trace_report(self) -> str:
         """ASCII profile: stall attribution, persist lifecycle, devices."""
         from repro.trace.report import profile_tracer

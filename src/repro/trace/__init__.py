@@ -8,9 +8,11 @@ The subsystem has three layers:
 * :mod:`repro.trace.events` — typed records: warp stall categories
   and persist-lifecycle traces (phase latencies go into
   :class:`~repro.metrics.registry.MetricHistogram`);
-* exporters — :mod:`repro.trace.perfetto` (Chrome/Perfetto
-  ``trace.json``), :mod:`repro.trace.csvout` (counter time series) and
-  :mod:`repro.trace.report` (ASCII profile, also a ``__main__``).
+* exporters — :mod:`repro.trace.perfetto` writes the one artifact, a
+  deterministic Chrome/Perfetto ``trace.json``, and
+  :mod:`repro.trace.report` renders that file (or a live tracer,
+  through the same reduction) as an ASCII profile (also a
+  ``__main__``).
 
 Enable tracing per system::
 
@@ -27,7 +29,6 @@ from repro.trace.events import (
     PersistTrace,
     STALL_CATEGORIES,
 )
-from repro.trace.csvout import counter_timeseries, write_counter_csv
 from repro.trace.perfetto import chrome_trace, dumps, write_chrome_trace
 from repro.trace.tracer import Tracer
 
@@ -49,12 +50,10 @@ __all__ = [
     "STALL_CATEGORIES",
     "Tracer",
     "chrome_trace",
-    "counter_timeseries",
     "dumps",
     "load_trace",
     "profile_tracer",
     "reconcile",
     "render_report",
     "write_chrome_trace",
-    "write_counter_csv",
 ]

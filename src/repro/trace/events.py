@@ -5,7 +5,6 @@ ring buffer: old events fall off the back of a long run instead of
 growing memory without bound).  The tuple shapes are:
 
 * span      — ``(track, name, start, end, args_or_None)``
-* instant   — ``(track, name, ts, args_or_None)``
 * counter   — ``(track, name, ts, value)``
 
 Aggregates that must stay *complete* regardless of ring-buffer drops

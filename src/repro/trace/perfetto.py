@@ -60,7 +60,6 @@ def _track_ids(tracer: Tracer) -> Dict[str, Tuple[int, int]]:
     """Deterministic (pid, tid) per track name: tids are assigned in
     sorted track order within each pid."""
     tracks = {track for (track, *_rest) in tracer.spans}
-    tracks.update(track for (track, *_rest) in tracer.instants)
     tracks.update(track for (track, *_rest) in tracer.counters)
     tracks.update(f"sm{rec.sm_id}.persist" for rec in tracer.persists)
     ids: Dict[str, Tuple[int, int]] = {}
@@ -118,20 +117,6 @@ def chrome_trace(
             "tid": tid,
             "ts": start,
             "dur": end - start,
-        }
-        if args:
-            event["args"] = jsonable(args)
-        timeline.append(event)
-    for track, name, ts, args in tracer.instants:
-        pid, tid = ids[track]
-        event = {
-            "ph": "i",
-            "name": name,
-            "cat": "instant",
-            "pid": pid,
-            "tid": tid,
-            "ts": ts,
-            "s": "t",
         }
         if args:
             event["args"] = jsonable(args)

@@ -1,7 +1,8 @@
 """ASCII profile report over a trace.
 
-Renders, from either a live :class:`~repro.trace.tracer.Tracer` or an
-exported ``trace.json`` file:
+Renders one ``trace.json`` as written by :mod:`repro.trace.perfetto`
+(a live :class:`~repro.trace.tracer.Tracer` goes through the same
+:func:`~repro.trace.perfetto.chrome_trace` reduction):
 
 * the **per-warp stall-attribution table** — every cycle of every warp
   slot's residency attributed to one category (compute / ld / st /
@@ -24,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 from repro.trace.events import STALL_CATEGORIES
 from repro.trace.perfetto import chrome_trace
@@ -32,57 +33,25 @@ from repro.trace.tracer import Tracer
 
 
 def load_trace(path: str | Path) -> dict:
-    """Load a Chrome trace JSON file as an object trace.
+    """Load a ``trace.json`` written by :mod:`repro.trace.perfetto`.
 
-    The Chrome trace format also allows a bare event array; it is
-    wrapped as ``{"traceEvents": [...]}``.  Raises :class:`ValueError`
-    for any other shape.
+    Raises :class:`ValueError` for any other JSON shape, including a
+    trace whose ``otherData`` lacks the exact ``stalls`` aggregates the
+    report reads.
     """
     trace = json.loads(Path(path).read_text())
-    if isinstance(trace, list):
-        trace = {"traceEvents": trace}
     if not isinstance(trace, dict):
         kind = type(trace).__name__
-        raise ValueError(f"top level is a JSON {kind}, not an object or array")
+        raise ValueError(f"top level is a JSON {kind}, not an object")
     events = trace.get("traceEvents", [])
     if not isinstance(events, list) or not all(isinstance(e, dict) for e in events):
         raise ValueError("traceEvents must be an array of event objects")
-    if not isinstance(trace.get("otherData") or {}, dict):
-        raise ValueError("otherData must be an object")
-    return trace
-
-
-def _aggregates(trace: Mapping) -> dict:
-    """The exact aggregates: embedded otherData when present, else
-    reconstructed from the timeline's X events (foreign traces)."""
     other = trace.get("otherData") or {}
-    if "stalls" in other:
-        return dict(other)
-    stalls: Dict[str, Dict[str, float]] = {}
-    active: Dict[str, float] = {}
-    span: Dict[str, List[float]] = {}
-    names = {}
-    for event in trace.get("traceEvents", []):
-        if event.get("ph") == "M" and event.get("name") == "thread_name":
-            names[(event["pid"], event["tid"])] = event["args"]["name"]
-    for event in trace.get("traceEvents", []):
-        if event.get("ph") != "X":
-            continue
-        track = names.get((event.get("pid"), event.get("tid")), "?")
-        name, ts, dur = event["name"], event["ts"], event.get("dur", 0.0)
-        if name == "warp":
-            active[track] = active.get(track, 0.0) + dur
-            bounds = span.setdefault(track, [ts, ts + dur])
-            bounds[0] = min(bounds[0], ts)
-            bounds[1] = max(bounds[1], ts + dur)
-        elif name in STALL_CATEGORIES:
-            stalls.setdefault(track, {})
-            stalls[track][name] = stalls[track].get(name, 0.0) + dur
-    out = dict(other)
-    out.setdefault("stalls", stalls)
-    out.setdefault("warp_active", active)
-    out.setdefault("warp_span", span)
-    return out
+    if not isinstance(other, dict):
+        raise ValueError("otherData must be an object")
+    if "stalls" not in other:
+        raise ValueError("otherData has no stalls: not written by repro.trace")
+    return trace
 
 
 def reconcile(trace: Mapping) -> dict:
@@ -92,8 +61,8 @@ def reconcile(trace: Mapping) -> dict:
     measured residency, plus the overall attribution ratio and the
     trace-span vs end-to-end-cycles ratio.
     """
-    agg = _aggregates(trace)
-    stalls: Mapping[str, Mapping[str, float]] = agg.get("stalls", {})
+    agg = trace["otherData"]
+    stalls: Mapping[str, Mapping[str, float]] = agg["stalls"]
     active: Mapping[str, float] = agg.get("warp_active", {})
     per_track = {
         track: {
@@ -192,9 +161,6 @@ def _lifecycle_section(agg: dict) -> List[str]:
         "ack": "accept->ack   (return trip)",
     }
     for phase in ("buffer", "drain", "ack"):
-        # A histogram summary; traces written before the phases moved to
-        # MetricHistogram carry count/total/max/mean/buckets instead,
-        # which agree on the three keys read here.
         data = phases.get(phase)
         if not data or not data.get("count"):
             continue
@@ -226,15 +192,13 @@ def _device_section(agg: dict) -> List[str]:
 
 def render_report(trace: Mapping) -> str:
     """The full ASCII profile of one exported trace dict."""
-    agg = _aggregates(trace)
+    agg = trace["otherData"]
     recon = reconcile(trace)
     config = agg.get("config") or {}
-    label = config.get("model", "?") if isinstance(config, dict) else "?"
-    placement = ""
-    if isinstance(config, dict):
-        memory = config.get("memory") or {}
-        placement = f"-{memory.get('placement')}" if memory.get("placement") else ""
-    header = f"== trace profile: model={label}{placement}"
+    header = f"== trace profile: model={config.get('model', '?')}"
+    placement = (config.get("memory") or {}).get("placement")
+    if placement:
+        header += f"-{placement}"
     if recon["cycles"]:
         header += f", {recon['cycles']:.0f} cycles"
     header += " =="

@@ -11,8 +11,7 @@ disabled tracing costs one comparison per call site.
 
 Three families of data are collected:
 
-* **timeline events** — spans / instants / counters in bounded ring
-  buffers (see :mod:`repro.trace.events` for tuple shapes);
+* **timeline events** — spans and counters in bounded ring buffers (see :mod:`repro.trace.events` for tuple shapes);
 * **per-warp residency accounting** — every cycle of a warp's life is
   attributed to exactly one category (compute/ld/st/fences/barrier/
   sched), accumulated exactly (never ring-dropped) so the stall report
@@ -32,8 +31,8 @@ from repro.metrics.registry import MetricHistogram
 from repro.trace.events import LIFECYCLE_PHASES, PersistTrace
 
 
-#: Ring-buffer capacity of each timeline family (spans / instants /
-#: counters / lifecycle records).  Aggregates are never bounded.
+#: Ring-buffer capacity of each timeline family (spans / counters /
+#: lifecycle records).  Aggregates are never bounded.
 CAPACITY = 1_000_000
 
 
@@ -42,7 +41,6 @@ class Tracer:
 
     __slots__ = (
         "spans",
-        "instants",
         "counters",
         "span_totals",
         "_open_warp",
@@ -63,7 +61,6 @@ class Tracer:
     def __init__(self) -> None:
         # timeline ring buffers
         self.spans: Deque[Tuple] = deque(maxlen=CAPACITY)
-        self.instants: Deque[Tuple] = deque(maxlen=CAPACITY)
         self.counters: Deque[Tuple] = deque(maxlen=CAPACITY)
         #: Exact (count, busy-cycles) per (track, name) span aggregate —
         #: device utilisation survives ring-buffer drops.
@@ -104,11 +101,6 @@ class Tracer:
         else:
             total[0] += 1
             total[1] += end - start
-
-    def instant(
-        self, track: str, name: str, ts: float, args: Optional[dict] = None
-    ) -> None:
-        self.instants.append((track, name, ts, args))
 
     def counter(self, track: str, name: str, ts: float, value: float) -> None:
         self.counters.append((track, name, ts, value))
@@ -213,12 +205,7 @@ class Tracer:
     # ------------------------------------------------------------------
     def event_count(self) -> int:
         """Total timeline events currently buffered."""
-        return (
-            len(self.spans)
-            + len(self.instants)
-            + len(self.counters)
-            + len(self.persists)
-        )
+        return len(self.spans) + len(self.counters) + len(self.persists)
 
     def __repr__(self) -> str:
         return f"Tracer({self.event_count()} events)"

@@ -86,4 +86,5 @@ class TestSweep:
             capsys, ["6", "11"], "--trace-dir", str(tmp_path)
         )
         assert "7 submitted, 5 executed, 2 memo hits" in footer
-        assert len(list(tmp_path.iterdir())) == 10  # 5 runs x 2 files
+        names = [p.name for p in tmp_path.iterdir()]
+        assert len(names) == 5 and all(n.endswith(".trace.json") for n in names)

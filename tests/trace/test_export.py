@@ -1,4 +1,4 @@
-"""Exporters: Perfetto structure, byte determinism, CSV, report CLI.
+"""Exporters: Perfetto structure, byte determinism, report CLI.
 
 The structural tests run the Figure 6 reduction scenario (quick preset,
 SBRP-far) once per session and validate the exported artifacts.
@@ -48,12 +48,12 @@ def test_perfetto_structure(trace):
     assert events, "trace has no events"
     named = {}
     for event in events:
-        assert event["ph"] in {"M", "X", "i", "C", "b", "e"}
+        assert event["ph"] in {"M", "X", "C", "b", "e"}
         if event["ph"] == "M" and event["name"] == "thread_name":
             named[(event["pid"], event["tid"])] = event["args"]["name"]
     # Every non-counter timeline event lands on a named thread track.
     for event in events:
-        if event["ph"] in {"X", "i", "b", "e"}:
+        if event["ph"] in {"X", "b", "e"}:
             assert (event["pid"], event["tid"]) in named
         if event["ph"] == "X":
             assert event["dur"] >= 0
@@ -110,19 +110,33 @@ _WARP_EVENTS = [
 ]
 
 
-def test_report_cli_accepts_bare_event_array(tmp_path, capsys):
+def test_report_cli_rejects_bare_event_array(tmp_path, capsys):
+    """The report reads only what this repo writes: a bare event array
+    carries no embedded aggregates, so it is not rebuilt from X events."""
     path = tmp_path / "events.json"
     path.write_text(json.dumps(_WARP_EVENTS))
-    assert report_main([str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "per-warp stall attribution" in out
-    assert "sm0.w0" in out
+    with pytest.raises(SystemExit) as exc:
+        report_main([str(path)])
+    assert exc.value.code == 2
+    assert "is not a Chrome trace" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "document",
-    [5, {"traceEvents": 5}, [5], {"otherData": [1]}],
-    ids=["number", "non-array-events", "non-object-event", "non-object-other"],
+    [
+        5,
+        {"traceEvents": 5},
+        {"traceEvents": [5]},
+        {"otherData": [1]},
+        {"traceEvents": _WARP_EVENTS, "otherData": {"cycles": 10.0}},
+    ],
+    ids=[
+        "number",
+        "non-array-events",
+        "non-object-event",
+        "non-object-other",
+        "no-stalls",
+    ],
 )
 def test_report_cli_rejects_other_json_shapes(tmp_path, capsys, document):
     path = tmp_path / "foreign.json"
@@ -133,13 +147,8 @@ def test_report_cli_rejects_other_json_shapes(tmp_path, capsys, document):
     assert "is not a Chrome trace" in capsys.readouterr().err
 
 
-def test_counter_csv_structure(trace_dir):
-    lines = (trace_dir / f"{_STEM}.counters.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[0] == "cycle"
-    assert header[1:] == sorted(header[1:])
-    assert any(col.endswith("pb_occupancy") for col in header)
-    assert len(lines) > 2
+def test_traced_run_writes_only_its_trace_json(trace_dir):
+    assert [p.name for p in trace_dir.iterdir()] == [f"{_STEM}.trace.json"]
 
 
 def test_export_is_byte_deterministic(tmp_path):
@@ -150,11 +159,7 @@ def test_export_is_byte_deterministic(tmp_path):
             _PARAMS,
             trace_dir=str(directory),
         )
-        stem = directory / _STEM
-        return (
-            (stem.parent / (stem.name + ".trace.json")).read_bytes(),
-            (stem.parent / (stem.name + ".counters.csv")).read_bytes(),
-        )
+        return (directory / f"{_STEM}.trace.json").read_bytes()
 
     first = once(tmp_path / "a")
     second = once(tmp_path / "b")
