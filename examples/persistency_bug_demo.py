@@ -34,10 +34,7 @@ def run_demo(scope: Scope) -> int:
             yield w.st(px, 7, mask=lead)
             yield w.prel(flag, 1, scope)
         elif w.block_id == 0 and w.warp_in_block == 0:
-            while True:
-                got = yield w.pacq(flag, Scope.DEVICE)
-                if got:
-                    break
+            yield w.pacq(flag, Scope.DEVICE, spin=True)
             vals = yield w.ld(px, mask=lead)
             yield w.st(out, vals, mask=lead)
 

@@ -15,16 +15,11 @@ EMPTY = 0
 
 
 def spin_pacq(w: WarpCtx, addr: int, scope: Scope) -> Generator:
-    """Spin on a persist acquire until the flag is released.
+    """Spin on a persist acquire until the flag is released (reads
+    non-zero); the SM retries the poll.
 
     Returns the acquired flag value.  Usage::
 
         value = yield from spin_pacq(w, flag_addr, Scope.BLOCK)
     """
-    # One PAcq op reused across attempts: the SM only reads its fields,
-    # so re-yielding the same object is identical to rebuilding it.
-    op = w.pacq(addr, scope)
-    while True:
-        value = yield op
-        if value != 0:
-            return value
+    return (yield w.pacq(addr, scope, spin=True))

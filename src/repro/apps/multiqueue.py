@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.base import App, AppParams, PMMapper, RunOutcome
-from repro.apps.common import SEAL, spin_pacq
+from repro.apps.common import SEAL
 from repro.common.config import Scope
 from repro.system import GPUSystem
 
@@ -99,13 +99,9 @@ class Multiqueue(App):
             if is_leader_warp:
                 # Tail persists only after every warp's entries.
                 for other in range(wpb):
-                    # One op per spin loop, as in spin_pacq: the SM only
-                    # reads op fields.
-                    acq = w.pacq(flag_base + 4 * other, Scope.BLOCK)
-                    while True:
-                        got = yield acq
-                        if got >= batch + 1:
-                            break
+                    yield w.pacq(
+                        flag_base + 4 * other, Scope.BLOCK, at_least=batch + 1
+                    )
                 new_tail = tail + self.batch_size
                 yield w.st(self.log_old.base + 4 * 32 * blk, tail + 1, mask=leader)
                 yield w.st(self.log_new.base + 4 * 32 * blk, new_tail, mask=leader)
@@ -121,11 +117,7 @@ class Multiqueue(App):
                 yield w.prel(commit_flag, batch + 1, Scope.BLOCK)
             else:
                 # Wait for the leader to commit before the next batch.
-                acq = w.pacq(commit_flag, Scope.BLOCK)
-                while True:
-                    got = yield acq
-                    if got >= batch + 1:
-                        break
+                yield w.pacq(commit_flag, Scope.BLOCK, at_least=batch + 1)
             tail += self.batch_size
 
     def _recover_kernel(self, w, p: MultiqueueParams):

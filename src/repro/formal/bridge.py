@@ -222,12 +222,7 @@ def simulate_program(
             elif event.kind is EventKind.PREL:
                 yield w.prel(addr[event.loc], event.value, event.scope)
             elif event.kind is EventKind.PACQ:
-                # One op per spin loop, as in apps.common.spin_pacq.
-                op = w.pacq(addr[event.loc], event.scope)
-                while True:
-                    got = yield op
-                    if got != 0:
-                        break
+                got = yield w.pacq(addr[event.loc], event.scope, spin=True)
                 observation.reads_from[event.eid] = release_of_value.get(
                     (event.loc, got)
                 )

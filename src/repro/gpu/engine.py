@@ -124,7 +124,9 @@ class Engine:
         watchdog = self.watchdog_events
         queue = self._queue
         fifo = self._fifo
-        events_processed = self.events_processed
+        # Counted locally and added on exit: a spin skip inside an event
+        # adds its events to ``self.events_processed`` directly.
+        events_processed = 0
         try:
             while queue or fifo:
                 if self._stop:
@@ -150,11 +152,62 @@ class Engine:
                         raise self._livelock()
                 fn(self.now)
         finally:
-            self.events_processed = events_processed
+            self.events_processed += events_processed
             self._stop = False
-        stats.set("engine.events_processed", float(events_processed))
+        stats.set("engine.events_processed", float(self.events_processed))
         stats.set("engine.now", self.now)
         return self.now
+
+    def spin_window(self) -> Optional[List[Tuple[float, int, EventFn]]]:
+        """The pending events, as the binary heap the run loop pops,
+        for a spin skip to read (:func:`repro.gpu.sm.skip_spins`).
+
+        ``None`` when no skip may run: the stop flag is up, nothing is
+        queued, or events wait in the same-cycle FIFO (each is due now,
+        so it would end the window before it starts).  The caller must
+        not change the list; :meth:`skip` does.
+        """
+        if self._stop or self._fifo or not self._queue:
+            return None
+        return self._queue
+
+    def skip(
+        self,
+        moved: List[Tuple[int, float, EventFn]],
+        events: int,
+        limit: float,
+        end: float,
+    ) -> bool:
+        """Account for *events* events that ran outside the loop, the
+        last at time *end*, all before *limit*, as if the loop had
+        popped them.
+
+        Each ``(index, time, fn)`` of *moved* replaces the event at
+        that heap index: it is the next event of a chain the skipped
+        events extended.  The replacements take the highest of the
+        *events* fresh sequence numbers the skipped events consumed, in
+        list order.  Returns ``False``, changing nothing, when the loop
+        would have raised inside the run: *limit* passes the cycle
+        budget, or the watchdog would fire.
+        """
+        if limit > self.max_cycles:
+            return False
+        watchdog = self.watchdog_events
+        if watchdog:
+            if self._idle_events + events > watchdog:
+                return False
+            self._idle_events += events
+        queue = self._queue
+        seq = self._seq + events - len(moved)
+        for index, time, fn in moved:
+            seq += 1
+            queue[index] = (time, seq, fn)
+        heapq.heapify(queue)
+        self._seq += events
+        self.events_processed += events
+        if end > self.now:
+            self.now = end
+        return True
 
     def pending(self) -> int:
         return len(self._queue) + len(self._fifo)

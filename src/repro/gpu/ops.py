@@ -118,10 +118,18 @@ class DFence(Op):
 
 @dataclass(slots=True)
 class PAcq(Op):
-    """Scoped persist acquire on one flag word; returns its value."""
+    """Scoped persist acquire on one flag word; returns its value.
+
+    A *spinning* acquire carries its loop's exit test: the SM retries it
+    until the flag reads non-zero (``spin``), or at least ``at_least``
+    when that is set, and only then returns the value to the kernel.  A
+    plain acquire returns whatever it reads, 0 included.
+    """
 
     addr: int
     scope: Scope
+    spin: bool = False
+    at_least: Optional[int] = None
 
 
 @dataclass(slots=True)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import weakref
 from functools import reduce
-from heapq import heappush
+from bisect import bisect_left
+from heapq import heappop, heappush
 from itertools import compress, repeat
-from operator import or_
+from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
@@ -46,6 +47,7 @@ from repro.gpu.warp import Warp, WarpState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.gpu.device import GPU
+    from repro.gpu.engine import Engine
 
 #: Stall-attribution category of each warp op (trace residency buckets).
 _OP_CATEGORY = {
@@ -64,6 +66,7 @@ _OP_CATEGORY = {
 _READ_HIT = ("l1.read_hit_vol", "l1.read_hit_pm")
 _READ_MISS = ("l1.read_miss_vol", "l1.read_miss_pm")
 _READY = WarpState.READY
+_INF = float("inf")
 
 #: The OR of all lane addresses has a low bit set iff *some* address is
 #: word-misaligned (WORD_SIZE is a power of two), so one C-level fold
@@ -114,6 +117,8 @@ class SM:
         #: Warp objects in slot order, rebuilt with the slot cache: the
         #: RR scan and the kick min-scan index it without dict probes.
         self._warps_cache: List[Warp] = []
+        #: Pure spins since this SM last tried a spin skip.
+        self._spin_count = 0
         self.model.init_sm(self)
 
     # ------------------------------------------------------------------
@@ -231,6 +236,7 @@ class SM:
                 self.warp_track(warp), _OP_CATEGORY.get(type(op), "sched"), now
             )
         cls = op.__class__
+        spun = False
         if cls is Compute:
             # The most common op, fully inlined: identical to
             # ``_complete(warp, now, now + op.cycles)``.
@@ -243,6 +249,8 @@ class SM:
                 self.tracer.warp_phase(
                     self.warp_track(warp), "sched", warp.ready_time
                 )
+        elif cls is PAcq:
+            spun = self._process_pacq(warp, op, now)
         else:
             handler = _DISPATCH.get(cls)
             if handler is None:
@@ -274,6 +282,99 @@ class SM:
             engine._fifo.append((engine.now, engine._seq, self._on_issue))
         else:
             heappush(engine._queue, (when, engine._seq, self._on_issue))
+        if spun:
+            # Every n-th pure spin of an SM with n warps tries a skip.
+            spins = self._spin_count + 1
+            if spins < n:
+                self._spin_count = spins
+            else:
+                self._spin_count = 0
+                if self.tracer is None:
+                    skip_spins(engine)
+
+    def _spin_state(self, t: float) -> tuple:
+        """Classify this SM's issue event at *t* for :func:`skip_spins`.
+
+        Returns ``(bound, ready)``.  *bound* is the earliest time a warp
+        of this SM could issue anything but a pure spin (a spin that
+        reads 0 from its flag, under a spinning acquire): *t* if a READY
+        warp that is not spinning could issue by then or the SM holds
+        no spinner, else the earliest ``ready_time`` of such a warp
+        (infinity if there is none).  *ready* is ``None`` when *bound*
+        is *t*; otherwise the slot-order positions of the READY warps
+        and their ready times (only READY warps can be picked)."""
+        if t < self._next_issue_free:
+            return t, None  # the event only re-kicks
+        if self._slots_cache is None:
+            self._warp_list()
+        wl = self._warps_cache
+        visible = self.backing.visible
+        positions = [j for j, w in enumerate(wl) if w.state is _READY]
+        bound = _INF
+        spinning = False
+        for j in positions:
+            w = wl[j]
+            op = w.retry_op
+            if (
+                op is not None
+                and op.__class__ is PAcq
+                and op.spin
+                and not (op.addr in visible and visible[op.addr])
+            ):
+                spinning = True
+            else:
+                rt = w.ready_time
+                if rt <= t:
+                    return t, None
+                if rt < bound:
+                    bound = rt
+        if not spinning:
+            return t, None
+        return bound, (positions, [wl[j].ready_time for j in positions])
+
+    def _replay_spins(
+        self, t: float, limit: float, positions: List[int], rts: List[float]
+    ) -> tuple:
+        """Replay this SM's issue events from *t* up to *limit* with
+        ``_on_issue``'s round-robin pick, trailing kick and float
+        arithmetic, over its READY warps only (both scans pass over the
+        others): *rts* holds their ready times and is updated in place.
+        Each replayed issue is a pure spin.  Returns the replayed times,
+        the next issue time, and the cursor and ``_next_issue_free``
+        after them.  The SM is not changed."""
+        m = len(rts)
+        n = len(self._warps_cache)
+        quantum = self._issue_quantum
+        delta = self._spin_delta
+        # The first READY warp at or after the cursor, wrapping.
+        c = bisect_left(positions, self._rr % n)
+        if c == m:
+            c = 0
+        nif = self._next_issue_free
+        times: List[float] = []
+        while t < limit:
+            # The pick: the first warp from the cursor that is ready by t.
+            k = c
+            while rts[k] > t:
+                k = k + 1 if k + 1 < m else 0
+                if k == c:
+                    break
+            if rts[k] > t:
+                break  # nothing to pick: the event only re-kicks
+            times.append(t)
+            rts[k] = t + delta
+            c = k + 1 if k + 1 < m else 0
+            nif = t + quantum
+            # The trailing kick: max(_next_issue_free, earliest ready
+            # time); the warp after the pick is usually ready by then.
+            t = nif
+            if rts[c] > nif:
+                best = min(rts)
+                if best > nif:
+                    t = best
+        # The cursor follows the last pick, which sits just before c.
+        rr = (positions[c - 1] + 1) % n if times else self._rr
+        return times, t, rr, nif
 
     def wake_warp(self, warp: Warp, at: float, send: object = None) -> None:
         """Unblock *warp* at time *at*, re-processing its pending op
@@ -352,32 +453,51 @@ class SM:
     # ------------------------------------------------------------------
     # acquires
     # ------------------------------------------------------------------
-    def _process_pacq(self, warp: Warp, op: PAcq, now: float) -> None:
+    def _process_pacq(self, warp: Warp, op: PAcq, now: float) -> bool:
+        """One poll of a flag; True for a *pure spin* (a spinning
+        acquire that read 0), which the SM retries with no model call."""
         addr = op.addr
         if addr & _ALIGN_MASK:
             self.backing.read(addr)  # raises: misaligned flag address
         value = self.backing.visible.get(addr, 0)
         if value == 0:
-            # Failed spin attempt.  Every model prices this at the flag
-            # load's L1 hit latency with no side effects (epoch/GPM and
-            # SBRP both return early before touching model state), so
-            # the model call is skipped outright and the backoff and
+            # Failed poll.  Every model prices this at the flag load's
+            # L1 hit latency with no side effects (epoch/GPM and SBRP
+            # both return early before touching model state), so the
+            # model call is skipped outright and the backoff and
             # completion arithmetic collapses to one add.
             self._counters["sm.pacq_spins"] += 1.0
-            warp.retry_op = None
             warp.state = _READY
             warp.ready_time = now + self._spin_delta
-            warp.send_value = 0
             if self.tracer is not None:
                 self.tracer.warp_phase(
                     self.warp_track(warp), "sched", warp.ready_time
                 )
+            if op.spin:
+                warp.retry_op = op
+                return True
+            warp.retry_op = None
+            warp.send_value = 0
             return
         at = self.model.pacq(self, warp, addr, op.scope, value, now)
         if at is None:
             self._block(warp, op)
             return
+        at_least = op.at_least
+        if at_least is not None and value < at_least:
+            # A stale release: the model call stands, the exit test
+            # fails, and the op retries when the acquire completes.
+            warp.retry_op = op
+            warp.state = _READY
+            n1 = now + 1
+            warp.ready_time = at if at > n1 else n1
+            if self.tracer is not None:
+                self.tracer.warp_phase(
+                    self.warp_track(warp), "sched", warp.ready_time
+                )
+            return
         self._complete(warp, now, at, value)
+        return
 
     # ------------------------------------------------------------------
     # loads
@@ -647,13 +767,96 @@ class SM:
         self.kick(now)
 
 
+_ON_ISSUE = SM._on_issue
+
+
+def skip_spins(engine: "Engine") -> None:
+    """Run, in one step, the issue events the engine would pop before
+    anything but a pure spin can happen (DESIGN §13, "Spin skip").
+
+    An SM's pending issue event is a *candidate* if the SM holds a READY
+    warp in a pure spin; every other pending event is a boundary.  The
+    window ends at the *limit*: the earliest boundary, or the earliest
+    time a READY warp on a candidate SM that is not spinning could
+    issue.  Each candidate SM's issues below it are replayed; then each
+    SM's next issue is re-queued in the order the queue would have held
+    it, and the engine advances its clock and counters as if it had
+    popped every replayed event.  Nothing happens when the window is
+    unbounded (only spins are left: the watchdog's case) or the engine
+    declines (see :meth:`Engine.skip`).
+    """
+    heap = engine.spin_window()
+    if heap is None:
+        return
+    size = len(heap)
+    # Visit the queue in pop order, through issue events only: the first
+    # other event ends the window, and so does an SM issuing without a
+    # pure spin.  Each candidate's other READY warps may lower the limit.
+    limit = _INF
+    candidates = []
+    frontier = [(heap[0][0], heap[0][1], 0)]
+    while frontier:
+        t, seq, i = heappop(frontier)
+        if t >= limit:
+            break
+        fn = heap[i][2]
+        if getattr(fn, "__func__", None) is not _ON_ISSUE:
+            limit = t
+            break
+        sm = fn.__self__
+        bound, ready = sm._spin_state(t)
+        if bound < limit:
+            limit = bound
+        if ready is not None:
+            candidates.append((t, seq, fn, i, sm, ready))
+        i = 2 * i + 1
+        if i < size:
+            entry = heap[i]
+            heappush(frontier, (entry[0], entry[1], i))
+            i += 1
+            if i < size:
+                entry = heap[i]
+                heappush(frontier, (entry[0], entry[1], i))
+    if limit == _INF:
+        return
+    runs = []
+    events = 0
+    end = 0.0
+    for t, seq, fn, i, sm, (positions, rts) in candidates:
+        if t >= limit:
+            break
+        times, nxt, rr, nif = sm._replay_spins(t, limit, positions, rts)
+        if times:
+            events += len(times)
+            if times[-1] > end:
+                end = times[-1]
+            # The queue order of the SMs' next issues: each is scheduled
+            # by its SM's last replayed event, so compare the replayed
+            # times newest first (on a tie the shorter run's event was
+            # popped first), then the seq of the event the run began at.
+            runs.append((times[::-1], seq, (i, nxt, fn), (sm, rr, nif, positions, rts)))
+    if not runs:
+        return
+    runs.sort(key=itemgetter(0, 1))
+    if not engine.skip([run[2] for run in runs], events, limit, end):
+        return
+    for _, _, _, (sm, rr, nif, positions, rts) in runs:
+        sm._rr = rr
+        sm._next_issue_free = nif
+        wl = sm._warps_cache
+        for j, rt in zip(positions, rts):
+            wl[j].ready_time = rt
+    counters = sm._counters
+    counters["sm.instructions"] += float(events)
+    counters["sm.pacq_spins"] += float(events)
+
+
 _DISPATCH = {
     Ld: SM._process_load,
     St: SM._process_store,
     AtomicAdd: SM._process_atomic,
     OFence: SM._proc_ofence,
     DFence: SM._proc_dfence,
-    PAcq: SM._process_pacq,
     PRel: SM._proc_prel,
     ThreadFence: SM._proc_threadfence,
     BlockBarrier: SM._proc_barrier,

@@ -145,8 +145,24 @@ class WarpCtx:
     def dfence(self) -> DFence:
         return DFence()
 
-    def pacq(self, addr: int, scope: Scope = Scope.BLOCK) -> PAcq:
-        return PAcq(int(addr), scope)
+    def pacq(
+        self,
+        addr: int,
+        scope: Scope = Scope.BLOCK,
+        *,
+        spin: bool = False,
+        at_least: Optional[int] = None,
+    ) -> PAcq:
+        """A persist acquire of the flag at *addr*.  With ``spin=True``
+        the SM retries it until the flag reads non-zero, with
+        ``at_least=k`` (``k >= 1``) until it reads at least *k*; either
+        way the op returns the value that passed.  Plain, it returns the
+        value read, 0 included."""
+        if at_least is not None:
+            if at_least < 1:
+                raise ValueError(f"at_least must be >= 1, got {at_least}")
+            return PAcq(int(addr), scope, True, int(at_least))
+        return PAcq(int(addr), scope, spin)
 
     def prel(self, addr: int, value: int, scope: Scope = Scope.BLOCK) -> PRel:
         return PRel(int(addr), int(value), scope)
@@ -185,7 +201,8 @@ class Warp:
         #: Value to send into the generator on next resume.
         self.send_value: Any = None
         #: An op that must be re-processed instead of resuming the
-        #: generator (stores stalled by the persistency model).
+        #: generator (ops stalled by the persistency model, spinning
+        #: acquires whose exit test failed).
         self.retry_op: Optional[Op] = None
         self.block_key = block_key
 

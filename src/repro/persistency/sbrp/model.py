@@ -360,8 +360,12 @@ class SBRPModel(PersistencyModel):
         stopped at a full drain window).  While those are unchanged,
         ``space_waiters`` is empty and, for a stopped scan, the window
         is still full, a new scan would hold every entry it visits again
-        and flush nothing, so it is skipped (DESIGN §13).  Traced passes
-        always scan: the scan emits the delay events.
+        and flush nothing, so it is skipped.  A scan that ran to the end
+        also records its final hold mask and the live entries it left,
+        all held: when only appends (or space waiters) came since, the
+        next scan resumes after those with that hold (DESIGN §13).
+        Traced passes always scan everything: the scan emits the delay
+        events.
         """
         st = self.states[sm.sm_id]
         st.pump_scheduled = False
@@ -381,17 +385,18 @@ class SBRPModel(PersistencyModel):
         if (
             memo is None
             or traced
-            or st.space_waiters
             or memo[0] != pb.edits
             or memo[1] != fsm_bits
             or memo[2] != st.force_until_seq
-            or (
-                memo[3] != pb.last_seq
-                if memo[3] is not None
-                else st.sends_pending < window
-            )
         ):
             st.scan_memo = self._scan(sm, st, window, traced, now)
+        elif memo[3] is None:
+            if st.space_waiters or st.sends_pending < window:
+                st.scan_memo = self._scan(sm, st, window, traced, now)
+        elif st.space_waiters or memo[3] != pb.last_seq:
+            st.scan_memo = self._scan(
+                sm, st, window, traced, now, memo[5], memo[4]
+            )
         if st.actr == 0:
             st.fsm.reset()
             self._resolve_actr_zero(sm, st, now)
@@ -405,10 +410,12 @@ class SBRPModel(PersistencyModel):
         window: Optional[int],
         traced: bool,
         now: float,
+        start: int = 0,
+        hold: int = 0,
     ) -> Optional[tuple]:
-        """One in-order pass over the live PB entries; returns the memo
-        key that lets the next pass skip an identical scan."""
-        hold = 0  # warps with a delayed earlier entry in this pass
+        """One in-order pass over the live PB entries after the first
+        *start* (a held prefix whose masks OR to *hold*); returns the
+        memo key that lets the next pass skip or resume the scan."""
         pb = st.pb
         fsm = st.fsm
         fsm_bits = fsm.bits  # only _order_point_at_head mutates the FSM
@@ -416,7 +423,7 @@ class SBRPModel(PersistencyModel):
         remove = pb.remove
         # A snapshot: the pass removes entries as it goes, and nothing
         # in the loop body appends (wakes merely schedule events).
-        for entry in pb.entries():
+        for entry in pb.entries(start):
             warp_mask = entry.warp_mask
             if entry.kind is persist:
                 if warp_mask & (fsm_bits | hold):
@@ -453,7 +460,11 @@ class SBRPModel(PersistencyModel):
             if st.space_waiters:
                 self._wake_space_waiters(sm, st, now)
         else:
-            return (pb.edits, fsm_bits, st.force_until_seq, pb.last_seq)
+            # Every entry left is held: the next scan may resume after
+            # them with this hold.
+            return (
+                pb.edits, fsm_bits, st.force_until_seq, pb.last_seq, hold, len(pb)
+            )
         # Stopped by the drain policy: reusable only under the window's.
         if window is None:
             return None

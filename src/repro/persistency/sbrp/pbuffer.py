@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.common.config import Scope
@@ -172,6 +173,8 @@ class PersistBuffer:
                 return True
         return False
 
-    def entries(self) -> List[PBEntry]:
-        """Live entries in FIFO order (snapshot)."""
+    def entries(self, start: int = 0) -> List[PBEntry]:
+        """Live entries in FIFO order, from the *start*-th (snapshot)."""
+        if start:
+            return list(islice(self._by_seq.values(), start, None))
         return list(self._by_seq.values())

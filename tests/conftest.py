@@ -1,8 +1,12 @@
-"""Shared fixtures: small systems per persistency model."""
+"""Shared fixtures: small systems per persistency model, and the
+heap-only reference engine."""
+
+import heapq
 
 import pytest
 
 from repro import GPUSystem, ModelName, PMPlacement, small_system
+from repro.gpu.engine import Engine
 
 ALL_MODELS = [ModelName.GPM, ModelName.EPOCH, ModelName.SBRP]
 
@@ -33,3 +37,32 @@ def run_to_end(system: GPUSystem, kernel, blocks=1, args=(), kwargs=None):
     result = system.launch(kernel, blocks, args=args, kwargs=kwargs)
     system.sync()
     return result
+
+
+class _HeapFront:
+    """Stands in for the engine's same-cycle FIFO: every append goes
+    onto the heap instead, so the FIFO is always empty."""
+
+    def __init__(self, heap):
+        self._heap = heap
+
+    def append(self, item) -> None:
+        heapq.heappush(self._heap, item)
+
+    def clear(self) -> None:
+        pass
+
+    def __len__(self) -> int:
+        return 0
+
+
+class HeapOnlyEngine(Engine):
+    """:class:`Engine` with a single ``heapq`` for every event."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._fifo = _HeapFront(self._queue)
+
+    def schedule(self, time, fn) -> None:
+        self._seq += 1
+        heapq.heappush(self._queue, (max(time, self.now), self._seq, fn))

@@ -61,6 +61,15 @@ class TestWarpCtx:
         assert isinstance(acq, PAcq) and acq.scope is Scope.DEVICE
         assert isinstance(rel, PRel) and rel.value == 5
 
+    def test_acquires_carry_their_exit_test(self):
+        w = make_ctx()
+        plain = w.pacq(64, Scope.DEVICE)
+        spin = w.pacq(64, Scope.DEVICE, spin=True)
+        at_least = w.pacq(64, Scope.BLOCK, at_least=3)
+        assert (plain.spin, plain.at_least) == (False, None)
+        assert (spin.spin, spin.at_least) == (True, None)
+        assert (at_least.spin, at_least.at_least) == (True, 3)
+
 
 class TestWarpRecord:
     def test_initial_state(self):

@@ -18,16 +18,16 @@ is invisible on real workloads, not only on synthetic schedules.
 
 from __future__ import annotations
 
-import heapq
 import json
 
 import pytest
 
 import repro.gpu.device as device
-from repro.gpu.engine import Engine
 from repro.perfcore import goldens
 from repro.perfcore.fingerprint import sim_fingerprint
 from repro.perfcore.grid import build_grid
+
+from conftest import HeapOnlyEngine
 
 PINS = json.loads(goldens.PINS["grid"].file.read_text(encoding="utf-8"))
 SIM_CELLS = {
@@ -41,35 +41,6 @@ PINNED_FIELDS = (
     "stats",
     "crash_image_sha256",
 )
-
-
-class _HeapFront:
-    """Stands in for the engine's same-cycle FIFO: every append goes
-    onto the heap instead, so the FIFO is always empty."""
-
-    def __init__(self, heap):
-        self._heap = heap
-
-    def append(self, item) -> None:
-        heapq.heappush(self._heap, item)
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-class HeapOnlyEngine(Engine):
-    """:class:`Engine` with a single ``heapq`` for every event."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._fifo = _HeapFront(self._queue)
-
-    def schedule(self, time, fn) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (max(time, self.now), self._seq, fn))
 
 
 def test_heap_only_engine_never_uses_the_fifo():

@@ -290,3 +290,65 @@ def test_bypass_removal_invalidates_the_drain_memo(scan_counts):
     assert traced[1]["sbrp.stores_coalesced"] == 2
     assert traced[1]["sbrp.evict_bypass"] == 1
     assert untraced == traced
+
+
+def held_prefix_kernel(w, data):
+    """One block of four warps on one SM.  Warp 0's oFence retires into
+    the FSM, so its eight later persists stay held until its first one
+    is acknowledged; meanwhile the other warps append persists behind
+    them.  With a small PB the held entries fill it and warps wait for
+    space."""
+
+    def line(i):
+        return data.base + 128 * i + 4 * w.lane
+
+    role = w.warp_in_block
+    if role == 0:
+        yield w.st(line(0), 1)
+        yield w.ofence()
+        for i in range(1, 9):
+            yield w.st(line(i), 1)
+    else:
+        yield w.compute(10 * role)
+        for i in range(3):
+            yield w.st(line(9 + 3 * role + i), role)
+
+
+@pytest.mark.parametrize(
+    "pb_coverage, waiters", [(1.0, False), (0.05, True)], ids=["roomy", "full-pb"]
+)
+def test_drain_scan_resumes_after_the_held_prefix(monkeypatch, pb_coverage, waiters):
+    """Appends behind held entries resume the next scan after them; the
+    run must equal one whose every pass scans the whole PB."""
+    resumed = {"all": 0, "waiters": 0}
+    pump, scan = SBRPModel._pump, SBRPModel._scan
+
+    def counting_scan(self, sm, st, window, traced, now, start=0, hold=0):
+        if start:
+            resumed["all"] += 1
+            resumed["waiters"] += bool(st.space_waiters)
+        return scan(self, sm, st, window, traced, now, start, hold)
+
+    def unmemoised_pump(self, sm, now):
+        self.states[sm.sm_id].scan_memo = None
+        return pump(self, sm, now)
+
+    def run():
+        config = small_system(
+            ModelName.SBRP, num_sms=1, sbrp=SBRPConfig(pb_coverage=pb_coverage)
+        )
+        system = GPUSystem(config)
+        data = system.pm_create("d", 128 * 20)
+        result = system.launch(
+            held_prefix_kernel, grid_blocks=1, args=(data,), drain=True
+        )
+        return result.cycles, system.stats.snapshot()
+
+    monkeypatch.setattr(SBRPModel, "_scan", counting_scan)
+    memoised = run()
+    assert resumed["all"] > 0
+    assert (resumed["waiters"] > 0) is waiters
+    monkeypatch.setattr(SBRPModel, "_pump", unmemoised_pump)
+    resumed.update(all=0, waiters=0)
+    assert run() == memoised
+    assert resumed["all"] == 0
