@@ -2,7 +2,8 @@
 
 Every driver returns a :class:`~repro.bench.report.FigureTable` whose
 rows/series mirror the paper's plot, so ``print(table.to_ascii())``
-reproduces the figure as a table.  All speedups are "higher is better"
+reproduces the figure as a table; :func:`ablation_drain_policy` adds
+one sweep beyond the paper.  All speedups are "higher is better"
 and use the paper's baselines (epoch-far for Figure 6; epoch-near for
 the sensitivity studies; epoch for recovery).
 
@@ -22,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bench.report import FigureTable
 from repro.bench.runner import ScenarioResult, scenario_config
 from repro.bench.workloads import APP_ORDER, SCOPED_APPS, workload
-from repro.common.config import ModelName, PMPlacement
+from repro.common.config import DrainPolicy, ModelName, PMPlacement
 from repro.exec.executor import Executor
 from repro.exec.jobs import MODE_RECOVERY, ScenarioJob
 
@@ -121,16 +122,21 @@ def figure7(
 
     Demoting every block-scope pAcq/pRel to device scope leaves only the
     buffering benefit; the remainder of the full-SBRP speedup is
-    attributed to scopes (the paper's methodology).
+    attributed to scopes (the paper's methodology).  Each placement
+    prints the two raw speedups over Epoch, of demoted and of full
+    SBRP, beside the signed buffers fraction ``(epoch/demoted - 1) /
+    (epoch/full - 1)``: a negative fraction means buffering alone is
+    slower than Epoch, and the scopes' share is one minus it.
     """
     names = apps if apps is not None else list(SCOPED_APPS)
     series = [
-        "SBRP-far buffers",
-        "SBRP-far scopes",
-        "SBRP-near buffers",
-        "SBRP-near scopes",
+        f"{tag} {column}"
+        for tag in ("far", "near")
+        for column in ("Epoch/demoted", "Epoch/SBRP", "buffers")
     ]
-    table = FigureTable("Figure 7: speedup breakdown (fraction)", "app", series)
+    table = FigureTable(
+        "Figure 7: speedup breakdown (signed buffers fraction)", "app", series
+    )
     jobs = []
     for app in names:
         params = workload(app, preset)
@@ -163,13 +169,11 @@ def figure7(
         values: Dict[str, float] = {}
         for tag in ("far", "near"):
             epoch = results[(app, tag, "epoch")].cycles
-            full = results[(app, tag, "full")].cycles
-            demoted = results[(app, tag, "demoted")].cycles
-            total_gain = max(1e-9, epoch / full - 1.0)
-            buffer_gain = max(0.0, epoch / demoted - 1.0)
-            buffers = min(1.0, buffer_gain / total_gain)
-            values[f"SBRP-{tag} buffers"] = buffers
-            values[f"SBRP-{tag} scopes"] = 1.0 - buffers
+            demoted = epoch / results[(app, tag, "demoted")].cycles
+            full = epoch / results[(app, tag, "full")].cycles
+            values[f"{tag} Epoch/demoted"] = demoted
+            values[f"{tag} Epoch/SBRP"] = full
+            values[f"{tag} buffers"] = (demoted - 1.0) / (full - 1.0)
         table.add_row(app, values)
     return table
 
@@ -224,12 +228,21 @@ def figure9(
     executor: Optional[Executor] = None,
 ) -> FigureTable:
     """Figure 9: SBRP-far speedup over epoch-far when the PM-far host is
-    eADR-equipped (persists durable at the host LLC)."""
+    eADR-equipped (persists durable at the host LLC).
+
+    eADR would only move a persist's acceptance from WPQ entry to host
+    arrival, and those differ only while a WPQ is full.  In every
+    measured Table 1 PM-far cell such waits never reach the end-to-end
+    time (EXPERIMENTS.md), so the eADR cells are Figure 6's PM-far
+    cells: the driver submits
+    exactly :func:`figure6`'s Epoch-far and SBRP-far jobs, and a shared
+    executor answers them from its memo.
+    """
     names = _apps(apps)
     table = FigureTable("Figure 9: SBRP-far speedup with eADR", "app", ["SBRP-far"])
     scenarios = {
-        "epoch": scenario_config(ModelName.EPOCH, _FAR, eadr=True),
-        "sbrp": scenario_config(ModelName.SBRP, _FAR, eadr=True),
+        "epoch": scenario_config(ModelName.EPOCH, _FAR),
+        "sbrp": scenario_config(ModelName.SBRP, _FAR),
     }
     jobs = [
         (
@@ -239,7 +252,6 @@ def figure9(
                 config=cfg,
                 app_params=workload(app, preset),
                 trace_dir=trace_dir,
-                trace_tag="eadr",
             ),
         )
         for app in names
@@ -264,8 +276,8 @@ def _sensitivity(
     trace_dir: Optional[str] = None,
     executor: Optional[Executor] = None,
 ) -> FigureTable:
-    """Common shape of Figures 10a-c: SBRP-near speedup over epoch-near
-    as one SBRP knob sweeps."""
+    """Common shape of Figures 10a-c and the drain-policy ablation:
+    SBRP-near speedup over epoch-near as one SBRP knob sweeps."""
     names = _apps(apps)
     table = FigureTable(name, "app", labels)
     epoch_cfg = scenario_config(ModelName.EPOCH, _NEAR)
@@ -377,6 +389,23 @@ def figure10c(
         "window",
         [2, 4, 6, 8, 10],
         ["2", "4", "6", "8", "10"],
+        preset,
+        apps,
+        trace_dir,
+        executor,
+    )
+
+
+def ablation_drain_policy(
+    preset: str = "quick", apps=None, trace_dir=None, executor=None
+) -> FigureTable:
+    """Beyond the paper: SBRP-near speedup under each drain policy
+    (Section 6.2 compares them only qualitatively)."""
+    return _sensitivity(
+        "Ablation: drain policy (SBRP-near speedup over epoch-near)",
+        "drain_policy",
+        list(DrainPolicy),
+        [policy.value for policy in DrainPolicy],
         preset,
         apps,
         trace_dir,

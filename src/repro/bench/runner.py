@@ -8,6 +8,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.apps import build_app
 from repro.common.config import (
+    DrainPolicy,
     ModelName,
     PMPlacement,
     SBRPConfig,
@@ -67,21 +68,20 @@ class ScenarioResult:
 def scenario_config(
     model: ModelName,
     placement: PMPlacement,
-    eadr: bool = False,
     nvm_bw_scale: float = 1.0,
     pb_coverage: float = 0.5,
     window: int = 6,
+    drain_policy: DrainPolicy = DrainPolicy.WINDOW,
     demote_block_scope: bool = False,
 ) -> SystemConfig:
     """A Table 1 system with the given figure-specific knobs."""
-    config = paper_system(
-        model, placement, eadr=eadr, nvm_bw_scale=nvm_bw_scale
-    )
+    config = paper_system(model, placement, nvm_bw_scale=nvm_bw_scale)
     return replace(
         config,
         sbrp=SBRPConfig(
             pb_coverage=pb_coverage,
             window=window,
+            drain_policy=drain_policy,
             demote_block_scope=demote_block_scope,
         ),
     ).validate()

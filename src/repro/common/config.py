@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional
 
 from repro.common.errors import ConfigError
@@ -159,10 +159,6 @@ class MemoryConfig:
     pcie_latency_ns: float = 300.0
     #: Multiplier applied to both NVM bandwidths (Figure 10b sweeps this).
     nvm_bw_scale: float = 1.0
-    #: Enhanced ADR: persists are durable once they reach the host LLC,
-    #: removing NVM device latency from the persist path (Figure 9).
-    #: Only meaningful for PM-far.
-    eadr: bool = False
     #: ADR write-pending-queue entries per memory controller.
     wpq_entries: int = 16
     num_partitions: int = 2
@@ -182,8 +178,6 @@ class MemoryConfig:
     def validate(self) -> None:
         if self.nvm_bw_scale <= 0:
             raise ConfigError("nvm_bw_scale must be positive")
-        if self.eadr and self.placement is not PMPlacement.FAR:
-            raise ConfigError("eADR only applies to PM-far systems")
         if self.wpq_entries < 1:
             raise ConfigError("WPQ needs at least one entry")
 
@@ -220,7 +214,6 @@ class SystemConfig:
     gpu: GPUConfig = field(default_factory=GPUConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     sbrp: SBRPConfig = field(default_factory=SBRPConfig)
-    seed: int = 0
 
     def validate(self) -> "SystemConfig":
         self.gpu.validate()
@@ -257,20 +250,26 @@ class SystemConfig:
     def from_dict(data: Dict[str, Any]) -> "SystemConfig":
         """Rebuild a validated config from :meth:`to_dict` output.
 
-        Only known keys are read, so payloads that still carry a retired
-        top-level field (the old degraded-mode settings, the timing-core
-        ``engine`` switch) keep loading."""
-        memory = dict(data["memory"])
+        Only known keys are read at every level, so payloads that still
+        carry a retired field (the old degraded-mode settings, the
+        timing-core ``engine`` switch, ``seed``, the eADR switch under
+        ``memory``) keep loading."""
+        memory = _known(MemoryConfig, data["memory"])
         memory["placement"] = PMPlacement(memory["placement"])
-        sbrp = dict(data["sbrp"])
+        sbrp = _known(SBRPConfig, data["sbrp"])
         sbrp["drain_policy"] = DrainPolicy(sbrp["drain_policy"])
         return SystemConfig(
             model=ModelName(data["model"]),
-            gpu=GPUConfig(**data["gpu"]),
+            gpu=GPUConfig(**_known(GPUConfig, data["gpu"])),
             memory=MemoryConfig(**memory),
             sbrp=SBRPConfig(**sbrp),
-            seed=data.get("seed", 0),
         ).validate()
+
+
+def _known(cls: type, data: Dict[str, Any]) -> Dict[str, Any]:
+    """The entries of *data* that name a field of dataclass *cls*."""
+    names = {f.name for f in fields(cls)}
+    return {k: v for k, v in data.items() if k in names}
 
 
 def paper_system(

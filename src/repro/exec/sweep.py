@@ -6,11 +6,12 @@ Usage::
     python -m repro.exec.sweep --figures 6 8 --apps gpkvs   # a subset
     python -m repro.exec.sweep --preset paper --workers 8   # full sizes
 
-All selected figure drivers and ablations share one
-:class:`~repro.exec.Executor`, so the Epoch-far/Epoch-near baselines
-that recur across figures simulate once.  The selected drivers run in
-registry order, each once, whatever order ``--figures`` names them in:
-Figure 6's recovering PM-near runs then answer Figures 7, 8, 10 and 11.
+All selected drivers (every figure and the drain-policy ablation)
+share one :class:`~repro.exec.Executor`, so the Epoch-far/Epoch-near
+baselines that recur across figures simulate once.  The selected
+drivers run in registry order, each once, whatever order ``--figures``
+names them in: Figure 6's PM-far runs then answer Figure 9, and its
+recovering PM-near runs Figures 7, 8, 10, 11 and the drain ablation.
 ``--out`` writes only the tables, so two invocations that agree on the
 data produce byte-identical files regardless of workers.  The committed
 quick-preset tables, ``figure_tables.txt``, are the ``figure_tables``
@@ -26,8 +27,8 @@ import sys
 import time
 from typing import Callable, Collection, Dict, List, Optional
 
-from repro.bench.ablations import ablation_coalescing, ablation_drain_policy
 from repro.bench.figures import (
+    ablation_drain_policy,
     figure6,
     figure7,
     figure8,
@@ -53,11 +54,9 @@ FIGURES: Dict[str, Callable] = {
     "10c": figure10c,
     "11": figure11,
     "drain": ablation_drain_policy,
-    "coalescing": ablation_coalescing,
 }
 
 _SCOPED_ONLY = {"7"}
-_NO_TRACE_DIR = {"drain", "coalescing"}
 
 
 def _progress_printer(stream) -> Callable[[PoolEvent], None]:
@@ -94,11 +93,15 @@ def tables(
                     file=sys.stderr,
                 )
                 continue
-        kwargs = dict(preset=preset, apps=selected, executor=executor)
-        if trace_dir is not None and name not in _NO_TRACE_DIR:
-            kwargs["trace_dir"] = trace_dir
         print(f"-- running {driver.__name__} --", file=sys.stderr)
-        rendered.append(driver(**kwargs))
+        rendered.append(
+            driver(
+                preset=preset,
+                apps=selected,
+                trace_dir=trace_dir,
+                executor=executor,
+            )
+        )
     return "\n\n".join(table.to_ascii() for table in rendered) + "\n"
 
 

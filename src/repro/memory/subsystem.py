@@ -99,7 +99,6 @@ class MemorySubsystem:
         self._pcie_latency = memory.pcie_latency
         self._parts = parts = memory.num_partitions
         self._far = memory.placement is PMPlacement.FAR
-        self._eadr = memory.eadr
 
         per_part = 1.0 / parts
         gddr_latency = memory.gddr_latency
@@ -222,13 +221,7 @@ class MemorySubsystem:
         part = self._partition(line_addr)
         if self._far:
             at_host = self.pcie_down.transfer(after_l2, nbytes)
-            if self._eadr:
-                # eADR: durable once resident in the battery-backed host
-                # LLC; the NVM write drains in the background.
-                accept = at_host
-                self.nvm[part].write(at_host + delay, nbytes)
-            else:
-                accept = self.nvm[part].write(at_host + delay, nbytes)
+            accept = self.nvm[part].write(at_host + delay, nbytes)
             ack = accept + self._pcie_latency
         else:
             accept = self.nvm[part].write(after_l2 + delay, nbytes)

@@ -9,8 +9,10 @@ never changes the data.
 import pytest
 
 from repro.bench import (
+    ablation_drain_policy,
     figure6,
     figure8,
+    figure9,
     figure10a,
     figure10b,
     figure10c,
@@ -35,19 +37,23 @@ class TestCrossFigureDedupe:
     @pytest.mark.parametrize(
         "figure, submitted, executed",
         [
+            # Figure 6's Epoch-far and SBRP-far jobs, exactly.
+            (figure9, 2, 0),
             # Epoch-near and the default PB coverage (50%).
             (figure10a, 5, 3),
             # Epoch and SBRP at the default NVM bandwidth (100%).
             (figure10b, 6, 4),
             # Epoch-near and the default drain window (6).
             (figure10c, 6, 4),
+            # Epoch-near and the default drain policy (window).
+            (ablation_drain_policy, 4, 2),
         ],
     )
     def test_sensitivity_defaults_are_answered_by_figure6(
         self, figure, submitted, executed
     ):
         """The sweep points at the default knob value are Figure 6's
-        PM-near runs; their trace tags must not stop the reuse."""
+        runs; their trace tags must not stop the reuse."""
         ex = Executor(workers=1)
         figure6(preset="quick", apps=["reduction"], executor=ex)
         figure(preset="quick", apps=["reduction"], executor=ex)

@@ -58,10 +58,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             GPUConfig(threads_per_block=100).validate()
 
-    def test_eadr_requires_far(self):
-        with pytest.raises(ConfigError):
-            MemoryConfig(placement=PMPlacement.NEAR, eadr=True).validate()
-
     @pytest.mark.parametrize(
         "field, value, match",
         [

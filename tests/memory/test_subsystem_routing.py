@@ -1,4 +1,4 @@
-"""MemorySubsystem routing: far vs near paths, eADR, L2 behaviour."""
+"""MemorySubsystem routing: far vs near paths, L2 behaviour."""
 
 import pytest
 
@@ -66,15 +66,6 @@ class TestPersistPath:
         sub, _ = make(PMPlacement.FAR)
         ack = sub.persist_line(0, 0, PM, {PM: 1})
         assert ack.ack_time == ack.accept_time + sub.config.pcie_latency
-
-    def test_eadr_accepts_at_host_arrival(self):
-        plain, _ = make(PMPlacement.FAR, nvm_bw_scale=0.05)
-        eadr, _ = make(PMPlacement.FAR, nvm_bw_scale=0.05, eadr=True)
-        # Saturate: with tiny NVM bandwidth the WPQ backs up quickly.
-        for i in range(64):
-            last_plain = plain.persist_line(0, 0, PM + 128 * i, {PM + 128 * i: 1})
-            last_eadr = eadr.persist_line(0, 0, PM + 128 * i, {PM + 128 * i: 1})
-        assert last_eadr.accept_time < last_plain.accept_time
 
     def test_persist_records_logged_in_order(self):
         sub, _ = make()

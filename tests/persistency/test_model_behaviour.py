@@ -138,35 +138,3 @@ class TestPBCapacity:
         n = 2 * system.config.gpu.threads_per_block
         for i in range(8):
             assert image.get(data.word(i * n), 0) == i + 1
-
-
-class TestEADR:
-    def test_eadr_never_slower_and_skips_wpq_waits(self):
-        """eADR makes persists durable at the host LLC: acceptance never
-        waits on the NVM WPQ, so heavy bursts get strictly faster."""
-        from repro.common.config import MemoryConfig, PMPlacement
-
-        def run(eadr):
-            # Starve the NVM (20% write bandwidth) so the WPQ backs up;
-            # eADR sidesteps the wait entirely.
-            config = small_system(
-                ModelName.EPOCH,
-                memory=MemoryConfig(
-                    placement=PMPlacement.FAR, eadr=eadr, nvm_bw_scale=0.2
-                ),
-            )
-            system = GPUSystem(config)
-            data = system.pm_create("data", 512 * 1024)
-
-            def burst(w, data):
-                # Many lines per warp, then a durability barrier: the
-                # WPQ backs up without eADR.
-                for i in range(16):
-                    addr = data.base + 4 * (w.tid + i * w.nthreads)
-                    yield w.st(addr, i + 1)
-                yield w.dfence()
-
-            return run_to_end(system, burst, blocks=4, args=(data,)).cycles
-
-        fast, slow = run(eadr=True), run(eadr=False)
-        assert fast < slow

@@ -181,8 +181,8 @@ class TestScenarioStem:
         assert a != b
 
     def test_trace_tag_included(self):
-        tagged = scenario_stem("reduction", _CONFIG, _PARAMS, trace_tag="eadr")
-        assert "-eadr-" in tagged
+        tagged = scenario_stem("reduction", _CONFIG, _PARAMS, trace_tag="demoted")
+        assert "-demoted-" in tagged
 
     def test_trace_files_do_not_collide_on_disk(self, tmp_path):
         for blocks in (2, 4):
