@@ -5,9 +5,9 @@ subpackage models those ways and checks that every protocol survives
 them — or fails *diagnosably*:
 
 * :mod:`~repro.faults.plans` — declarative, JSON-round-trippable
-  :class:`FaultPlan` descriptions (torn persists, reordered / dropped
-  drains, delayed / lost acks, transient NVM write failures, chronic
-  fault timelines), each declaring what a correct implementation must
+  :class:`FaultPlan` descriptions (torn persists, dropped drains,
+  delayed / lost acks, transient NVM write failures, chronic fault
+  timelines), each declaring what a correct implementation must
   do under it;
 * :mod:`~repro.faults.injector` — :class:`FaultInjector`, the
   deterministic plan interpreter the memory subsystem and persistency
@@ -43,7 +43,6 @@ from repro.faults.oracles import (
     run_litmus_oracle,
 )
 from repro.faults.plans import (
-    EXPECT_ANY,
     EXPECT_CONSISTENT,
     EXPECT_FAULT_RAISED,
     EXPECT_HUNG,
@@ -53,7 +52,6 @@ from repro.faults.plans import (
     AckDelayPlan,
     AckLossPlan,
     DrainDropPlan,
-    DrainReorderPlan,
     FaultPlan,
     NVMTransientPlan,
     PowerCutPlan,
@@ -73,9 +71,7 @@ __all__ = [
     "CONSISTENT",
     "DEFAULT_MAX_CRASH_POINTS",
     "DrainDropPlan",
-    "DrainReorderPlan",
     "EXPECTATIONS",
-    "EXPECT_ANY",
     "EXPECT_CONSISTENT",
     "EXPECT_FAULT_RAISED",
     "EXPECT_HUNG",

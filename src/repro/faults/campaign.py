@@ -46,14 +46,12 @@ from repro.faults.oracles import (
     run_litmus_oracle,
 )
 from repro.faults.plans import (
-    EXPECT_ANY,
     EXPECT_FAULT_RAISED,
     EXPECT_INCONSISTENT,
     PLAN_KINDS,
     AckDelayPlan,
     AckLossPlan,
     DrainDropPlan,
-    DrainReorderPlan,
     FaultPlan,
     NVMTransientPlan,
     PowerCutPlan,
@@ -94,9 +92,6 @@ def named_plans() -> Dict[str, FaultPlan]:
     return {
         "power_cut": PowerCutPlan(),
         "torn_last": TornPersistPlan(),
-        "torn_window": TornPersistPlan(mode="window", expect=EXPECT_ANY),
-        "drain_reorder": DrainReorderPlan(),
-        "drain_drop": DrainDropPlan(),
         "ack_delay": AckDelayPlan(),
         "ack_loss": AckLossPlan(),
         "nvm_transient": NVMTransientPlan(),
@@ -389,7 +384,7 @@ def litmus_cases(
         case(
             "mp_ofence",
             ModelName.SBRP,
-            DrainDropPlan(drop_every=2),
+            DrainDropPlan(),
             UNREACHABLE_STATE,
         ),
         case("scope_mismatch", ModelName.SBRP),
@@ -587,23 +582,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         "litmus trio",
     )
     parser.add_argument(
-        "--apps", nargs="*", default=None, choices=sorted(APP_PARAMS)
+        "--apps", nargs="+", default=None, choices=sorted(APP_PARAMS)
     )
     parser.add_argument(
         "--models",
-        nargs="*",
+        nargs="+",
         default=None,
         choices=[m.value for m in ModelName],
     )
     parser.add_argument(
         "--placements",
-        nargs="*",
+        nargs="+",
         default=None,
         choices=[p.value for p in PMPlacement],
     )
     parser.add_argument(
         "--plans",
-        nargs="*",
+        nargs="+",
         default=None,
         choices=sorted(named_plans()),
         help="restrict the full sweep to these named plans",

@@ -8,13 +8,11 @@ four points:
 * :meth:`persist_delay` — extra latency before the NVM controller
   accepts a write (transient failures with retry/backoff; may escalate
   to :class:`~repro.common.errors.FaultInjectionError`);
-* :meth:`transform_accept` — the *actual* media-durability time of a
-  record, possibly later than the WPQ acknowledged (drain reordering);
 * :meth:`transform_ack` — the time the SM learns about durability
   (delayed acks) or never does (lost acks, ``inf``);
 * :meth:`drop_flush` — a drained line that never becomes durable;
-* :meth:`torn_records` — crash-time rewriting of accepted records into
-  partial (torn) line writes.
+* :meth:`torn_records` — crash-time rewriting of the last accepted
+  record into a partial (torn) line write.
 
 A :class:`~repro.faults.plans.TimelinePlan` is read at the *global*
 chain time ``time_offset + now``: bursts fail persists in
@@ -43,7 +41,6 @@ from repro.faults.plans import (
     AckDelayPlan,
     AckLossPlan,
     DrainDropPlan,
-    DrainReorderPlan,
     FaultPlan,
     FaultWindow,
     NVMTransientPlan,
@@ -79,7 +76,6 @@ class FaultInjector:
         #: Injection tallies (keys are stable; reports embed them).
         self.counts: Dict[str, int] = {}
         self._flushes_seen = 0
-        self._drops = 0
 
     def _bump(self, key: str, by: int = 1) -> None:
         self.counts[key] = self.counts.get(key, 0) + by
@@ -151,15 +147,6 @@ class FaultInjector:
         self._bump("nvm_transient_failures", fails)
         return linear_backoff(plan.device_backoff_cycles, fails)
 
-    def transform_accept(self, seq: int, accept: float) -> float:
-        """The record's actual durability time (may differ from what the
-        WPQ acknowledged)."""
-        plan = self.plan
-        if isinstance(plan, DrainReorderPlan) and seq % plan.shift_every == 0:
-            self._bump("reordered_persists")
-            return accept + plan.shift_cycles
-        return accept
-
     def transform_ack(self, seq: int, accept: float, ack: float) -> float:
         """When the issuing SM learns about durability (``inf`` = never)."""
         plan = self.plan
@@ -192,12 +179,7 @@ class FaultInjector:
             return False
         index = self._flushes_seen
         self._flushes_seen += 1
-        if index < plan.drop_offset:
-            return False
-        if plan.max_drops and self._drops >= plan.max_drops:
-            return False
-        if (index - plan.drop_offset) % plan.drop_every == 0:
-            self._drops += 1
+        if index % plan.drop_every == 0:
             self._bump("dropped_flushes")
             return True
         return False
@@ -209,23 +191,15 @@ class FaultInjector:
         self, records: List["PersistRecord"], time: float
     ) -> List["PersistRecord"]:
         """Rewrite *records* (accepted by *time*, sorted by acceptance)
-        so lines still resident in the WPQ at the crash tear."""
+        so the last one tears if it is still resident in the WPQ at the
+        crash."""
         plan = self.plan
         if not isinstance(plan, TornPersistPlan) or not records:
             return records
-        if plan.mode == "last":
-            victims = {records[-1].seq}
-        else:
-            victims = {
-                r.seq for r in records if time - r.accept_time <= plan.span_cycles
-            }
-        out: List["PersistRecord"] = []
-        for record in records:
-            if record.seq not in victims or time - record.accept_time > plan.span_cycles:
-                out.append(record)
-                continue
-            out.append(self._tear(record))
-        return out
+        last = records[-1]
+        if time - last.accept_time > plan.span_cycles:
+            return records
+        return records[:-1] + [self._tear(last)]
 
     def _tear(self, record: "PersistRecord") -> "PersistRecord":
         if not record.words:

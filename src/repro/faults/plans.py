@@ -20,9 +20,9 @@ under it (``expect``):
   case.
 * ``fault_raised`` — the injection itself must escalate to a typed
   :class:`~repro.common.errors.FaultInjectionError` (retry exhaustion).
-* ``any`` — adversarial plans that break the hardware contract
-  (reordered or dropped drains, wide tears): any classification is
-  acceptable, the campaign only records what happened.
+
+Every expectation can fail: a plan whose runs no single expectation
+fits has no place in the campaign.
 
 Point plans fault individual persists.  A :class:`TimelinePlan` instead
 schedules *chronic* fault windows over simulated time; soak chains
@@ -41,14 +41,12 @@ EXPECT_CONSISTENT = "consistent"
 EXPECT_INCONSISTENT = "inconsistent"
 EXPECT_HUNG = "hung"
 EXPECT_FAULT_RAISED = "fault_raised"
-EXPECT_ANY = "any"
 
 EXPECTATIONS = (
     EXPECT_CONSISTENT,
     EXPECT_INCONSISTENT,
     EXPECT_HUNG,
     EXPECT_FAULT_RAISED,
-    EXPECT_ANY,
 )
 
 #: kind -> plan class; populated by :func:`register_plan`.
@@ -135,59 +133,25 @@ class PowerCutPlan(FaultPlan):
 class TornPersistPlan(FaultPlan):
     """Partial cache-line persists at the crash instant.
 
-    ``mode="last"`` tears only the most recently accepted record, and
-    only when the crash lands within *span_cycles* of its acceptance —
-    the line caught mid-drain.  Ordering enforced by the models (fence
-    successors flush only after the predecessor's ack) makes every such
-    image formally reachable, so correct apps must still recover:
-    ``expect`` defaults to ``consistent``.
-
-    ``mode="window"`` tears *every* record accepted within the window —
-    an ADR failure (the capacitor only partially drained the WPQ).  That
-    breaks the acceptance-is-durability contract the protocols are built
-    on, so pair it with ``expect="any"``.
+    Tears only the most recently accepted record, and only when the
+    crash lands within *span_cycles* of its acceptance — the line caught
+    mid-drain.  Ordering enforced by the models (fence successors flush
+    only after the predecessor's ack) makes every such image formally
+    reachable, so correct apps must still recover: ``expect`` defaults
+    to ``consistent``.
     """
 
     kind: ClassVar[str] = "torn_persist"
     tears: ClassVar[bool] = True
 
-    mode: str = "last"
     #: How long an accepted line stays tearable (the WPQ residency).
     span_cycles: float = 200.0
     #: Seeds the per-record choice of surviving words.
     seed: int = 1
 
     def validate(self) -> None:
-        if self.mode not in ("last", "window"):
-            raise ConfigError(f"torn_persist mode must be last|window, got {self.mode!r}")
         if self.span_cycles <= 0:
             raise ConfigError("torn_persist span_cycles must be positive")
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}:{self.mode}"
-
-
-@register_plan
-@dataclass(frozen=True)
-class DrainReorderPlan(FaultPlan):
-    """A buggy memory controller: every *shift_every*-th accepted persist
-    actually reaches the media *shift_cycles* later than the WPQ
-    acknowledged, reordering durability against later persists.  The
-    hardware contract is broken, so the default expectation is ``any``.
-    """
-
-    kind: ClassVar[str] = "drain_reorder"
-
-    expect: str = EXPECT_ANY
-    shift_every: int = 3
-    shift_cycles: float = 500.0
-
-    def validate(self) -> None:
-        if self.shift_every < 1:
-            raise ConfigError("drain_reorder shift_every must be >= 1")
-        if self.shift_cycles <= 0:
-            raise ConfigError("drain_reorder shift_cycles must be positive")
 
 
 @register_plan
@@ -195,22 +159,21 @@ class DrainReorderPlan(FaultPlan):
 class DrainDropPlan(FaultPlan):
     """A persist-buffer drain bug: every *drop_every*-th flushed line is
     acknowledged but never becomes durable (visible in the volatile
-    image, absent from every crash image)."""
+    image, absent from every crash image).  It breaks the hardware
+    contract: a correct app recovers or not depending on which lines
+    drop, so no campaign cell sweeps it.  Its one check is the litmus
+    case ``mp_ofence@sbrp#drain_drop``, whose run the formal oracle must
+    flag ``unreachable_state``.  A run that loses a line its recovery
+    needs is inconsistent, so ``expect`` defaults to ``inconsistent``."""
 
     kind: ClassVar[str] = "drain_drop"
 
-    expect: str = EXPECT_ANY
+    expect: str = EXPECT_INCONSISTENT
     drop_every: int = 2
-    #: First flush (0-based) eligible to drop; lets plans spare setup.
-    drop_offset: int = 0
-    #: Cap on total drops; 0 = unlimited.
-    max_drops: int = 0
 
     def validate(self) -> None:
         if self.drop_every < 1:
             raise ConfigError("drain_drop drop_every must be >= 1")
-        if self.drop_offset < 0 or self.max_drops < 0:
-            raise ConfigError("drain_drop offsets/caps must be non-negative")
 
 
 @register_plan

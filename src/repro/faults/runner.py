@@ -41,7 +41,6 @@ from repro.faults.oracles import (
     describe,
 )
 from repro.faults.plans import (
-    EXPECT_ANY,
     EXPECT_CONSISTENT,
     EXPECT_FAULT_RAISED,
     EXPECT_HUNG,
@@ -60,8 +59,6 @@ OUTCOME_INCONSISTENT = "inconsistent"
 
 def matches(expect: str, outcome: str) -> bool:
     """Does the scenario *outcome* satisfy the plan's expectation?"""
-    if expect == EXPECT_ANY:
-        return True
     return {
         EXPECT_CONSISTENT: CONSISTENT,
         EXPECT_INCONSISTENT: OUTCOME_INCONSISTENT,

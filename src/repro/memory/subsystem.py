@@ -202,14 +202,11 @@ class MemorySubsystem:
         the acknowledgement reaches the issuing SM.  Persists write
         through the shared L2 (the paper keeps no L2 persist buffer).
 
-        With a fault injector attached, three things can diverge from
-        the clean path: the NVM write may suffer transient failures
-        (extra pre-acceptance latency, or escalation), the *recorded*
-        durability time may shift later than the WPQ acknowledged
-        (drain reordering), and the ack the SM sees may be delayed or
-        lost (``inf``).  The hardware-believed WriteAck and the logged
-        record are deliberately allowed to disagree — that disagreement
-        *is* the injected bug.
+        With a fault injector attached, two things can diverge from the
+        clean path: the NVM write may suffer transient failures (extra
+        pre-acceptance latency, or escalation), and the ack the SM sees
+        may be delayed or lost (``inf``).  The logged record is always
+        durable at its WPQ acceptance.
         """
         nbytes = self.line_size
         self._persist_seq += 1
@@ -226,12 +223,10 @@ class MemorySubsystem:
         else:
             accept = self.nvm[part].write(after_l2 + delay, nbytes)
             ack = accept + self._l2_latency
-        durable_at = accept
         if injected:
-            durable_at = self.faults.transform_accept(seq, accept)
             ack = self.faults.transform_ack(seq, accept, ack)
         self.persist_log.append(
-            PersistRecord(seq, sm_id, line_addr, dict(words), durable_at)
+            PersistRecord(seq, sm_id, line_addr, dict(words), accept)
         )
         self.stats.add("persist.lines")
         self.stats.add("persist.bytes", nbytes)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.config import ModelName
 from repro.exec import Executor
-from repro.faults.campaign import main, soak_cells, soak_row
+from repro.faults.campaign import main, named_plans, soak_cells, soak_row
 
 
 def run_campaign(tmp_path, name, argv):
@@ -40,7 +40,7 @@ class TestSmoke:
             for row in report["scenarios"]
             if row["expect"] == "consistent"
         ]
-        # gpkvs x {sbrp, gpm, epoch} x {power_cut, torn_persist:last}
+        # gpkvs x {sbrp, gpm, epoch} x {power_cut, torn_persist}
         # + serve_kvs x {sbrp, gpm, epoch} x power_cut
         assert len(clean) == 9
         assert all(row["outcome"] == "consistent" for row in clean)
@@ -124,6 +124,34 @@ class TestRepro:
             f"argument --max-crash-points: must be >= 1, got {value}"
             in capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "flag", ["--apps", "--models", "--placements", "--plans"]
+    )
+    def test_empty_list_flag_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main([flag])
+        assert info.value.code == 2
+        assert f"argument {flag}: expected at least one argument" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("plan", ["torn_window", "drain_reorder", "drain_drop"])
+    def test_retired_plan_name_rejected(self, capsys, plan):
+        with pytest.raises(SystemExit) as info:
+            main(["--plans", plan])
+        assert info.value.code == 2
+        assert "argument --plans: invalid choice" in capsys.readouterr().err
+
+    def test_named_plan_menu(self):
+        assert sorted(named_plans()) == [
+            "ack_delay",
+            "ack_loss",
+            "nvm_exhausted",
+            "nvm_transient",
+            "power_cut",
+            "torn_last",
+        ]
 
     def test_list_plans(self, capsys):
         assert main(["--list-plans"]) == 0

@@ -80,16 +80,6 @@ class TestTornPersists:
         injector = FaultInjector(TornPersistPlan(span_cycles=50.0))
         assert injector.torn_records(records, 500.0)[0].words == records[0].words
 
-    def test_window_mode_tears_every_resident_record(self):
-        records = [
-            PersistRecord(seq, 0, 128 * seq, {128 * seq + 4 * i: i for i in range(4)}, 1000.0 + seq)
-            for seq in range(1, 4)
-        ]
-        plan = TornPersistPlan(mode="window", span_cycles=100.0, expect="any")
-        torn = FaultInjector(plan).torn_records(records, 1005.0)
-        for before, after in zip(records, torn):
-            assert len(after.words) < len(before.words)
-
     def test_torn_record_loses_only_words(self):
         record = PersistRecord(7, 3, 896, {896 + 4 * i: i + 1 for i in range(4)}, 123.0)
         injector = FaultInjector(TornPersistPlan(span_cycles=50.0))
@@ -119,7 +109,7 @@ class TestDrainDrop:
         assert detail["injected"]["dropped_flushes"] > 0
         assert detail["outcome"] == "inconsistent"
         assert detail["point_counts"].get(APP_VIOLATION, 0) > 0
-        assert detail["matched"]  # expect=any records, never fails
+        assert detail["matched"]
 
     def test_reproducer_pins_one_crash_point(self):
         result = scenario(ModelName.SBRP, DrainDropPlan().to_json())
@@ -128,12 +118,11 @@ class TestDrainDrop:
         assert repro["mode"] == "faults"
         assert len(repro["fault"]["crash_times"]) == 1
 
-    def test_drop_cap_and_offset(self):
-        injector = FaultInjector(
-            DrainDropPlan(drop_every=1, drop_offset=2, max_drops=3)
-        )
-        decisions = [injector.drop_flush(0, 128 * i) for i in range(10)]
-        assert decisions == [False, False, True, True, True] + [False] * 5
+    def test_drops_every_nth_flush(self):
+        injector = FaultInjector(DrainDropPlan(drop_every=3))
+        decisions = [injector.drop_flush(0, 128 * i) for i in range(7)]
+        assert decisions == [True, False, False, True, False, False, True]
+        assert injector.counts == {"dropped_flushes": 3}
 
 
 class TestAckFaults:
@@ -173,7 +162,7 @@ class TestNVMTransients:
 
     def test_injector_raises_directly(self):
         injector = FaultInjector(
-            NVMTransientPlan(fails=7, max_retries=3, expect="any")
+            NVMTransientPlan(fails=7, max_retries=3, expect=FAULT_RAISED)
         )
         with pytest.raises(FaultInjectionError, match="retry budget"):
             injector.persist_delay(NVMTransientPlan().fail_every)
@@ -195,7 +184,8 @@ class TestOracleClassification:
 
     def test_seeded_bug_classified_as_app_violation(self):
         params = {**PARAMS, "seeded_bug": "commit_first"}
-        result = scenario(ModelName.SBRP, PowerCutPlan(expect="any").to_json(), params=params, max_points=0)
+        plan = PowerCutPlan(expect="inconsistent")
+        result = scenario(ModelName.SBRP, plan.to_json(), params=params, max_points=0)
         counts = result.detail["point_counts"]
         assert counts.get(APP_VIOLATION, 0) > 0
 

@@ -6,14 +6,14 @@ from repro.common.config import ModelName, small_system
 from repro.common.errors import ConfigError
 from repro.exec import MODE_FAULTS, ScenarioJob
 from repro.faults import (
-    EXPECT_ANY,
     EXPECT_CONSISTENT,
+    EXPECT_FAULT_RAISED,
     EXPECT_HUNG,
+    EXPECT_INCONSISTENT,
     PLAN_KINDS,
     AckDelayPlan,
     AckLossPlan,
     DrainDropPlan,
-    DrainReorderPlan,
     FaultPlan,
     NVMTransientPlan,
     PowerCutPlan,
@@ -27,7 +27,6 @@ class TestRegistry:
         assert set(PLAN_KINDS) == {
             "power_cut",
             "torn_persist",
-            "drain_reorder",
             "drain_drop",
             "ack_delay",
             "ack_loss",
@@ -41,11 +40,11 @@ class TestRegistry:
         assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_round_trip_preserves_overrides(self):
-        plan = TornPersistPlan(mode="window", span_cycles=50.0, expect=EXPECT_ANY)
+        plan = TornPersistPlan(span_cycles=50.0, seed=3)
         again = FaultPlan.from_json(plan.to_json())
         assert again == plan
-        assert again.mode == "window"
         assert again.span_cycles == 50.0
+        assert again.seed == 3
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown fault-plan kind"):
@@ -62,20 +61,21 @@ class TestValidation:
             PowerCutPlan(expect="probably_fine")
 
     def test_bad_torn_mode_rejected(self):
-        with pytest.raises(ConfigError, match="last|window"):
-            TornPersistPlan(mode="diagonal")
+        # A torn persist always tears the last line: no mode field.
+        for mode in ("last", "window"):
+            with pytest.raises(ConfigError, match="unknown fields"):
+                FaultPlan.from_json({"kind": "torn_persist", "mode": mode})
 
     @pytest.mark.parametrize(
         "make",
         [
             lambda: TornPersistPlan(span_cycles=0),
-            lambda: DrainReorderPlan(shift_every=0),
             lambda: DrainDropPlan(drop_every=0),
             lambda: AckDelayPlan(delay_cycles=-1),
             lambda: AckLossPlan(lose_every=0),
             lambda: NVMTransientPlan(backoff_cycles=0),
         ],
-        ids=["torn", "reorder", "drop", "delay", "loss", "nvm"],
+        ids=["torn", "drop", "delay", "loss", "nvm"],
     )
     def test_bad_parameters_rejected(self, make):
         with pytest.raises(ConfigError):
@@ -84,24 +84,45 @@ class TestValidation:
     def test_default_expectations(self):
         assert PowerCutPlan().expect == EXPECT_CONSISTENT
         assert TornPersistPlan().expect == EXPECT_CONSISTENT
-        assert DrainReorderPlan().expect == EXPECT_ANY
-        assert DrainDropPlan().expect == EXPECT_ANY
+        assert DrainDropPlan().expect == EXPECT_INCONSISTENT
         assert AckLossPlan().expect == EXPECT_HUNG
 
     def test_labels(self):
-        assert TornPersistPlan().label == "torn_persist:last"
-        assert TornPersistPlan(mode="window", expect=EXPECT_ANY).label == (
-            "torn_persist:window"
-        )
+        assert TornPersistPlan().label == "torn_persist"
         assert NVMTransientPlan().label == "nvm_transient"
         assert (
-            NVMTransientPlan(fails=7, max_retries=3, expect=EXPECT_ANY).label
+            NVMTransientPlan(
+                fails=7, max_retries=3, expect=EXPECT_FAULT_RAISED
+            ).label
             == "nvm_transient:exhausted"
         )
 
     def test_retry_delay_is_linear_backoff_sum(self):
         plan = NVMTransientPlan(fails=3, backoff_cycles=100.0)
         assert plan.retry_delay == 100.0 + 200.0 + 300.0
+
+
+class TestRetiredPayloads:
+    """A payload naming a plan kind, field or expectation that does not
+    exist is rejected with a typed error, not silently rebuilt."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "drain_reorder"},
+            {"kind": "drain_drop", "drop_offset": 2},
+            {"kind": "drain_drop", "max_drops": 3},
+        ],
+        ids=["reorder", "drop-offset", "max-drops"],
+    )
+    def test_retired_payload_rejected(self, payload):
+        with pytest.raises(ConfigError):
+            FaultPlan.from_json(payload)
+
+    @pytest.mark.parametrize("kind", sorted(PLAN_KINDS))
+    def test_expect_any_rejected(self, kind):
+        with pytest.raises(ConfigError, match="unknown expectation"):
+            FaultPlan.from_json({"kind": kind, "expect": "any"})
 
 
 class TestLinearBackoff:

@@ -21,7 +21,7 @@ from repro.check.enumerator import SMOKE_VARIANTS
 from repro.check.fuzzer import generate_stream
 from repro.common.config import ModelName
 from repro.faults.injector import build_injector
-from repro.faults.plans import DrainDropPlan
+from repro.faults.plans import PowerCutPlan
 from repro.formal.bridge import base_config, simulate_program
 from repro.formal.events import LitmusProgram
 from repro.memory.subsystem import MemorySubsystem
@@ -30,15 +30,15 @@ PROGRAMS = corpus_programs() + generate_stream(5, 40)
 
 
 @dataclass(frozen=True)
-class TearsNothing(DrainDropPlan):
+class TearsNothing(PowerCutPlan):
     """Declares tearing, but only a TornPersistPlan tears a record."""
 
     tears: ClassVar[bool] = True
 
 
 def never_fires():
-    """A tearing injector whose drop plan starts past any litmus run."""
-    return build_injector(TearsNothing(drop_offset=10**9))
+    """A tearing injector whose plan injects nothing."""
+    return build_injector(TearsNothing())
 
 
 def run(program, model, variant, faults=None):
@@ -90,13 +90,13 @@ def test_injected_run_images_the_spaced_instants(instants):
 def test_non_tearing_run_images_only_the_boundaries(instants):
     program = corpus_programs()[0]
     plain = simulate_program(program, crash_points=48)
-    dropped = simulate_program(
+    cut = simulate_program(
         program,
         crash_points=48,
-        faults=build_injector(DrainDropPlan(drop_offset=10**9)),
+        faults=build_injector(PowerCutPlan()),
     )
     assert instants[0] == instants[1] < 49
-    assert dropped == plain
+    assert cut == plain
 
 
 def test_all_zero_image_at_t0_is_observed():

@@ -68,10 +68,8 @@ plans = st.one_of(
     st.none(),
     st.builds(
         TornPersistPlan,
-        mode=st.sampled_from(["last", "window"]),
         span_cycles=st.sampled_from([0.5, 2.0, 5.0]),
         seed=st.integers(1, 5),
-        expect=st.just("any"),
     ),
 )
 
@@ -149,9 +147,9 @@ def test_single_instant_is_the_reference(log, plan):
 
 
 def test_torn_plans_are_exercised():
-    """The tear path really runs: a window plan tears a resident line."""
+    """The tear path really runs: the last line tears while resident."""
     record = PersistRecord(1, 0, PM_BASE, {PM_BASE: 1, PM_BASE + 4: 2}, 10.0)
-    plan = TornPersistPlan(mode="window", span_cycles=5.0, expect="any")
+    plan = TornPersistPlan(span_cycles=5.0)
     sub = subsystem([record], {}, plan)
     images = [dict(image) for image, _ in sub.crash_images([10.0, 12.0, 20.0])]
     assert len(images[0]) < 2 and len(images[1]) < 2
