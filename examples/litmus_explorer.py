@@ -16,7 +16,7 @@ from repro.check.corpus import (
     library_program,
     unmet_expectations,
 )
-from repro.check.oracle import allowed_unconstrained, check_observation
+from repro.check.oracle import allowed_keys, allowed_unconstrained, check_observation
 from repro.formal.bridge import simulate_program
 
 
@@ -32,7 +32,9 @@ def main() -> None:
         unmet = unmet_expectations(program, EXPECTATIONS[name])
         print(f"   model check: {'PASS' if not unmet else f'FAIL {unmet}'}")
         observation = simulate_program(program, ModelName.SBRP)
-        bad = check_observation(program, observation, allowed, "base", {})
+        bad = check_observation(
+            program, observation, allowed_keys(program), "base", {}
+        )
         print(
             "   simulator refines model: "
             + ("yes" if not bad else f"NO - violations {bad}")

@@ -33,7 +33,6 @@ from repro.common.errors import ConfigError
 from repro.formal.bridge import (
     ProgramSetup,
     SimulationObservation,
-    base_config,
     litmus_config,
     simulate_program,
 )
@@ -174,18 +173,19 @@ def observe(
     :class:`ConfigError`.  The program's :class:`ProgramSetup` is
     derived once per call and shared by its runs."""
     setup = ProgramSetup(program)
-    base = base_config(program, model)
     runs: Dict[Tuple[Any, ...], Any] = {}
     results = []
     for variant in variants:
         order = variant.thread_order(program)
-        run = (variant.knobs(model), setup.slots(order)[0])
+        knobs = variant.knobs(model)
+        run = (knobs, setup.slots(order)[0])
         if run not in runs:
             try:
                 runs[run] = simulate_program(
                     program,
                     model=model,
-                    config=variant.configure(base),
+                    # What variant.configure does to the base config.
+                    config=_configured(model, *setup.geometry, knobs),
                     crash_points=crash_points,
                     model_factory=model_factory,
                     thread_order=order,

@@ -95,11 +95,11 @@ class PbLifoDrainMutant(SBRPModel):
         st = self.states[sm.sm_id]
         st.pump_scheduled = False
         if st.actr == 0:
-            st.fsm.reset()
+            st.fsm = 0
         hold = 0
         for entry in reversed(list(st.pb.entries())):  # the mutation
             if entry.kind is EntryKind.PERSIST:
-                if entry.warp_mask & (st.fsm.bits | hold):
+                if entry.warp_mask & (st.fsm | hold):
                     hold |= entry.warp_mask
                     continue
                 if not self._policy_allows(st, entry):
@@ -114,7 +114,7 @@ class PbLifoDrainMutant(SBRPModel):
                 self._order_point_at_head(sm, st, entry, now)
             self._wake_space_waiters(sm, st, now)
         if st.actr == 0:
-            st.fsm.reset()
+            st.fsm = 0
             self._resolve_actr_zero(sm, st, now)
 
 
@@ -131,7 +131,7 @@ class AckWithoutFlushMutant(SBRPModel):
         line = sm.l1.lookup(entry.line_addr, now)
         if line is None or not line.dirty:
             for waiter in entry.waiters:
-                st.edm.clear(waiter.slot)
+                st.edm &= ~st.warp_bit(waiter.slot)
                 sm.wake_warp(waiter, now + 1)
             return
         for addr, value in line.dirty_words.items():

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.common.config import ModelName
 from repro.common.errors import ConfigError, LitmusError
 from repro.formal.crash_states import allowed_crash_images, allowed_final_images
+from repro.formal.bridge import ImageKey, image_key, pm_locations
 from repro.formal.events import LitmusProgram, all_reads_from
 from repro.formal.relations import ExecutionWitness
 
@@ -50,17 +51,19 @@ def normalize(image: Dict[str, int]) -> NormImage:
 
 
 #: Allowed-image memo for one program: (sorted reads-from items, sorted
-#: completed dFences, or None for the final images) -> normalised set.
-AllowedMemo = Dict[Tuple[Any, Optional[Tuple[int, ...]]], Set[NormImage]]
+#: completed dFences, or None for the final images) -> allowed keys.
+AllowedMemo = Dict[Tuple[Any, Optional[Tuple[int, ...]]], Set[ImageKey]]
 
 
 def _allowed(
     witness: ExecutionWitness,
     completed: Optional[List[int]],
     memo: AllowedMemo,
-) -> Set[NormImage]:
-    """Normalised allowed crash images of *witness* with *completed*
-    dFences, or its final images when *completed* is None; memoised."""
+    locations: Sequence[str],
+) -> Set[ImageKey]:
+    """Allowed crash images of *witness* with *completed* dFences, or
+    its final images when *completed* is None, in key form over
+    *locations*; memoised."""
     key = (
         tuple(sorted(witness.reads_from.items())),
         None if completed is None else tuple(sorted(completed)),
@@ -71,7 +74,7 @@ def _allowed(
             if completed is None
             else allowed_crash_images(witness, completed)
         )
-        memo[key] = {normalize(image) for image in images}
+        memo[key] = {image_key(image, locations) for image in images}
     return memo[key]
 
 
@@ -93,89 +96,100 @@ def allowed_unconstrained(
     return allowed
 
 
+def allowed_keys(
+    program: LitmusProgram, completed: Sequence[int] = ()
+) -> Set[ImageKey]:
+    """:func:`allowed_unconstrained` in key form over the program's
+    :func:`~repro.formal.bridge.pm_locations`: what
+    :func:`check_observation` judges a run's images against."""
+    locations = pm_locations(program)
+    return {
+        image_key(dict(image), locations)
+        for image in allowed_unconstrained(program, completed)
+    }
+
+
+def _named(locations: Sequence[str], key: ImageKey) -> Dict[str, int]:
+    """A key's nonzero values by location: the normalised image a
+    report names."""
+    return {loc: value for loc, value in zip(locations, key) if value}
+
+
 #: The last checked program's content key, its unconstrained allowed
-#: set and its witness memo.  Both depend on the program alone, never on
-#: the model, mutant or variants, so checking one program under several
-#: targets in a row derives them once.
-_last: Tuple[Any, Set[NormImage], AllowedMemo] = (None, set(), {})
+#: keys and its witness memo.  Both depend on the program alone, never
+#: on the model, mutant or variants, so checking one program under
+#: several targets in a row derives them once.
+_last: Tuple[Any, Set[ImageKey], AllowedMemo] = (None, set(), {})
 
 
-def _program_sets(program: LitmusProgram) -> Tuple[Set[NormImage], AllowedMemo]:
-    """*program*'s unconstrained allowed set and witness memo, reused
+def _program_sets(program: LitmusProgram) -> Tuple[Set[ImageKey], AllowedMemo]:
+    """*program*'s unconstrained allowed keys and witness memo, reused
     while the same program content is checked again.  The key is each
     thread's block and its events with their eids: every input of the
     axiomatic model, and nothing else (the name is not one)."""
     global _last
     key = tuple((t.block, tuple(t.events)) for t in program.threads)
     if _last[0] != key:
-        _last = (key, allowed_unconstrained(program), {})
+        _last = (key, allowed_keys(program), {})
     return _last[1], _last[2]
-
-
-def _observed_witness(
-    program: LitmusProgram, reads_from: Dict[int, Optional[int]]
-) -> Optional[ExecutionWitness]:
-    """The witness the run actually took, or None when any acquire's
-    observed value mapped to no known release (foreign writes to flag
-    locations — the fuzzer never generates these, but directed programs
-    might)."""
-    acquires = program.acquires()
-    if len(reads_from) != len(acquires):
-        return None
-    if any(source is None for source in reads_from.values()):
-        return None
-    return ExecutionWitness(program, dict(reads_from))
 
 
 def check_observation(
     program: LitmusProgram,
     observation: Any,
-    allowed: Set[NormImage],
+    allowed: Set[ImageKey],
     variant_name: str,
     memo: AllowedMemo,
-    observed: Optional[Set[NormImage]] = None,
+    observed: Optional[Set[ImageKey]] = None,
 ) -> List[Dict[str, Any]]:
-    """All three oracle checks against one simulator run; *memo* is
-    shared by every run of the same program.  Each normalised crash
-    image is also added to *observed*, when given (coverage)."""
+    """All three oracle checks against one simulator run; *allowed* is
+    :func:`allowed_keys` of *program*, and *memo* is shared by every run
+    of the same program.  Each crash image is also added to *observed*,
+    when given (coverage).  Images are judged in the observation's key
+    form; a violation names the offending image's nonzero values."""
     violations: List[Dict[str, Any]] = []
-    for time, image in observation.images:
-        norm = normalize(image)
+    locations = observation.locations
+    for time, key in observation.keys:
         if observed is not None:
-            observed.add(norm)
-        if norm not in allowed:
+            observed.add(key)
+        if key not in allowed:
             violations.append(
                 {
                     "type": "soundness",
                     "variant": variant_name,
                     "time": time,
-                    "image": dict(norm),
+                    "image": _named(locations, key),
                 }
             )
-    witness = _observed_witness(program, observation.reads_from)
-    if witness is None:
+    reads_from = observation.reads_from
+    if len(reads_from) != observation.acquires or None in reads_from.values():
+        # Some acquire's observed value mapped to no known release
+        # (foreign writes to flag locations — the fuzzer never generates
+        # these, but directed programs might): no witness to judge.
         return violations
+    witness = ExecutionWitness(program, dict(reads_from))
     try:
         completed: List[int] = []
-        for eid, (time, image) in sorted(
-            observation.dfence_images.items(), key=lambda kv: (kv[1][0], kv[0])
+        for eid, (time, key) in sorted(
+            observation.dfence_keys.items(), key=lambda kv: (kv[1][0], kv[0])
         ):
             completed.append(eid)
-            if normalize(image) not in _allowed(witness, completed, memo):
+            if key not in _allowed(witness, completed, memo, locations):
                 violations.append(
                     {
                         "type": "dfence",
                         "variant": variant_name,
                         "time": time,
-                        "image": dict(normalize(image)),
+                        "image": _named(locations, key),
                     }
                 )
-        if normalize(observation.final_image) not in _allowed(witness, None, memo):
+        final = observation.final_key
+        if final not in _allowed(witness, None, memo, locations):
             violations.append(
                 {
                     "type": "final",
                     "variant": variant_name,
-                    "image": dict(normalize(observation.final_image)),
+                    "image": _named(locations, final),
                 }
             )
     except LitmusError as err:
@@ -245,7 +259,10 @@ def check_program(
                 "violations": [dict(v, variant=variant.name) for v in violations],
             }
         )
-    never_observed = sorted(allowed - observed)
+    locations = pm_locations(program)
+    never_observed = sorted(
+        normalize(dict(zip(locations, key))) for key in allowed - observed
+    )
     return {
         "program": program.name,
         "ops": program.op_count(),

@@ -1,10 +1,9 @@
-"""Shared infrastructure: units, configuration, bitmasks, statistics.
+"""Shared infrastructure: units, configuration, errors.
 
 Everything in this subpackage is substrate-agnostic plumbing used by the
 memory system, the GPU model, and the persistency models.
 """
 
-from repro.common.bitmask import WarpMask
 from repro.common.config import (
     DrainPolicy,
     GPUConfig,
@@ -44,7 +43,6 @@ __all__ = [
     "Scope",
     "SimulationError",
     "SystemConfig",
-    "WarpMask",
     "bytes_per_cycle",
     "cycles_to_ns",
     "gbps_to_bytes_per_cycle",

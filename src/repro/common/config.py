@@ -25,7 +25,7 @@ import enum
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, TypeVar
 
 from repro.common.errors import ConfigError
 from repro.common.units import ns_to_cycles
@@ -50,6 +50,38 @@ def stable_hash(obj: Any) -> str:
 
     text = json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+T = TypeVar("T")
+
+
+def derive(config: Any, build: Callable[[Any], T]) -> T:
+    """``build(config)``, computed once per config object and kept on it.
+
+    Configs are frozen, so a value derived from one never goes stale:
+    every machine built from the same config object shares it.  It must
+    therefore be immutable (numbers, strings, tuples); a machine's
+    mutable state is always built fresh.  The kept values are not part
+    of the config's state (see :class:`_Derivable`): an unpickled copy
+    derives its own."""
+    cache = config.__dict__.get("_derived")
+    if cache is None:
+        cache = {}
+        object.__setattr__(config, "_derived", cache)
+    value = cache.get(build)
+    if value is None:
+        value = cache[build] = build(config)
+    return value
+
+
+class _Derivable:
+    """Base of the frozen config dataclasses: what :func:`derive` keeps
+    on an object is left out of its pickled state."""
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_derived", None)
+        return state
 
 
 class Scope(enum.Enum):
@@ -102,7 +134,7 @@ L2_ASSOC = 8
 
 
 @dataclass(frozen=True)
-class GPUConfig:
+class GPUConfig(_Derivable):
     """Core and cache geometry of the simulated GPU."""
 
     num_sms: int = 30
@@ -146,7 +178,7 @@ class GPUConfig:
 
 
 @dataclass(frozen=True)
-class MemoryConfig:
+class MemoryConfig(_Derivable):
     """Latency/bandwidth parameters of the memory system (Table 1)."""
 
     placement: PMPlacement = PMPlacement.FAR
@@ -183,7 +215,7 @@ class MemoryConfig:
 
 
 @dataclass(frozen=True)
-class SBRPConfig:
+class SBRPConfig(_Derivable):
     """Knobs of the SBRP hardware implementation (Section 6)."""
 
     #: Persist-buffer entries as a fraction of L1 lines (Figure 10a).
@@ -207,7 +239,7 @@ class SBRPConfig:
 
 
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(_Derivable):
     """Complete configuration of one simulated scenario."""
 
     model: ModelName = ModelName.SBRP
@@ -216,9 +248,9 @@ class SystemConfig:
     sbrp: SBRPConfig = field(default_factory=SBRPConfig)
 
     def validate(self) -> "SystemConfig":
-        self.gpu.validate()
-        self.memory.validate()
-        self.sbrp.validate()
+        """Check every part; raises :class:`ConfigError`.  A config is
+        frozen, so each object is checked once (see :func:`derive`)."""
+        derive(self, _checked)
         return self
 
     @property
@@ -264,6 +296,13 @@ class SystemConfig:
             memory=MemoryConfig(**memory),
             sbrp=SBRPConfig(**sbrp),
         ).validate()
+
+
+def _checked(config: SystemConfig) -> bool:
+    config.gpu.validate()
+    config.memory.validate()
+    config.sbrp.validate()
+    return True
 
 
 def _known(cls: type, data: Dict[str, Any]) -> Dict[str, Any]:

@@ -624,6 +624,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _list_plans()
     if args.repro is not None:
         return _repro(args.repro)
+    if args.smoke:
+        # The smoke preset has fixed cells; only --models narrows it.
+        for flag in ("apps", "plans", "placements"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} does not apply to --smoke")
 
     models = tuple(
         m for m in ALL_MODELS if args.models is None or m.value in args.models

@@ -111,7 +111,7 @@ def run_litmus_oracle(
     misuse in the program itself.
     """
     from repro.check.corpus import library_program
-    from repro.check.oracle import allowed_unconstrained, check_observation
+    from repro.check.oracle import allowed_keys, check_observation
     from repro.faults.injector import build_injector
     from repro.formal.bridge import simulate_program
     from repro.formal.bug_detector import find_scope_bugs
@@ -119,7 +119,7 @@ def run_litmus_oracle(
     program = library_program(test_name)
     observation = simulate_program(program, model, faults=build_injector(plan))
     violations = check_observation(
-        program, observation, allowed_unconstrained(program), "base", {}
+        program, observation, allowed_keys(program), "base", {}
     )
     return {
         "test": test_name,

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.common.config import ModelName, SystemConfig, small_system
 from repro.common.errors import ConfigError
 from repro.formal.events import EventKind, LitmusProgram
+from repro.gpu.ops import Ld, St
 from repro.system import GPUSystem
 
 #: Word spacing between litmus locations.  One cache line apart, so each
@@ -36,27 +35,71 @@ from repro.system import GPUSystem
 LOC_STRIDE = 128
 
 
+#: An image in *key form*: the values of a program's PM locations in
+#: location order, zeros included (see :func:`pm_locations`).
+ImageKey = Tuple[int, ...]
+
+
+def pm_locations(program: LitmusProgram) -> List[str]:
+    """*program*'s PM locations (``p*`` names) in layout order: the
+    order of an :data:`ImageKey`'s values."""
+    return sorted(
+        {e.loc for e in program.events() if e.loc is not None and e.loc.startswith("p")}
+    )
+
+
+def image_key(image: Mapping[str, int], locations: Sequence[str]) -> ImageKey:
+    """*image* (location -> value, absent = 0) in key form."""
+    return tuple(image.get(loc, 0) for loc in locations)
+
+
 @dataclass
 class SimulationObservation:
-    """Everything one simulator run of a litmus program revealed."""
+    """Everything one simulator run of a litmus program revealed.
 
+    Images are kept in key form (:data:`ImageKey` over ``locations``),
+    the form the oracle judges them in; :attr:`images`,
+    :attr:`final_image` and :attr:`dfence_images` name them."""
+
+    #: The program's PM locations: the order of every key's values.
+    locations: Sequence[str] = ()
     #: Distinct durable PM images in order of first appearance, with the
     #: earliest time each was observed.
-    images: List[Tuple[float, Dict[str, int]]] = field(default_factory=list)
+    keys: List[Tuple[float, ImageKey]] = field(default_factory=list)
     #: The post-``sync()`` image: every buffered persist has drained.
-    final_image: Dict[str, int] = field(default_factory=dict)
+    final_key: ImageKey = ()
     #: dFence eid -> (completion time, durable image at that instant).
-    dfence_images: Dict[int, Tuple[float, Dict[str, int]]] = field(
-        default_factory=dict
-    )
+    dfence_keys: Dict[int, Tuple[float, ImageKey]] = field(default_factory=dict)
     #: Observed witness: acquire eid -> eid of the release it read (by
     #: flag value), or None when the value matched no known release.
     reads_from: Dict[int, Optional[int]] = field(default_factory=dict)
+    #: How many acquires the program has (each completed one is in
+    #: ``reads_from``).
+    acquires: int = 0
     #: Simulated completion time of the run.
     end: float = 0.0
 
+    def named(self, key: ImageKey) -> Dict[str, int]:
+        """*key* as a location -> value dict."""
+        return dict(zip(self.locations, key))
+
+    @property
+    def images(self) -> List[Tuple[float, Dict[str, int]]]:
+        return [(time, self.named(key)) for time, key in self.keys]
+
+    @property
+    def final_image(self) -> Dict[str, int]:
+        return self.named(self.final_key)
+
+    @property
+    def dfence_images(self) -> Dict[int, Tuple[float, Dict[str, int]]]:
+        return {
+            eid: (time, self.named(key))
+            for eid, (time, key) in self.dfence_keys.items()
+        }
+
     def image_dicts(self) -> List[Dict[str, int]]:
-        return [image for _, image in self.images]
+        return [self.named(key) for _, key in self.keys]
 
 
 @functools.lru_cache(maxsize=16)
@@ -75,19 +118,23 @@ def base_config(
 ) -> SystemConfig:
     """The default shrunk system for a litmus program: one SM per block
     (at least two) and enough warp slots for the widest block."""
+    return litmus_config(model, *_geometry(program))
+
+
+def _geometry(program: LitmusProgram) -> Tuple[int, int]:
     blocks = sorted({t.block for t in program.threads})
     widest = max(
         sum(1 for t in program.threads if t.block == b) for b in blocks
     )
-    return litmus_config(model, max(2, len(blocks)), 32 * max(2, widest))
+    return max(2, len(blocks)), 32 * max(2, widest)
 
 
 class ProgramSetup:
     """What every run of one litmus program shares, derived once:
     :meth:`~repro.formal.events.LitmusProgram.validate`, then from one
-    walk of the event list the location layout and the release-value
-    map, and on first use the warp slots of each thread order and the
-    leader-lane mask.
+    walk of the event list the location layout, the release-value map,
+    the acquire count and the machine geometry, and on first use the
+    warp slots of each thread order.
 
     ``LitmusProgram`` is a mutable builder, so a setup is made for one
     batch of runs (one :func:`~repro.check.enumerator.observe` call)
@@ -106,11 +153,17 @@ class ProgramSetup:
         # values unique per location, so the mapping is unambiguous
         # there.
         self.release_of_value: Dict[Tuple[str, int], int] = {}
+        #: How many acquires the program has: a run's witness is
+        #: complete when each of them read a known release.
+        self.acquires = 0
         for e in events:
             if e.kind is EventKind.PREL:
                 self.release_of_value.setdefault((e.loc, e.value), e.eid)
+            elif e.kind is EventKind.PACQ:
+                self.acquires += 1
+        #: :func:`base_config`'s (SM count, block size) for the program.
+        self.geometry = _geometry(program)
         self._slots: Dict[Any, Tuple[Any, List[List[Any]]]] = {}
-        self._leaders: Dict[int, np.ndarray] = {}
 
     def slots(
         self, thread_order: Optional[Sequence[int]]
@@ -127,11 +180,13 @@ class ProgramSetup:
             )
         return self._slots[key]
 
-    def leader(self, warp_size: int) -> np.ndarray:
-        """Lane 0 of a warp: each thread runs on its warp's leader."""
-        if warp_size not in self._leaders:
-            self._leaders[warp_size] = np.arange(warp_size) == 0
-        return self._leaders[warp_size]
+
+
+@functools.lru_cache(maxsize=8)
+def _leader(warp_size: int) -> Tuple[bool, ...]:
+    """The lane mask of a warp's leader lane (lane 0), shared by every
+    op that carries it (the SM never changes an op's mask)."""
+    return (True,) + (False,) * (warp_size - 1)
 
 
 def warp_slots(
@@ -186,7 +241,7 @@ def simulate_program(
     if crash_points < 1:
         raise ConfigError(f"crash_points must be >= 1, got {crash_points}")
     if config is None:
-        config = base_config(program, model)
+        config = litmus_config(model, *setup.geometry)
     system = GPUSystem(config, faults=faults, model_factory=model_factory)
 
     locations = setup.locations
@@ -198,10 +253,16 @@ def simulate_program(
         addr[loc] = region.base + LOC_STRIDE * index
     release_of_value = setup.release_of_value
 
-    observation = SimulationObservation()
+    observation = SimulationObservation(
+        locations=setup.pm_locations, acquires=setup.acquires
+    )
+    dfence_at: Dict[int, float] = {}
     slots = setup.slots(thread_order)[1]
     # Lane 0 of each thread's warp executes it; one mask serves all.
-    leader = setup.leader(config.gpu.warp_size)
+    # Stores and loads are built as ``w.st``/``w.ld`` would build them
+    # from a scalar address and value, without converting the mask.
+    lanes = config.gpu.warp_size
+    leader = _leader(lanes)
 
     def kernel(w):
         mine = slots[w.block_id % len(slots)]
@@ -210,15 +271,16 @@ def simulate_program(
         thread = mine[w.warp_in_block]
         for event in thread.events:
             if event.kind in (EventKind.W, EventKind.WV):
-                yield w.st(addr[event.loc], event.value, mask=leader)
+                yield St(
+                    [addr[event.loc]] * lanes, [event.value] * lanes, leader
+                )
             elif event.kind is EventKind.R:
-                yield w.ld(addr[event.loc], mask=leader)
+                yield Ld([addr[event.loc]] * lanes, leader)
             elif event.kind is EventKind.OFENCE:
                 yield w.ofence()
             elif event.kind is EventKind.DFENCE:
                 yield w.dfence()
-                now = system.gpu.engine.now
-                observation.dfence_images[event.eid] = (now, {})
+                dfence_at[event.eid] = system.gpu.engine.now
             elif event.kind is EventKind.PREL:
                 yield w.prel(addr[event.loc], event.value, event.scope)
             elif event.kind is EventKind.PACQ:
@@ -242,34 +304,32 @@ def simulate_program(
     times = {0.0, *subsystem.persist_log.boundary_times(end=end)}
     if subsystem.tearing_faults is not None:
         times.update(end * i / crash_points for i in range(crash_points + 1))
-    wanted = {t for t, _ in observation.dfence_images.values()}
+    wanted = set(dfence_at.values())
     wanted.add(end)
     instants = sorted(times | wanted)
-    # An image is keyed by its PM locations' values, in location order;
-    # a named dict is built only for a kept image and for the dFence
-    # and final instants.
-    pm_locs = setup.pm_locations
-    pm_addrs = [addr[loc] for loc in pm_locs]
+    # An image is kept in key form: its PM locations' values, in
+    # location order.
+    pm_addrs = [addr[loc] for loc in setup.pm_locations]
     zeros = [0] * len(pm_addrs)
-    seen: Set[Tuple[int, ...]] = set()
-    key_at: Dict[float, Tuple[int, ...]] = {}
-    key: Optional[Tuple[int, ...]] = None
+    seen: Set[ImageKey] = set()
+    keys = observation.keys
+    key_at: Dict[float, ImageKey] = {}
+    key: Optional[ImageKey] = None
     for t, (image, landed) in zip(instants, subsystem.crash_images(instants)):
         if key is None or landed is None or landed:
             key = tuple(map(image.get, pm_addrs, zeros))
         if t in times and key not in seen:
             seen.add(key)
-            observation.images.append((t, dict(zip(pm_locs, key))))
+            keys.append((t, key))
         if t in wanted:
             key_at[t] = key
 
-    observation.final_image = dict(zip(pm_locs, key_at[end]))
+    observation.final_key = key_at[end]
     # A dFence's durability obligation binds at its completion instant:
     # everything the issuing thread persisted before it must already be
     # durable *then* (later images only grow).
-    observation.dfence_images = {
-        eid: (t, dict(zip(pm_locs, key_at[t])))
-        for eid, (t, _) in observation.dfence_images.items()
+    observation.dfence_keys = {
+        eid: (t, key_at[t]) for eid, t in dfence_at.items()
     }
     return observation
 

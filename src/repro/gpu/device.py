@@ -197,39 +197,45 @@ class GPU:
     # ------------------------------------------------------------------
     def _fill_sm(self, sm, now: float) -> None:
         """Dispatch queued blocks onto free warp slots of *sm*."""
+        pending = self._pending_blocks
+        if not pending:
+            return
         launch = self._launch_ctx
         assert launch is not None
         kernel, args, kwargs = launch["kernel"], launch["args"], launch["kwargs"]
+        grid_blocks = launch["grid_blocks"]
         gpu_cfg = self.config.gpu
         warps_per_block = gpu_cfg.warps_per_block
-        pending = self._pending_blocks
+        max_warps = gpu_cfg.max_warps_per_sm
+        warp_size = gpu_cfg.warp_size
+        threads_per_block = gpu_cfg.threads_per_block
         while pending:
-            used = len(sm.warps)
-            if used + warps_per_block > gpu_cfg.max_warps_per_sm:
+            if len(sm.warps) + warps_per_block > max_warps:
                 break
             block_id = pending.popleft()
             key = next(self._block_keys)
             self._live_blocks[key] = _Block(key, block_id, warps_per_block)
             base_slot = self._free_slot_base(sm, warps_per_block)
+            warps = []
             for w in range(warps_per_block):
-                ctx = WarpCtx(
-                    block_id,
-                    w,
-                    gpu_cfg.warp_size,
-                    gpu_cfg.threads_per_block,
-                    launch["grid_blocks"],
+                ctx = WarpCtx(block_id, w, warp_size, threads_per_block, grid_blocks)
+                warps.append(
+                    Warp(base_slot + w, ctx, kernel(ctx, *args, **kwargs), key)
                 )
-                warp = Warp(base_slot + w, ctx, kernel(ctx, *args, **kwargs), key)
-                sm.add_warp(warp, now)
+            sm.add_block(warps, now)
             self.stats.add("kernel.blocks_dispatched")
 
     def _free_slot_base(self, sm, needed: int) -> int:
         """First run of *needed* consecutive free warp slots."""
-        occupied = set(sm.warps)
-        limit = self.config.gpu.max_warps_per_sm
-        for base in range(0, limit - needed + 1):
-            if all(base + i not in occupied for i in range(needed)):
-                return base
+        occupied = sm.warps
+        run = 0
+        for slot in range(self.config.gpu.max_warps_per_sm):
+            if slot in occupied:
+                run = 0
+                continue
+            run += 1
+            if run == needed:
+                return slot - needed + 1
         raise SimulationError("no free warp slots despite capacity check")
 
     def _watchdog_diagnostics(self) -> Dict[str, float]:

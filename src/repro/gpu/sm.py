@@ -22,10 +22,11 @@ from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import compress, repeat
 from operator import itemgetter, or_
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.common.config import GPUConfig, derive
 from repro.common.errors import SimulationError
 from repro.memory.address_space import PM_BASE
 from repro.memory.backing import WORD_SIZE, check_word_aligned
@@ -75,6 +76,30 @@ _INF = float("inf")
 _ALIGN_MASK = WORD_SIZE - 1
 
 
+class _Plan(NamedTuple):
+    """What every SM derives from its :class:`GPUConfig`: built once per
+    config object (:func:`derive`) and shared read-only by every
+    machine built from it."""
+
+    #: Per SM id: its L1's name and its PM-flush counter name.
+    names: Tuple[Tuple[str, str], ...]
+    issue_quantum: float
+    #: Failed-spin completion delta: the flag load's L1 hit latency,
+    #: the spin backoff and ``_complete``'s 1-cycle floor, whichever
+    #: is largest.
+    spin_delta: int
+
+
+def _plan(cfg: GPUConfig) -> _Plan:
+    return _Plan(
+        names=tuple(
+            (f"sm{i}.l1", f"sm{i}.pm_flushes") for i in range(cfg.num_sms)
+        ),
+        issue_quantum=1.0 / cfg.issue_width,
+        spin_delta=max(cfg.l1_hit_latency, cfg.spin_backoff_cycles, 1),
+    )
+
+
 class SM:
     """One streaming multiprocessor."""
 
@@ -91,12 +116,12 @@ class SM:
         self.stats = gpu.stats
         self.tracer = gpu.tracer
         cfg = gpu.config.gpu
+        plan = derive(cfg, _plan)
+        l1_name, self.stat_pm_flushes = plan.names[sm_id]
         self.l1 = L1Cache(
-            f"sm{sm_id}.l1", cfg.l1_size, cfg.line_size, cfg.l1_assoc, gpu.stats
+            l1_name, cfg.l1_size, cfg.line_size, cfg.l1_assoc, gpu.stats
         )
         self.line_size = cfg.line_size
-        #: Per-SM flush counter name, precomputed (flush_line is hot).
-        self.stat_pm_flushes = f"sm{sm_id}.pm_flushes"
         self.warps: Dict[int, Warp] = {}
         self._rr = 0
         self._next_issue_free = 0.0
@@ -104,11 +129,8 @@ class SM:
         self._barriers: Dict[int, List[Warp]] = {}
         self._hit_latency = cfg.l1_hit_latency
         self._l2_latency = cfg.l2_latency
-        self._issue_quantum = 1.0 / cfg.issue_width
-        #: Failed-spin completion delta: the flag load's L1 hit latency,
-        #: the spin backoff and ``_complete``'s 1-cycle floor, whichever
-        #: is largest.
-        self._spin_delta = max(cfg.l1_hit_latency, cfg.spin_backoff_cycles, 1)
+        self._issue_quantum = plan.issue_quantum
+        self._spin_delta = plan.spin_delta
         self._stats_add = self.stats.add
         # Counter dict bound directly: the registry's add() is a pure
         # ``defaultdict[name] += amount``, so hot paths skip the call.
@@ -128,14 +150,20 @@ class SM:
         """Trace-track name of a warp slot (``sm0.w03``)."""
         return f"sm{self.sm_id}.w{warp.slot:02d}"
 
-    def add_warp(self, warp: Warp, now: float) -> None:
-        if warp.slot in self.warps:
-            raise SimulationError(f"warp slot {warp.slot} already occupied")
+    def add_block(self, warps: List[Warp], now: float) -> None:
+        """Seat a block's warps, ready at *now*, and kick the issue
+        once: the first kick schedules the one issue event a kick per
+        warp would, at the same time and seq."""
+        slots = self.warps
+        tracer = self.tracer
+        for warp in warps:
+            if warp.slot in slots:
+                raise SimulationError(f"warp slot {warp.slot} already occupied")
+            warp.ready_time = now
+            slots[warp.slot] = warp
+            if tracer is not None:
+                tracer.warp_begin(self.warp_track(warp), now)
         self._slots_cache = None
-        warp.ready_time = now
-        self.warps[warp.slot] = warp
-        if self.tracer is not None:
-            self.tracer.warp_begin(self.warp_track(warp), now)
         self.kick(now)
 
     def remove_block(self, block_key: int) -> None:

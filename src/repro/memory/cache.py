@@ -174,6 +174,11 @@ class L1Cache:
             del self._map[line.tag]
         line.reset()
 
+    def holds_lines(self) -> bool:
+        """False only when no line is resident: every sweep below would
+        then find nothing to flush or drop."""
+        return bool(self._map)
+
     def _resident(self) -> List[CacheLine]:
         return [line for line in self._map.values() if line.valid]
 

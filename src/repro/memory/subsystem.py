@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.common.config import GPUConfig, MemoryConfig, PMPlacement
+from repro.common.config import GPUConfig, MemoryConfig, PMPlacement, derive
 from repro.common.units import gbps_to_bytes_per_cycle
 from repro.memory.backing import BackingStore
 from repro.memory.cache import TagCache
@@ -73,6 +73,45 @@ class PersistLog:
         return sorted(times)
 
 
+class _Plan(NamedTuple):
+    """What a memory subsystem derives from its :class:`MemoryConfig`:
+    built once per config object (:func:`derive`) and shared read-only
+    by every machine built from it.  Devices are ``(name, latency,
+    bytes/cycle)`` triples; each NVM controller adds its write
+    bandwidth and WPQ depth."""
+
+    far: bool
+    pcie_latency: int
+    gddr: Tuple[Tuple[str, int, float], ...]
+    nvm: Tuple[Tuple[str, float, float, int, int], ...]
+    pcie_bw: float
+
+
+def _plan(memory: MemoryConfig) -> _Plan:
+    parts = memory.num_partitions
+    per_part = 1.0 / parts
+    gddr_latency = memory.gddr_latency
+    gddr_bw = gbps_to_bytes_per_cycle(memory.gddr_bw_gbps) * per_part
+    scale = memory.nvm_bw_scale
+    nvm_read_bw = gbps_to_bytes_per_cycle(memory.nvm_read_bw_gbps * scale) * per_part
+    nvm_write_bw = (
+        gbps_to_bytes_per_cycle(memory.nvm_write_bw_gbps * scale) * per_part
+    )
+    nvm_latency = memory.nvm_latency
+    return _Plan(
+        far=memory.placement is PMPlacement.FAR,
+        pcie_latency=memory.pcie_latency,
+        gddr=tuple((f"gddr{i}", gddr_latency, gddr_bw) for i in range(parts)),
+        nvm=tuple(
+            (f"nvm{i}", nvm_read_bw, nvm_write_bw, nvm_latency, memory.wpq_entries)
+            for i in range(parts)
+        ),
+        # PCIe is full duplex: independent down (GPU->host) and up
+        # (host->GPU) channels, each at the link bandwidth.
+        pcie_bw=gbps_to_bytes_per_cycle(memory.pcie_bw_gbps),
+    )
+
+
 class MemorySubsystem:
     """Shared L2 + device routing for one simulated system."""
 
@@ -93,48 +132,27 @@ class MemorySubsystem:
         self.faults = faults
         self.line_size = gpu.line_size
         self.l2 = TagCache("l2", gpu.l2_size, gpu.line_size, stats=stats)
-        # Derived cycle constants, computed once per machine: the
-        # routing and persist paths read them on every transaction.
+        # Cycle constants and device parameters are derived once per
+        # config; the routing and persist paths read them on every
+        # transaction.
+        plan = derive(memory, _plan)
         self._l2_latency = gpu.l2_latency
-        self._pcie_latency = memory.pcie_latency
-        self._parts = parts = memory.num_partitions
-        self._far = memory.placement is PMPlacement.FAR
-
-        per_part = 1.0 / parts
-        gddr_latency = memory.gddr_latency
-        gddr_bw = gbps_to_bytes_per_cycle(memory.gddr_bw_gbps) * per_part
+        self._pcie_latency = pcie_latency = plan.pcie_latency
+        self._parts = memory.num_partitions
+        self._far = plan.far
         self.gddr = [
-            BandwidthChannel(f"gddr{i}", gddr_latency, gddr_bw, stats, tracer)
-            for i in range(parts)
+            BandwidthChannel(name, latency, bw, stats, tracer)
+            for name, latency, bw in plan.gddr
         ]
-        scale = memory.nvm_bw_scale
-        nvm_read_bw = (
-            gbps_to_bytes_per_cycle(memory.nvm_read_bw_gbps * scale) * per_part
-        )
-        nvm_write_bw = (
-            gbps_to_bytes_per_cycle(memory.nvm_write_bw_gbps * scale) * per_part
-        )
-        nvm_latency = memory.nvm_latency
         self.nvm = [
-            NVMController(
-                f"nvm{i}",
-                nvm_read_bw,
-                nvm_write_bw,
-                nvm_latency,
-                memory.wpq_entries,
-                stats,
-                tracer,
-            )
-            for i in range(parts)
+            NVMController(name, read_bw, write_bw, latency, wpq, stats, tracer)
+            for name, read_bw, write_bw, latency, wpq in plan.nvm
         ]
-        # PCIe is full duplex: independent down (GPU->host) and up
-        # (host->GPU) channels, each at the link bandwidth.
-        pcie_bw = gbps_to_bytes_per_cycle(memory.pcie_bw_gbps)
         self.pcie_down = BandwidthChannel(
-            "pcie", self._pcie_latency, pcie_bw, stats, tracer
+            "pcie", pcie_latency, plan.pcie_bw, stats, tracer
         )
         self.pcie_up = BandwidthChannel(
-            "pcie_up", self._pcie_latency, pcie_bw, stats, tracer
+            "pcie_up", pcie_latency, plan.pcie_bw, stats, tracer
         )
         self.persist_log = PersistLog()
         self._persist_seq = 0

@@ -98,16 +98,22 @@ class EpochModel(PersistencyModel):
         # Even an empty barrier costs a round trip to the L2 (the point
         # of device-wide ordering) - real __threadfence timing.
         latest = now + FENCE_COST + self.config.gpu.l2_latency
-        for line in sm.l1.dirty_pm_lines():
-            ack = self.flush_line(sm, line, now)
-            self._track(sm, ack.ack_time)
-            self.stats.add("epoch.barrier_flushes")
+        l1 = sm.l1
+        dropped = 0
+        # An empty L1 has nothing to flush or drop, and an SM with
+        # nothing in flight has nothing to wait for: neither is swept.
+        if l1.holds_lines():
+            for line in l1.dirty_pm_lines():
+                ack = self.flush_line(sm, line, now)
+                self._track(sm, ack.ack_time)
+                self.stats.add("epoch.barrier_flushes")
+            dropped = l1.invalidate_pm()
+            if self.invalidate_volatile:
+                dropped += l1.invalidate_all()
         # The barrier is unbuffered and scope-agnostic: it waits for every
         # persist of the SM still in flight, not only its own flushes.
-        latest = max(latest, self._outstanding_after(sm, now))
-        dropped = sm.l1.invalidate_pm()
-        if self.invalidate_volatile:
-            dropped += sm.l1.invalidate_all()
+        if self._outstanding[sm.sm_id]:
+            latest = max(latest, self._outstanding_after(sm, now))
         self.stats.add("epoch.lines_invalidated", dropped)
         self.stats.add("epoch.barriers")
         return latest
@@ -172,12 +178,15 @@ class EpochModel(PersistencyModel):
     # ------------------------------------------------------------------
     def begin_drain(self, sm: "SM", now: float) -> None:
         latest = now
-        for line in sm.l1.dirty_pm_lines():
-            ack = self.flush_line(sm, line, now)
-            latest = max(latest, ack.ack_time)
-        latest = max(latest, self._outstanding_after(sm, now))
-        self._outstanding[sm.sm_id] = []
-        sm.l1.invalidate_pm()
+        l1 = sm.l1
+        if l1.holds_lines():
+            for line in l1.dirty_pm_lines():
+                ack = self.flush_line(sm, line, now)
+                latest = max(latest, ack.ack_time)
+            l1.invalidate_pm()
+        if self._outstanding[sm.sm_id]:
+            latest = max(latest, self._outstanding_after(sm, now))
+            self._outstanding[sm.sm_id] = []
         self._drain_done[sm.sm_id] = latest
         end = self._drain_end
         self._drain_end = latest if end is None or latest > end else end

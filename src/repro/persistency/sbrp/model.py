@@ -27,8 +27,7 @@ import math
 import weakref
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set
 
-from repro.common.bitmask import WarpMask
-from repro.common.config import DrainPolicy, Scope, SystemConfig
+from repro.common.config import DrainPolicy, Scope, SystemConfig, derive
 from repro.common.errors import PersistencyError
 from repro.metrics.registry import MetricsRegistry
 from repro.memory.address_space import is_pm_addr
@@ -45,6 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover
 LAZY_PRESSURE = 0.75
 
 
+def _pb_entries(config: SystemConfig) -> int:
+    """Persist-buffer capacity, derived once per config object."""
+    return config.sbrp.pb_entries(config.gpu)
+
+
 class SBRPModel(PersistencyModel):
     """Scoped Buffered Release Persistency."""
 
@@ -58,11 +62,12 @@ class SBRPModel(PersistencyModel):
         self._window = config.sbrp.window
         #: Ids of the SMs a ``GPU.sync`` drain still waits for.
         self._draining: Set[int] = set()
+        self._pb_entries = derive(config, _pb_entries)
 
     def init_sm(self, sm: "SM") -> None:
         self.states[sm.sm_id] = SBRPState(
             sm.sm_id,
-            pb_entries=self.config.sbrp.pb_entries(self.config.gpu),
+            pb_entries=self._pb_entries,
             max_warps=self.config.gpu.max_warps_per_sm,
         )
 
@@ -88,7 +93,7 @@ class SBRPModel(PersistencyModel):
                         # A later ordering point forbids coalescing; the
                         # warp waits in the EDM until the old persist is
                         # acknowledged, then retries with a fresh entry.
-                        st.edm.set(warp.slot)
+                        st.edm |= bit
                         entry.waiters.append(warp)
                         st.force_until_seq = max(st.force_until_seq, entry.seq)
                         self.stats.add("sbrp.edm_stalls")
@@ -139,7 +144,7 @@ class SBRPModel(PersistencyModel):
 
     def _stall_for_space(self, sm: "SM", st: SBRPState, warp: "Warp") -> None:
         st.space_waiters.append(warp)
-        st.edm.set(warp.slot)
+        st.edm |= st.warp_bit(warp.slot)
         self.stats.add("sbrp.pb_full_stalls")
         self._schedule_pump(sm)
         return None
@@ -179,7 +184,7 @@ class SBRPModel(PersistencyModel):
         entry = st.pb.append(EntryKind.DFENCE, bit)
         entry.waiting_warp = warp
         st.note_order_point(warp.slot, entry)
-        st.odm.set(warp.slot)
+        st.odm |= bit
         st.force_until_seq = max(st.force_until_seq, entry.seq)
         self.stats.add("sbrp.dfences")
         self._schedule_pump(sm)
@@ -253,7 +258,7 @@ class SBRPModel(PersistencyModel):
             self._schedule_pump(sm)
             return now + 2
         entry.waiting_warp = warp
-        st.odm.set(warp.slot)
+        st.odm |= bit
         st.force_until_seq = max(st.force_until_seq, entry.seq)
         self.stats.add("sbrp.prel_device")
         self._schedule_pump(sm)
@@ -299,9 +304,9 @@ class SBRPModel(PersistencyModel):
         # acceptance order across memory partitions is not global, so an
         # early flush could become durable before its predecessors.
         if st.pb.order_entry_before(entry.seq) or (
-            entry.warp_mask & st.fsm.bits and st.actr > 0
+            entry.warp_mask & st.fsm and st.actr > 0
         ):
-            st.edm.set(warp.slot)
+            st.edm |= st.warp_bit(warp.slot)
             st.actr_zero_waiters.append(warp)
             st.force_until_seq = max(st.force_until_seq, entry.seq)
             self.stats.add("sbrp.evict_stalls")
@@ -365,15 +370,16 @@ class SBRPModel(PersistencyModel):
         all held: when only appends (or space waiters) came since, the
         next scan resumes after those with that hold (DESIGN §13).
         Traced passes always scan everything: the scan emits the delay
-        events.
+        events.  An untraced pass does not scan an empty PB: it sets the
+        memo the scan would have left.
         """
         st = self.states[sm.sm_id]
         st.pump_scheduled = False
         if st.actr == 0:
-            st.fsm.reset()
+            st.fsm = 0
         traced = sm.tracer is not None
         pb = st.pb
-        fsm_bits = st.fsm.bits
+        fsm_bits = st.fsm
         # Inlined _policy_allows for the WINDOW policy (the default):
         # the method is pure, so short-circuiting here is value-identical.
         window = (
@@ -382,7 +388,10 @@ class SBRPModel(PersistencyModel):
             else None
         )
         memo = st.scan_memo
-        if (
+        if not pb and not traced:
+            # Any scan of an empty PB visits nothing and leaves this.
+            st.scan_memo = (pb.edits, fsm_bits, st.force_until_seq, pb.last_seq, 0, 0)
+        elif (
             memo is None
             or traced
             or memo[0] != pb.edits
@@ -398,7 +407,7 @@ class SBRPModel(PersistencyModel):
                 sm, st, window, traced, now, memo[5], memo[4]
             )
         if st.actr == 0:
-            st.fsm.reset()
+            st.fsm = 0
             self._resolve_actr_zero(sm, st, now)
         if traced:
             self._trace_pb(sm, st, now)
@@ -417,8 +426,7 @@ class SBRPModel(PersistencyModel):
         *start* (a held prefix whose masks OR to *hold*); returns the
         memo key that lets the next pass skip or resume the scan."""
         pb = st.pb
-        fsm = st.fsm
-        fsm_bits = fsm.bits  # only _order_point_at_head mutates the FSM
+        fsm_bits = st.fsm  # only _order_point_at_head changes the FSM
         persist = EntryKind.PERSIST
         remove = pb.remove
         # A snapshot: the pass removes entries as it goes, and nothing
@@ -456,7 +464,7 @@ class SBRPModel(PersistencyModel):
                     continue
                 remove(entry)
                 self._order_point_at_head(sm, st, entry, now)
-                fsm_bits = fsm.bits
+                fsm_bits = st.fsm
             if st.space_waiters:
                 self._wake_space_waiters(sm, st, now)
         else:
@@ -473,13 +481,13 @@ class SBRPModel(PersistencyModel):
     def _order_point_at_head(
         self, sm: "SM", st: SBRPState, entry: PBEntry, now: float
     ) -> None:
-        mask = WarpMask(st.max_warps, entry.warp_mask)
+        mask = entry.warp_mask
         if entry.kind in (EntryKind.OFENCE, EntryKind.PACQ):
             # The issuing warp's later persists must wait for its earlier
             # (possibly in-flight) persists: oFence by intra-thread PMO,
             # pAcq because the matching release's persists may still be
             # unacknowledged ahead in the FIFO.
-            st.fsm.or_with(mask)
+            st.fsm |= mask
             return
         if entry.kind is EntryKind.PREL and entry.scope is Scope.BLOCK:
             # A release does NOT order the releasing warp's own later
@@ -499,11 +507,11 @@ class SBRPModel(PersistencyModel):
                     )
                 )
             return
-        st.fsm.or_with(mask)
+        st.fsm |= mask
         # Device-scope pRel or dFence: ODM -> EDM handoff; the warp
         # resumes (and the flag publishes) when the ACTR reaches zero.
-        st.odm.clear_mask(mask)
-        st.edm.or_with(mask)
+        st.odm &= ~mask
+        st.edm |= mask
         action = ActrZeroAction(warp=entry.waiting_warp, effect=None)
         if entry.kind is EntryKind.PREL and entry.flag_addr is not None:
             addr, value = entry.flag_addr, entry.flag_value
@@ -533,7 +541,7 @@ class SBRPModel(PersistencyModel):
         line = sm.l1.lookup(entry.line_addr, now)
         if line is None or not line.dirty:
             for waiter in entry.waiters:
-                st.edm.clear(waiter.slot)
+                st.edm &= ~st.warp_bit(waiter.slot)
                 sm.wake_warp(waiter, now + 1)
             return
         ack = self.flush_line(sm, line, now)
@@ -570,10 +578,10 @@ class SBRPModel(PersistencyModel):
             if sm.tracer is not None:
                 sm.tracer.counter(f"sm{sm.sm_id}", "actr", t, float(st.actr))
             for waiter in waiters:
-                st.edm.clear(waiter.slot)
+                st.edm &= ~st.warp_bit(waiter.slot)
                 sm.wake_warp(waiter, t)
             if st.actr == 0:
-                st.fsm.reset()
+                st.fsm = 0
                 self._resolve_actr_zero(sm, st, t)
             self._schedule_pump(sm)
             if self._draining:
@@ -592,11 +600,11 @@ class SBRPModel(PersistencyModel):
             if action.effect is not None:
                 action.effect(now)
             if action.warp is not None:
-                st.edm.clear(action.warp.slot)
+                st.edm &= ~st.warp_bit(action.warp.slot)
                 sm.complete_blocked(action.warp, now + 1)
         waiters, st.actr_zero_waiters = st.actr_zero_waiters, []
         for waiter in waiters:
-            st.edm.clear(waiter.slot)
+            st.edm &= ~st.warp_bit(waiter.slot)
             sm.wake_warp(waiter, now)
 
     def _wake_space_waiters(self, sm: "SM", st: SBRPState, now: float) -> None:
@@ -604,7 +612,7 @@ class SBRPModel(PersistencyModel):
             return
         waiters, st.space_waiters = st.space_waiters, []
         for waiter in waiters:
-            st.edm.clear(waiter.slot)
+            st.edm &= ~st.warp_bit(waiter.slot)
             sm.wake_warp(waiter, now + 1)
 
     # ==================================================================
@@ -643,7 +651,7 @@ class SBRPModel(PersistencyModel):
         """Reset per-SM state for the next kernel launch."""
         st = self.states[sm.sm_id]
         st.hard_reset_acks()
-        st.odm.reset()
-        st.edm.reset()
+        st.odm = 0
+        st.edm = 0
         st.force_until_seq = 0
         st.last_order_seq = [0] * st.max_warps

@@ -12,7 +12,9 @@ The three masks are the paper's Section 6 structures:
 
 The simulator drives control flow through explicit waiter lists, but the
 masks are maintained faithfully so tests (and curious users) can observe
-exactly the hardware state the paper describes.
+exactly the hardware state the paper describes.  Each mask is a plain
+``int`` with bit *i* for warp slot *i*, like the PB's Warp BMs;
+:meth:`SBRPState.warp_bit` is the one bounds check on a slot.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, TYPE_CHECKING
 
-from repro.common.bitmask import WarpMask
 from repro.persistency.sbrp.pbuffer import PBEntry, PersistBuffer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,9 +45,9 @@ class SBRPState:
         self.sm_id = sm_id
         self.pb = PersistBuffer(pb_entries)
         self.max_warps = max_warps
-        self.odm = WarpMask(max_warps)
-        self.edm = WarpMask(max_warps)
-        self.fsm = WarpMask(max_warps)
+        self.odm = 0
+        self.edm = 0
+        self.fsm = 0
         #: Pending (flushed, unacknowledged) persists.
         self.actr = 0
         #: Persists flushed but not yet *accepted* by the persistence
@@ -116,4 +117,4 @@ class SBRPState:
         self.actr = 0
         self.sends_pending = 0
         self.inflight_acks.clear()
-        self.fsm.reset()
+        self.fsm = 0

@@ -9,7 +9,7 @@ from repro.check.corpus import (
     library_program,
     unmet_expectations,
 )
-from repro.check.oracle import allowed_unconstrained, check_observation
+from repro.check.oracle import allowed_keys, check_observation
 from repro.common.config import ModelName
 from repro.formal.bridge import simulate_program
 from repro.formal.bug_detector import find_scope_bugs
@@ -78,7 +78,7 @@ def test_simulator_refines_model(name, model):
     program = library_program(name)
     observation = simulate_program(program, model)
     violations = check_observation(
-        program, observation, allowed_unconstrained(program), "base", {}
+        program, observation, allowed_keys(program), "base", {}
     )
     assert violations == []
 

@@ -14,7 +14,7 @@ from repro.check import enumerator, oracle
 from repro.check.corpus import corpus_programs
 from repro.check.enumerator import SMOKE_VARIANTS, VARIANTS, observe
 from repro.check.oracle import (
-    allowed_unconstrained,
+    allowed_keys,
     check_observation,
     check_program,
     normalize,
@@ -70,7 +70,7 @@ def constructions(monkeypatch):
 
 def per_variant_report(prog, model, variants, crash_points=48):
     """``check_program``'s report, with one ``observe`` per variant."""
-    allowed = allowed_unconstrained(prog)
+    allowed = allowed_keys(prog)
     memo = {}
     observed = set()
     reports = []
@@ -78,7 +78,7 @@ def per_variant_report(prog, model, variants, crash_points=48):
     for variant in variants:
         (obs,) = observe(prog, model, [variant], crash_points=crash_points)
         sim_cycles += obs.end
-        observed.update(normalize(image) for image in obs.image_dicts())
+        observed.update(key for _, key in obs.keys)
         reports.append(
             {
                 "variant": variant.name,
@@ -98,7 +98,12 @@ def per_variant_report(prog, model, variants, crash_points=48):
         "coverage": {
             "allowed": len(allowed),
             "observed_allowed": len(observed & allowed),
-            "never_observed": [dict(n) for n in sorted(allowed - observed)[:8]],
+            "never_observed": [
+                dict(n)
+                for n in sorted(
+                    normalize(obs.named(key)) for key in allowed - observed
+                )[:8]
+            ],
         },
         "sim_cycles": sim_cycles,
     }

@@ -136,6 +136,17 @@ class TestRepro:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--apps", "hashmap"), ("--plans", "ack_loss"), ("--placements", "near")],
+    )
+    def test_smoke_rejects_cell_filters(self, capsys, flag, value):
+        # The smoke cells are fixed: a filter it would ignore is an error.
+        with pytest.raises(SystemExit) as info:
+            main(["--smoke", flag, value, "--models", "sbrp"])
+        assert info.value.code == 2
+        assert f"{flag} does not apply to --smoke" in capsys.readouterr().err
+
     @pytest.mark.parametrize("plan", ["torn_window", "drain_reorder", "drain_drop"])
     def test_retired_plan_name_rejected(self, capsys, plan):
         with pytest.raises(SystemExit) as info:

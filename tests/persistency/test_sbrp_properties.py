@@ -7,10 +7,10 @@ between the hardware structure and its obviously-correct model is a
 bug in the structure.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bitmask import WarpMask
 from repro.persistency.sbrp.pbuffer import EntryKind, PersistBuffer
 from repro.persistency.sbrp.state import SBRPState
 
@@ -108,35 +108,46 @@ mask_ops = st.lists(
 )
 
 
+def _bits(warps):
+    return sum(1 << warp for warp in warps)
+
+
 @settings(max_examples=80, deadline=None)
 @given(mask_ops)
 def test_sm_masks_match_set_model(ops):
+    """The masks are plain ints stepped with the model's own operations:
+    set and clear a slot's ``warp_bit``, OR in or clear out a Warp BM."""
     state = SBRPState(sm_id=0, pb_entries=8, max_warps=MAX_WARPS)
-    masks = {"odm": state.odm, "edm": state.edm, "fsm": state.fsm}
     model = {"odm": set(), "edm": set(), "fsm": set()}
     for op, which, warps in ops:
-        mask, ref = masks[which], model[which]
+        mask, ref = getattr(state, which), model[which]
         if op == "set":
             for warp in warps:
-                mask.set(warp)
+                mask |= state.warp_bit(warp)
             ref |= warps
         elif op == "clear":
             for warp in warps:
-                mask.clear(warp)
+                mask &= ~state.warp_bit(warp)
             ref -= warps
         elif op == "or":
-            mask.or_with(WarpMask.from_warps(warps, MAX_WARPS))
+            mask |= _bits(warps)
             ref |= warps
         elif op == "diff":
-            mask.clear_mask(WarpMask.from_warps(warps, MAX_WARPS))
+            mask &= ~_bits(warps)
             ref -= warps
         else:
-            mask.reset()
+            mask = 0
             ref.clear()
-        for name in masks:
-            assert set(masks[name].warps()) == model[name], name
-            assert masks[name].count() == len(model[name])
-            assert masks[name].any() == bool(model[name])
+        setattr(state, which, mask)
+        for name in model:
+            assert getattr(state, name) == _bits(model[name]), name
+
+
+@pytest.mark.parametrize("slot", [-1, MAX_WARPS, MAX_WARPS + 5])
+def test_out_of_range_slot_raises(slot):
+    state = SBRPState(sm_id=0, pb_entries=8, max_warps=MAX_WARPS)
+    with pytest.raises(IndexError):
+        state.warp_bit(slot)
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,7 +161,7 @@ def test_actr_tracks_inflight_acks(data):
         op = data.draw(st.sampled_from(["flush", "ack", "hard_reset"]))
         if op == "flush":
             state.add_inflight(next_time)
-            state.fsm.set(data.draw(st.integers(0, MAX_WARPS - 1)))
+            state.fsm |= state.warp_bit(data.draw(st.integers(0, MAX_WARPS - 1)))
             next_time += 1.0
         elif op == "ack" and state.inflight_acks:
             state.retire_ack(data.draw(st.sampled_from(state.inflight_acks)))
@@ -158,6 +169,6 @@ def test_actr_tracks_inflight_acks(data):
             generation = state.generation
             state.hard_reset_acks()
             assert state.generation == generation + 1
-            assert not state.fsm.any()
+            assert state.fsm == 0
         assert state.actr == len(state.inflight_acks)
         assert state.actr >= 0

@@ -113,8 +113,8 @@ class TestSBRPState:
     def test_hard_reset_bumps_generation(self):
         st = self.make()
         st.add_inflight(5.0)
-        st.fsm.set(2)
+        st.fsm |= st.warp_bit(2)
         generation = st.generation
         st.hard_reset_acks()
         assert st.generation == generation + 1
-        assert st.actr == 0 and not st.fsm.any()
+        assert st.actr == 0 and st.fsm == 0

@@ -5,7 +5,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import GPUSystem, ModelName, Scope, small_system
-from repro.common.bitmask import WarpMask
 from repro.formal import (
     ExecutionWitness,
     LitmusProgram,
@@ -17,31 +16,6 @@ from repro.formal.events import all_reads_from
 from repro.formal.relations import transitive_closure
 from repro.memory.devices import BandwidthChannel, NVMController
 from repro.persistency.sbrp.pbuffer import EntryKind, PersistBuffer
-
-# ----------------------------------------------------------------------
-# WarpMask
-# ----------------------------------------------------------------------
-warp_sets = st.sets(st.integers(0, 31), max_size=8)
-
-
-@given(warp_sets, warp_sets)
-def test_warpmask_or_is_union(a, b):
-    ma, mb = WarpMask.from_warps(a), WarpMask.from_warps(b)
-    ma.or_with(mb)
-    assert set(ma.warps()) == a | b
-
-
-@given(warp_sets, warp_sets)
-def test_warpmask_and_nonzero_iff_intersection(a, b):
-    assert WarpMask.from_warps(a).and_nonzero(WarpMask.from_warps(b)) == bool(a & b)
-
-
-@given(warp_sets, warp_sets)
-def test_warpmask_clear_mask_is_difference(a, b):
-    ma = WarpMask.from_warps(a)
-    ma.clear_mask(WarpMask.from_warps(b))
-    assert set(ma.warps()) == a - b
-
 
 # ----------------------------------------------------------------------
 # Bandwidth channel / WPQ
