@@ -16,6 +16,47 @@ from repro.formal.events import all_reads_from
 from repro.formal.relations import transitive_closure
 from repro.memory.devices import BandwidthChannel, NVMController
 from repro.persistency.sbrp.pbuffer import EntryKind, PersistBuffer
+from repro.persistency.sbrp.state import SBRPState
+
+# ----------------------------------------------------------------------
+# Warp masks: plain ints with bit i for warp slot i (SBRPState.warp_bit)
+# ----------------------------------------------------------------------
+warp_sets = st.sets(st.integers(0, 31), max_size=8)
+
+
+def _mask(state, warps):
+    mask = 0
+    for warp in warps:
+        mask |= state.warp_bit(warp)
+    return mask
+
+
+def _warps(mask):
+    return {slot for slot in range(mask.bit_length()) if mask >> slot & 1}
+
+
+@given(warp_sets, warp_sets)
+def test_warpmask_or_is_union(a, b):
+    state = SBRPState(sm_id=0, pb_entries=4, max_warps=32)
+    pb = PersistBuffer(capacity=4)
+    entry = pb.append(EntryKind.PERSIST, _mask(state, a), 0x40)
+    pb.merge(entry, _mask(state, b))
+    assert _warps(entry.warp_mask) == a | b
+
+
+@given(warp_sets, warp_sets)
+def test_warpmask_and_nonzero_iff_intersection(a, b):
+    state = SBRPState(sm_id=0, pb_entries=4, max_warps=32)
+    assert bool(_mask(state, a) & _mask(state, b)) == bool(a & b)
+
+
+@given(warp_sets, warp_sets)
+def test_warpmask_clear_mask_is_difference(a, b):
+    state = SBRPState(sm_id=0, pb_entries=4, max_warps=32)
+    state.odm = _mask(state, a)
+    state.odm &= ~_mask(state, b)
+    assert _warps(state.odm) == a - b
+
 
 # ----------------------------------------------------------------------
 # Bandwidth channel / WPQ
