@@ -173,19 +173,18 @@ def observe(
     :class:`ConfigError`.  The program's :class:`ProgramSetup` is
     derived once per call and shared by its runs."""
     setup = ProgramSetup(program)
+    base = litmus_config(model, *setup.geometry)
     runs: Dict[Tuple[Any, ...], Any] = {}
     results = []
     for variant in variants:
         order = variant.thread_order(program)
-        knobs = variant.knobs(model)
-        run = (knobs, setup.slots(order)[0])
+        run = (variant.knobs(model), setup.slots(order)[0])
         if run not in runs:
             try:
                 runs[run] = simulate_program(
                     program,
                     model=model,
-                    # What variant.configure does to the base config.
-                    config=_configured(model, *setup.geometry, knobs),
+                    config=variant.configure(base),
                     crash_points=crash_points,
                     model_factory=model_factory,
                     thread_order=order,

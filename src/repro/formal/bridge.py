@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, 
 from repro.common.config import ModelName, SystemConfig, small_system
 from repro.common.errors import ConfigError
 from repro.formal.events import EventKind, LitmusProgram
-from repro.gpu.ops import Ld, St
 from repro.system import GPUSystem
 
 #: Word spacing between litmus locations.  One cache line apart, so each
@@ -181,11 +180,10 @@ class ProgramSetup:
         return self._slots[key]
 
 
-
 @functools.lru_cache(maxsize=8)
 def _leader(warp_size: int) -> Tuple[bool, ...]:
-    """The lane mask of a warp's leader lane (lane 0), shared by every
-    op that carries it (the SM never changes an op's mask)."""
+    """The lane mask of a warp's leader lane (lane 0).  A tuple, so every
+    op built with it shares it as is (see :func:`repro.gpu.ops._as_mask`)."""
     return (True,) + (False,) * (warp_size - 1)
 
 
@@ -259,10 +257,7 @@ def simulate_program(
     dfence_at: Dict[int, float] = {}
     slots = setup.slots(thread_order)[1]
     # Lane 0 of each thread's warp executes it; one mask serves all.
-    # Stores and loads are built as ``w.st``/``w.ld`` would build them
-    # from a scalar address and value, without converting the mask.
-    lanes = config.gpu.warp_size
-    leader = _leader(lanes)
+    leader = _leader(config.gpu.warp_size)
 
     def kernel(w):
         mine = slots[w.block_id % len(slots)]
@@ -271,11 +266,9 @@ def simulate_program(
         thread = mine[w.warp_in_block]
         for event in thread.events:
             if event.kind in (EventKind.W, EventKind.WV):
-                yield St(
-                    [addr[event.loc]] * lanes, [event.value] * lanes, leader
-                )
+                yield w.st(addr[event.loc], event.value, mask=leader)
             elif event.kind is EventKind.R:
-                yield Ld([addr[event.loc]] * lanes, leader)
+                yield w.ld(addr[event.loc], mask=leader)
             elif event.kind is EventKind.OFENCE:
                 yield w.ofence()
             elif event.kind is EventKind.DFENCE:

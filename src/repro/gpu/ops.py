@@ -9,7 +9,8 @@ Addresses and values are per-lane lists of Python ints, converted once
 when the op is built (a scalar is repeated across the lanes, a numpy
 lane vector is unpacked with ``tolist``); ``mask`` is a per-lane list of
 truth values selecting the active lanes (SIMT predication), or ``None``
-when every lane is active.  Scalar ops (``PAcq``/``PRel``) take a
+when every lane is active.  A tuple of ``True``/``False`` lanes is kept
+as is: it is immutable, so one mask can serve many ops.  Scalar ops (``PAcq``/``PRel``) take a
 single address because in every paper workload a single leader lane
 performs the release/acquire.
 """
@@ -44,10 +45,19 @@ def _as_lanes(values: Sequence[int] | np.ndarray | int, lanes: int) -> List[int]
     return arr.tolist()
 
 
-def _as_mask(mask: Optional[Sequence[bool]], lanes: int) -> Optional[List[bool]]:
-    """Per-lane activity of *mask*; ``None`` (every lane) stays ``None``."""
+def _as_mask(
+    mask: Optional[Sequence[bool]], lanes: int
+) -> Optional[Sequence[bool]]:
+    """Per-lane activity of *mask*; ``None`` (every lane) stays ``None``
+    and a tuple of *lanes* ``True``/``False`` values is returned as is."""
     if mask is None:
         return None
+    if (
+        type(mask) is tuple
+        and len(mask) == lanes
+        and mask.count(True) + mask.count(False) == lanes
+    ):
+        return mask
     arr = np.asarray(mask, dtype=bool)
     if arr.shape != (lanes,):
         raise ValueError(f"expected {lanes} mask lanes, got shape {arr.shape}")
@@ -76,7 +86,7 @@ class Ld(Op):
     """Per-lane loads; the SM sends back an int64 array of lane values."""
 
     addrs: List[int]
-    mask: Optional[List[bool]]
+    mask: Optional[Sequence[bool]]
 
 
 @dataclass(slots=True)
@@ -90,7 +100,7 @@ class St(Op):
 
     addrs: List[int]
     values: List[int]
-    mask: Optional[List[bool]]
+    mask: Optional[Sequence[bool]]
     pm_lines: Optional[dict] = None
     vol_words: Optional[dict] = None
     vol_lines: Optional[set] = None
@@ -103,7 +113,7 @@ class AtomicAdd(Op):
 
     addrs: List[int]
     values: List[int]
-    mask: Optional[List[bool]]
+    mask: Optional[Sequence[bool]]
 
 
 @dataclass(slots=True)

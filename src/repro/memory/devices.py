@@ -14,8 +14,7 @@ device's write bandwidth, and a full WPQ back-pressures acceptance.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
-from typing import Deque, NamedTuple, Optional, Tuple
+from typing import Deque, NamedTuple, Optional
 
 from repro.metrics.registry import MetricsRegistry
 from repro.trace.tracer import Tracer
@@ -32,19 +31,6 @@ class WriteAck(NamedTuple):
 
     accept_time: float
     ack_time: float
-
-
-@lru_cache(maxsize=256)
-def stat_names(name: str, suffixes: Tuple[str, ...]) -> Tuple[str, ...]:
-    """``name.suffix`` for each suffix, built once per device name: the
-    hot paths count under them, and every machine's devices share the
-    same few names."""
-    return tuple(f"{name}.{suffix}" for suffix in suffixes)
-
-
-_CHANNEL_STATS = ("bytes", "transfers", "busy_cycles")
-#: The read channel's name, then the controller's write-side counters.
-_NVM_STATS = ("read", "wpq_stall_cycles", "bytes_written", "writes")
 
 
 class BandwidthChannel:
@@ -72,9 +58,9 @@ class BandwidthChannel:
         self.stats = stats if stats is not None else MetricsRegistry()
         self.tracer = tracer
         # Hot path: precomputed stat names (no per-transfer f-strings).
-        self._stat_bytes, self._stat_transfers, self._stat_busy = stat_names(
-            name, _CHANNEL_STATS
-        )
+        self._stat_bytes = f"{name}.bytes"
+        self._stat_transfers = f"{name}.transfers"
+        self._stat_busy = f"{name}.busy_cycles"
 
     def transfer(self, now: float, nbytes: int) -> float:
         """Return the completion time of a transfer of *nbytes*."""
@@ -115,11 +101,8 @@ class NVMController:
         self.name = name
         self.tracer = tracer
         self.stats = stats if stats is not None else MetricsRegistry()
-        read_name, self._stat_wpq_stall, self._stat_bytes_written, self._stat_writes = (
-            stat_names(name, _NVM_STATS)
-        )
         self.read_channel = BandwidthChannel(
-            read_name, latency, read_bytes_per_cycle, self.stats, self.tracer
+            f"{name}.read", latency, read_bytes_per_cycle, self.stats, self.tracer
         )
         self.write_bytes_per_cycle = write_bytes_per_cycle
         self.latency = latency
@@ -131,6 +114,9 @@ class NVMController:
         # write is accepted once a slot is free.
         self._wpq: Deque[float] = deque()
         self._last_drain_end = 0.0
+        self._stat_wpq_stall = f"{name}.wpq_stall_cycles"
+        self._stat_bytes_written = f"{name}.bytes_written"
+        self._stat_writes = f"{name}.writes"
 
     def read(self, now: float, nbytes: int) -> float:
         """Completion time of a read of *nbytes* from the NVM medium."""

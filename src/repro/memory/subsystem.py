@@ -78,9 +78,9 @@ class _Plan(NamedTuple):
     built once per config object (:func:`derive`) and shared read-only
     by every machine built from it.  Devices are ``(name, latency,
     bytes/cycle)`` triples; each NVM controller adds its write
-    bandwidth and WPQ depth."""
+    bandwidth and WPQ depth.  Latencies are in cycles (the config's
+    ``*_latency`` properties convert nanoseconds on every read)."""
 
-    far: bool
     pcie_latency: int
     gddr: Tuple[Tuple[str, int, float], ...]
     nvm: Tuple[Tuple[str, float, float, int, int], ...]
@@ -99,7 +99,6 @@ def _plan(memory: MemoryConfig) -> _Plan:
     )
     nvm_latency = memory.nvm_latency
     return _Plan(
-        far=memory.placement is PMPlacement.FAR,
         pcie_latency=memory.pcie_latency,
         gddr=tuple((f"gddr{i}", gddr_latency, gddr_bw) for i in range(parts)),
         nvm=tuple(
@@ -139,7 +138,7 @@ class MemorySubsystem:
         self._l2_latency = gpu.l2_latency
         self._pcie_latency = pcie_latency = plan.pcie_latency
         self._parts = memory.num_partitions
-        self._far = plan.far
+        self._far = memory.placement is PMPlacement.FAR
         self.gddr = [
             BandwidthChannel(name, latency, bw, stats, tracer)
             for name, latency, bw in plan.gddr
