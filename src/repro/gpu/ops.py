@@ -10,9 +10,9 @@ when the op is built (a scalar is repeated across the lanes, a numpy
 lane vector is unpacked with ``tolist``); ``mask`` is a per-lane list of
 truth values selecting the active lanes (SIMT predication), or ``None``
 when every lane is active.  A tuple of ``True``/``False`` lanes is kept
-as is: it is immutable, so one mask can serve many ops.  Scalar ops (``PAcq``/``PRel``) take a
-single address because in every paper workload a single leader lane
-performs the release/acquire.
+as is: it is immutable, so one mask can serve many ops.  Scalar ops
+(``PAcq``/``PRel``) take a single address because in every paper
+workload a single leader lane performs the release/acquire.
 """
 
 from __future__ import annotations
