@@ -162,6 +162,7 @@ def observe(
     variants: Sequence[Variant],
     crash_points: int = 48,
     model_factory: Any = None,
+    setup: Optional[ProgramSetup] = None,
 ) -> List[Union[SimulationObservation, Exception]]:
     """Simulator runs of *program*, one result per variant: the
     observation, or the exception that ended the run.  Variants that
@@ -170,9 +171,10 @@ def observe(
     warp slots, and only a new key builds its config.  *crash_points*
     is passed to :func:`simulate_program`, which images those evenly
     spaced instants only under a fault injector; a value below 1 raises
-    :class:`ConfigError`.  The program's :class:`ProgramSetup` is
-    derived once per call and shared by its runs."""
-    setup = ProgramSetup(program)
+    :class:`ConfigError`.  The program's :class:`ProgramSetup` (*setup*,
+    or derived here when not given) is shared by its runs."""
+    if setup is None:
+        setup = ProgramSetup(program)
     base = litmus_config(model, *setup.geometry)
     runs: Dict[Tuple[Any, ...], Any] = {}
     results = []

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.common.config import ModelName
 from repro.common.errors import ConfigError, LitmusError
 from repro.formal.crash_states import allowed_crash_images, allowed_final_images
-from repro.formal.bridge import ImageKey, image_key, pm_locations
+from repro.formal.bridge import ImageKey, ProgramSetup, image_key, pm_locations
 from repro.formal.events import LitmusProgram, all_reads_from
 from repro.formal.relations import ExecutionWitness
 
@@ -116,22 +116,30 @@ def _named(locations: Sequence[str], key: ImageKey) -> Dict[str, int]:
 
 
 #: The last checked program's content key, its unconstrained allowed
-#: keys and its witness memo.  Both depend on the program alone, never
-#: on the model, mutant or variants, so checking one program under
-#: several targets in a row derives them once.
-_last: Tuple[Any, Set[ImageKey], AllowedMemo] = (None, set(), {})
+#: keys, its witness memo and its :class:`ProgramSetup`.  All depend on
+#: the program alone, never on the model, mutant or variants, so
+#: checking one program under several targets in a row derives them
+#: once.
+_last: Tuple[Any, Set[ImageKey], AllowedMemo, Optional[ProgramSetup]]
+_last = (None, set(), {}, None)
 
 
-def _program_sets(program: LitmusProgram) -> Tuple[Set[ImageKey], AllowedMemo]:
-    """*program*'s unconstrained allowed keys and witness memo, reused
-    while the same program content is checked again.  The key is each
-    thread's block and its events with their eids: every input of the
-    axiomatic model, and nothing else (the name is not one)."""
+def _program_sets(
+    program: LitmusProgram,
+) -> Tuple[Set[ImageKey], AllowedMemo, ProgramSetup]:
+    """*program*'s unconstrained allowed keys, witness memo and setup,
+    reused while the same program content is checked again.  The key is
+    each thread's block and its events with their eids: every input of
+    the axiomatic model, and nothing else (the name is not one).  The
+    setup also holds the program's threads, so an equal program in
+    another object gets its own."""
     global _last
     key = tuple((t.block, tuple(t.events)) for t in program.threads)
     if _last[0] != key:
-        _last = (key, allowed_keys(program), {})
-    return _last[1], _last[2]
+        _last = (key, allowed_keys(program), {}, ProgramSetup(program))
+    elif _last[3].program is not program:
+        _last = _last[:3] + (ProgramSetup(program),)
+    return _last[1:]
 
 
 def check_observation(
@@ -215,8 +223,9 @@ def check_program(
 
     Returns a plain-JSON report; ``violations`` is the total count
     across variants (0 = the model refined its spec on this program).
-    The last program's allowed sets are kept, so checking the same
-    program next, under any model or mutant, derives none of them again;
+    The last program's allowed sets and setup are kept, so checking the
+    same program next, under any model or mutant, derives none of them
+    again;
     witness-specific sets are computed once per distinct query.
     A simulation that dies (deadlock, livelock, drain stall) counts as
     a violation too — mutants are allowed to wedge the machine, and a
@@ -227,12 +236,17 @@ def check_program(
             f"mutant {mutant!r} mutates SBRP; it cannot run under {model.value}"
         )
     model_factory = build_mutant(mutant) if mutant is not None else None
-    allowed, memo = _program_sets(program)
+    allowed, memo, setup = _program_sets(program)
     observed: Set[NormImage] = set()
     variant_reports: List[Dict[str, Any]] = []
     sim_cycles = 0.0
     observations = observe(
-        program, model, variants, crash_points=crash_points, model_factory=model_factory
+        program,
+        model,
+        variants,
+        crash_points=crash_points,
+        model_factory=model_factory,
+        setup=setup,
     )
     # Variants that shared a run share its observation: each distinct
     # one is judged once, and its violations relabelled per variant.

@@ -135,9 +135,11 @@ class ProgramSetup:
     the acquire count and the machine geometry, and on first use the
     warp slots of each thread order.
 
-    ``LitmusProgram`` is a mutable builder, so a setup is made for one
-    batch of runs (one :func:`~repro.check.enumerator.observe` call)
-    and never looked up by program identity."""
+    ``LitmusProgram`` is a mutable builder, so a setup is never looked
+    up by program identity alone: it serves the runs of one
+    :func:`~repro.check.enumerator.observe` call, or, kept by the
+    oracle's last-program memo, every check of one program object while
+    its content stays the same."""
 
     def __init__(self, program: LitmusProgram) -> None:
         program.validate()

@@ -5,28 +5,36 @@ every ``yield`` hands one of these operations to the SM, which simulates
 its timing and (for loads, acquires, atomics) sends the result back into
 the generator.
 
-Addresses and values are per-lane lists of Python ints, converted once
-when the op is built (a scalar is repeated across the lanes, a numpy
-lane vector is unpacked with ``tolist``); ``mask`` is a per-lane list of
-truth values selecting the active lanes (SIMT predication), or ``None``
-when every lane is active.  A tuple of ``True``/``False`` lanes is kept
-as is: it is immutable, so one mask can serve many ops.  Scalar ops
-(``PAcq``/``PRel``) take a single address because in every paper
-workload a single leader lane performs the release/acquire.
+Addresses and values are per-lane sequences of Python ints, converted
+once when the op is built (a scalar is repeated across the lanes, a
+numpy lane vector is unpacked with ``tolist``); ``mask`` is a per-lane
+list of truth values selecting the active lanes (SIMT predication), or
+``None`` when every lane is active.  A tuple of ints (addresses, values)
+or of ``True``/``False`` (a mask) with one entry per lane is kept as
+is: it is immutable, so one lane vector can serve many ops, and a
+recorded op stream (:func:`repro.serve.app.stream_ops`) replays without
+converting anything.  Nothing downstream writes to an op's lanes.
+Scalar ops (``PAcq``/``PRel``) take a single address because in every
+paper workload a single leader lane performs the release/acquire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.common.config import Scope
 
 
-def _as_lanes(values: Sequence[int] | np.ndarray | int, lanes: int) -> List[int]:
-    """Per-lane ints of *values*: a lane vector, or a scalar repeated."""
+#: The element types of a lane tuple :func:`_as_lanes` keeps as is.
+_INT_ONLY = {int}
+
+
+def _as_lanes(values: Sequence[int] | np.ndarray | int, lanes: int) -> Sequence[int]:
+    """Per-lane ints of *values*: a lane vector, or a scalar repeated.
+    A tuple of *lanes* ints is returned as is."""
     if type(values) is np.ndarray:  # hot path: already a lane array
         if values.shape != (lanes,):
             raise ValueError(
@@ -37,6 +45,12 @@ def _as_lanes(values: Sequence[int] | np.ndarray | int, lanes: int) -> List[int]
         return values.tolist()
     if type(values) is int:
         return [values] * lanes
+    if (
+        type(values) is tuple
+        and len(values) == lanes
+        and set(map(type, values)) == _INT_ONLY
+    ):
+        return values
     if np.isscalar(values):
         return [int(values)] * lanes
     arr = np.asarray(values, dtype=np.int64)
@@ -85,7 +99,7 @@ class Compute(Op):
 class Ld(Op):
     """Per-lane loads; the SM sends back an int64 array of lane values."""
 
-    addrs: List[int]
+    addrs: Sequence[int]
     mask: Optional[Sequence[bool]]
 
 
@@ -98,8 +112,8 @@ class St(Op):
     model resumes from the lines it had left rather than re-splitting.
     """
 
-    addrs: List[int]
-    values: List[int]
+    addrs: Sequence[int]
+    values: Sequence[int]
     mask: Optional[Sequence[bool]]
     pm_lines: Optional[dict] = None
     vol_words: Optional[dict] = None
@@ -111,8 +125,8 @@ class AtomicAdd(Op):
     """Per-lane atomic fetch-and-add performed at the L2 point of
     coherence; returns the per-lane old values."""
 
-    addrs: List[int]
-    values: List[int]
+    addrs: Sequence[int]
+    values: Sequence[int]
     mask: Optional[Sequence[bool]]
 
 

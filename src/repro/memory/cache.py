@@ -148,7 +148,9 @@ class L1Cache:
         words: Optional[Dict[int, int]] = None,
         now: float = 0.0,
     ) -> None:
-        """Install *line_addr* into a (previously chosen) way."""
+        """Install *line_addr* into a (previously chosen) way.  The line
+        takes ownership of *words* (the fetched line's data): the caller
+        hands over a fresh dict and never touches it again."""
         tag_map = self._map
         old_tag = line.tag
         if old_tag != line_addr and tag_map.get(old_tag) is line:
@@ -158,7 +160,7 @@ class L1Cache:
         line.dirty = False
         line.is_pm = is_pm
         line.pb_index = None
-        line.words = dict(words) if words else {}
+        line.words = {} if words is None else words
         line.dirty_words = {}
         line.last_use = now
         tag_map[line_addr] = line

@@ -77,7 +77,7 @@ class TestProgramMajor:
             return original(program, *args)
 
         monkeypatch.setattr(oracle, "allowed_unconstrained", counting)
-        monkeypatch.setattr(oracle, "_last", (None, set(), {}))
+        monkeypatch.setattr(oracle, "_last", (None, set(), {}, None))
         report = build_report(
             programs=3,
             seed=5,

@@ -44,13 +44,13 @@ def derivations(monkeypatch):
         return original(program, *args)
 
     monkeypatch.setattr(oracle, "allowed_unconstrained", counting)
-    monkeypatch.setattr(oracle, "_last", (None, set(), {}))
+    monkeypatch.setattr(oracle, "_last", (None, set(), {}, None))
     return derived
 
 
 def cold_check(prog, model, mutant=None):
     """``check_program`` with the last-program memo cleared first."""
-    oracle._last = (None, set(), {})
+    oracle._last = (None, set(), {}, None)
     return check_program(prog, model, list(SMOKE_VARIANTS), mutant=mutant)
 
 
@@ -295,3 +295,32 @@ def test_program_extended_after_a_check_is_recomputed(derivations):
     assert derivations == ["grown", "grown"]
     assert report["violations"] == 0
     assert report == cold_check(prog, ModelName.SBRP)
+
+
+def test_check_program_derives_the_setup_once_per_program(
+    derivations, monkeypatch
+):
+    """The last-program memo keeps the program's setup with its allowed
+    sets and hands it to ``observe``: checking one program under every
+    target derives it once.  An equal program in another object, or the
+    same object once extended, gets a setup of its own."""
+    derived = []
+
+    class CountingSetup(bridge.ProgramSetup):
+        def __init__(self, program):
+            derived.append(program.name)
+            super().__init__(program)
+
+    monkeypatch.setattr(oracle, "ProgramSetup", CountingSetup)
+    monkeypatch.setattr(enumerator, "ProgramSetup", CountingSetup)
+    first = one_write("a", 1)
+    for model, mutant in TARGETS:
+        check_program(first, model, list(SMOKE_VARIANTS), mutant=mutant)
+    assert derived == ["a"]
+    twin = one_write("b", 1)
+    report = check_program(twin, ModelName.GPM, list(SMOKE_VARIANTS))
+    assert (derived, derivations) == (["a", "b"], ["a"])
+    assert report["program"] == "b"
+    twin.threads[0].w("pC", 3)
+    check_program(twin, ModelName.GPM, list(SMOKE_VARIANTS))
+    assert (derived, derivations) == (["a", "b", "b"], ["a", "b"])

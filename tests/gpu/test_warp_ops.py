@@ -54,6 +54,36 @@ class TestWarpCtx:
         with pytest.raises(ValueError):
             w.ld(w.tid, mask=[True, False])
 
+    def test_int_tuple_lanes_are_kept_as_is(self):
+        w = make_ctx()
+        addrs = tuple(range(4096, 4096 + 4 * 32, 4))
+        values = tuple(range(32))
+        store = w.st(addrs, values)
+        assert store.addrs is addrs and store.values is values
+        assert w.ld(addrs).addrs is addrs
+
+    def test_int_tuple_of_wrong_length_rejected(self):
+        w = make_ctx()
+        with pytest.raises(ValueError):
+            w.ld(tuple(range(31)))
+        with pytest.raises(ValueError):
+            w.st(w.tid, tuple(range(33)))
+
+    def test_non_int_tuples_are_converted_or_rejected(self):
+        w = make_ctx()
+        numpy_ints = tuple(np.arange(32))
+        op = w.ld(numpy_ints)
+        assert op.addrs == list(range(32))
+        assert all(type(a) is int for a in op.addrs)
+        flags = (True, False) * 16
+        assert w.st(w.tid, flags).values == [1, 0] * 16
+        mixed = (1.5,) + tuple(range(1, 32))
+        assert w.st(w.tid, mixed).values == [1] + list(range(1, 32))
+        with pytest.raises(ValueError):
+            w.ld(("a",) * 32)
+        with pytest.raises(ValueError):
+            w.ld(tuple(np.arange(31)))
+
     def test_scoped_ops_carry_scope(self):
         w = make_ctx()
         acq = w.pacq(64, Scope.DEVICE)

@@ -4,7 +4,9 @@
 :class:`WorkloadSpec`, and :func:`repro.serve.app.derive_stream` the
 per-batch lane arrays and the initial table image of a
 :class:`ServeKVSParams`; every :class:`ServeKVS` with equal params reads
-the same objects.
+the same objects.  :func:`repro.serve.app.stream_ops` holds each batch's
+recorded warp ops per stream and machine geometry: the first launch of
+a batch records them, every later one replays them.
 """
 
 import dataclasses
@@ -16,7 +18,9 @@ from repro.apps import build_app
 from repro.common.config import ModelName, small_system
 from repro.crash import CrashHarness
 import repro.serve.app as serve_app
-from repro.serve.app import derive_stream, encode_value
+from repro.gpu.ops import Ld
+from repro.gpu.warp import WarpCtx
+from repro.serve.app import ServeKVS, derive_stream, encode_value, stream_ops
 from repro.serve.workload import OP_INSERT, plan_workload
 from repro.system import GPUSystem
 
@@ -75,11 +79,14 @@ class TestSharing:
         )
         assert app.plan.insert_keys  # the mix does insert
 
-    @pytest.mark.parametrize("memo", [plan_workload, derive_stream])
+    @pytest.mark.parametrize("memo", [plan_workload, derive_stream, stream_ops])
     def test_cache_stays_within_its_bound(self, memo):
         bound = memo.cache_parameters()["maxsize"]
         for seed in range(bound + 4):
-            build_app("serve_kvs", **dict(SMALL, n_requests=8, seed=1000 + seed))
+            app = build_app(
+                "serve_kvs", **dict(SMALL, n_requests=8, seed=1000 + seed)
+            )
+            app.setup(GPUSystem(small_system(ModelName.SBRP)))
             assert memo.cache_info().currsize <= bound
         assert memo.cache_info().currsize == bound
 
@@ -126,10 +133,10 @@ class TestReadOnly:
             app.plan.insert_keys = ()
 
 
-def served(model):
+def served(model, **params):
     """A fresh app's stream on a fresh machine: (counters, cycles)."""
     system = GPUSystem(small_system(model))
-    app = build_app("serve_kvs", **SMALL)
+    app = build_app("serve_kvs", **SMALL, **params)
     app.setup(system)
     cycles = app.run(system).cycles
     system.sync()
@@ -146,3 +153,97 @@ def test_a_crash_and_recovery_leave_the_stream_intact(model):
     report = harness.crash_at_fraction(0.5, complete=True)
     assert report.consistent and report.completed, report.error
     assert served(model) == before
+
+
+def refuse_live_kernel(self, w, arr):
+    raise AssertionError("a recorded batch ran its kernel live")
+    yield  # pragma: no cover - makes this a generator
+
+
+class TestOpRecords:
+    @pytest.mark.parametrize("seeded_bug", ["", "early_commit"])
+    @pytest.mark.parametrize("policy", ["adaptive", "forced_pb", "forced_direct"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_replay_equals_the_recording_run(
+        self, model, policy, seeded_bug, monkeypatch
+    ):
+        """Served again on a fresh machine, a recorded stream replays
+        every batch and counts the same events and cycles."""
+        stream_ops.cache_clear()
+        params = dict(policy=policy, seeded_bug=seeded_bug)
+        recording = served(model, **params)
+        monkeypatch.setattr(ServeKVS, "_serve_kernel", refuse_live_kernel)
+        assert served(model, **params) == recording
+
+    def test_equal_keys_share_one_record(self):
+        stream_ops.cache_clear()
+        config = small_system(ModelName.SBRP)
+        first, second = (build_app("serve_kvs", **SMALL) for _ in range(2))
+        first.setup(GPUSystem(config))
+        system = GPUSystem(config)
+        second.setup(system)
+        assert first.records is second.records
+        assert set(first.records) == {None}
+        second.run(system)
+        assert None not in first.records
+        record = first.records[0]
+        with pytest.raises(TypeError):
+            record[0, 0] = ()
+        # A different block size splits the lanes into other warps.
+        wide = build_app("serve_kvs", **SMALL)
+        wide.setup(GPUSystem(small_system(ModelName.SBRP, threads_per_block=64)))
+        assert wide.records is not first.records
+        assert set(wide.records) == {None}
+
+    def test_a_raising_launch_publishes_nothing(self, monkeypatch):
+        """A launch that raises at the end of each block's last warp
+        publishes nothing, whatever its other warps recorded; the next
+        launch records in full."""
+        stream_ops.cache_clear()
+        live = ServeKVS._serve_kernel
+
+        def failing(self, w, arr):
+            yield from live(self, w, arr)
+            if w.warp_in_block == w.warps_per_block - 1:
+                raise RuntimeError("warp died")
+
+        monkeypatch.setattr(ServeKVS, "_serve_kernel", failing)
+        system = GPUSystem(small_system(ModelName.SBRP))
+        app = build_app("serve_kvs", **SMALL)
+        app.setup(system)
+        with pytest.raises(RuntimeError, match="warp died"):
+            app.serve_batch(system, 0)
+        assert set(app.records) == {None}
+        monkeypatch.setattr(ServeKVS, "_serve_kernel", live)
+        before = served(ModelName.SBRP)
+        assert None not in app.records
+        assert served(ModelName.SBRP) == before
+
+    def test_serve_kernel_never_reads_its_loads(self):
+        """Driven with a sentinel for every load, the serve kernel still
+        completes and yields the recorded ops: what replay relies on."""
+        stream_ops.cache_clear()
+        served(ModelName.SBRP)
+        system = GPUSystem(small_system(ModelName.SBRP))
+        app = build_app("serve_kvs", **SMALL)
+        app.setup(system)
+        gpu = system.config.gpu
+        sentinel = object()
+        loads = 0
+        for index, arr in enumerate(app.stream.lanes):
+            grid = app._grid(system, arr["n"])
+            for block in range(grid):
+                for warp in range(gpu.warps_per_block):
+                    w = WarpCtx(
+                        block, warp, gpu.warp_size, gpu.threads_per_block, grid
+                    )
+                    kernel = app._serve_kernel(w, arr)
+                    ops, sent = [], None
+                    with pytest.raises(StopIteration):
+                        while True:
+                            op = kernel.send(sent)
+                            ops.append(serve_app._entry(op))
+                            sent = sentinel if type(op) is Ld else None
+                            loads += type(op) is Ld
+                    assert tuple(ops) == app.records[index][block, warp]
+        assert loads  # the mix does read
